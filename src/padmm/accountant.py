@@ -21,6 +21,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+from .model import LocalObjectiveParams, curvature_bounds
+
 
 class BudgetError(ValueError):
     """Raised when a privacy budget request cannot be satisfied."""
@@ -176,8 +178,11 @@ def plan_budget(
         i: 2.0 * math.sqrt(2.0 * math.log(1.25 / delta_i1)) / (dataset_sizes[i] * epsilon_i3)
         for i in dataset_sizes
     }
+    # sigma_i2 scales with 1/mu_i, the strong convexity of agent i's subproblem
+    # at the floor; the inner solver takes its step from the same bound.
+    surrogate = LocalObjectiveParams(None, lambda_hat_floor, n_agents)
     sigma_i2 = {
-        i: beta / (math.sqrt(2.0 * rho_i2) * (lambda_hat_floor / n_agents + 2.0 * eta * degrees[i]))
+        i: beta / (math.sqrt(2.0 * rho_i2) * curvature_bounds(surrogate, eta, degrees[i])[0])
         for i in degrees
     }
     return BudgetPlan(

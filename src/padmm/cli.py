@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import accountant, data as data_mod, engine, svt, topology
-from .metrics import error_rate, average_loss  # noqa: F401  (public surface)
 from .solver import SolverConfig
 
 

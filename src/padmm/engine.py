@@ -10,7 +10,7 @@ bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -20,9 +20,10 @@ from .data import Dataset
 from .model import (
     AugmentedParams,
     LocalObjectiveParams,
-    augmented_gradient,
-    augmented_objective,
+    augmented_value_and_grad,
     clipped_quality,
+    curvature_bounds,
+    local_value_and_grad,
 )
 from .solver import NonConvergence, SolverConfig, minimize
 from .svt import Decision, SvtGate
@@ -58,12 +59,31 @@ def _solve_round(theta_prev, dual, neighbor_vals, params, eta, b1, cfg, t, i):
     )
 
     def objective(theta):
-        return augmented_objective(theta, params, aug), augmented_gradient(theta, params, aug)
+        return augmented_value_and_grad(theta, params, aug)
 
     try:
         return minimize(objective, theta_prev, cfg)
     except NonConvergence as exc:
         raise EngineError(f"round {t}, agent {i}: solver did not converge: {exc}") from exc
+
+
+def bounded_step_config(cfg: SolverConfig, params, eta: float, degree: int) -> SolverConfig:
+    """cfg with the gradient step 2 / (mu + L) of this agent's subproblem.
+
+    For a mu-strongly convex, L-smooth objective that step contracts the
+    distance to the minimizer by (L - mu) / (L + mu) per iteration, so the
+    solver rarely needs its backtracking guard.
+    """
+    mu, lipschitz = curvature_bounds(params, eta, degree)
+    return replace(cfg, initial_step=2.0 / (mu + lipschitz))
+
+
+def _agents(data, g: Graph, lambda_hat: float, eta: float, cfg: SolverConfig):
+    """Per-agent objective parameters, sorted neighbor lists and solver configs."""
+    params = [LocalObjectiveParams(data[i], lambda_hat, g.n) for i in range(g.n)]
+    nbrs = [sorted(g.neighbors(i)) for i in range(g.n)]
+    cfgs = [bounded_step_config(cfg, params[i], eta, len(nbrs[i])) for i in range(g.n)]
+    return params, nbrs, cfgs
 
 
 def _check_inputs(data, g: Graph):
@@ -93,8 +113,7 @@ def _run_full_broadcast(data, g, eta, lambda_hat, T, cfg, draw_b1, draw_b2, char
     n = g.n
     thetas = [np.zeros(d) for _ in range(n)]
     duals = [np.zeros(d) for _ in range(n)]
-    params = [LocalObjectiveParams(data[i], lambda_hat, n) for i in range(n)]
-    nbrs = [sorted(g.neighbors(i)) for i in range(n)]
+    params, nbrs, cfgs = _agents(data, g, lambda_hat, eta, cfg)
 
     traces = []
     for t in range(T):
@@ -104,7 +123,7 @@ def _run_full_broadcast(data, g, eta, lambda_hat, T, cfg, draw_b1, draw_b2, char
             b1 = draw_b1(i)
             theta_hat = _solve_round(
                 snapshot[i], duals[i], [snapshot[j] for j in nbrs[i]],
-                params[i], eta, b1, cfg, t, i,
+                params[i], eta, b1, cfgs[i], t, i,
             )
             new_thetas.append(theta_hat + draw_b2(i))
             charge(i)
@@ -222,8 +241,7 @@ def run_ipp_admm(data, g: Graph, plan: BudgetPlan, eta: float, T: int,
 
     thetas = [np.zeros(d) for _ in range(n)]
     duals = [np.zeros(d) for _ in range(n)]
-    params = [LocalObjectiveParams(data[i], lambda_hat, n) for i in range(n)]
-    nbrs = [sorted(g.neighbors(i)) for i in range(n)]
+    params, nbrs, cfgs = _agents(data, g, lambda_hat, eta, cfg)
 
     traces = []
     for t in range(T):
@@ -234,7 +252,7 @@ def run_ipp_admm(data, g: Graph, plan: BudgetPlan, eta: float, T: int,
             b1 = noise.gaussian_vector(plan.sigma_i1[i], d, b1_rngs[i])
             theta_hat = _solve_round(
                 snapshot[i], duals[i], [snapshot[j] for j in nbrs[i]],
-                params[i], eta, b1, cfg, t, i,
+                params[i], eta, b1, cfgs[i], t, i,
             )
             quality = clipped_quality(snapshot[i], theta_hat, params[i], c_loss)
             decision = gates[i].check(quality, query_rngs[i])
@@ -263,10 +281,10 @@ def centralized_reference(pooled: Dataset, lambda_hat: float, cfg: SolverConfig)
     regularizer weight) / N.
     """
     params = LocalObjectiveParams(pooled, lambda_hat, 1)
-    from .model import local_gradient, local_objective
+    cfg = bounded_step_config(cfg, params, eta=0.0, degree=0)
 
     def objective(theta):
-        return local_objective(theta, params), local_gradient(theta, params)
+        return local_value_and_grad(theta, params)
 
     try:
         return minimize(objective, np.zeros(pooled.dimension), cfg)

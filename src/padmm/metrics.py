@@ -24,11 +24,9 @@ def error_rate(theta_per_agent, test: Dataset) -> float:
     """
     if test.n_samples == 0:
         raise ValueError("empty test set")
-    rates = []
-    for theta in theta_per_agent:
-        predictions = np.where(test.features @ theta >= 0, 1, -1)
-        rates.append(float(np.mean(predictions != test.labels)))
-    return float(np.mean(rates))
+    scores = test.features @ np.asarray(theta_per_agent).T  # (n_test, N)
+    wrong = (scores >= 0) != (test.labels > 0)[:, None]
+    return float(np.mean(wrong.mean(axis=0)))
 
 
 def consensus_residual(theta_per_agent) -> float:

@@ -10,6 +10,11 @@ and each round's primal subproblem minimizes the augmented form
         + eta * sum_j || 0.5 (theta_self_prev + theta_j_prev) - theta ||^2
 
 where b1 is the objective-perturbation noise (zero in the non-private run).
+The augmented form is mu-strongly convex and L-smooth with
+
+    mu = lambda_hat / N + 2 eta deg_i,    L = mu + 0.25 max_n ||x_n||^2
+
+(the logistic loss has curvature at most 1/4); see curvature_bounds.
 """
 
 from __future__ import annotations
@@ -29,11 +34,10 @@ def logistic_loss(z):
 def logistic_loss_deriv(z):
     """Derivative of logistic_loss: -1/(1+exp(z)), always in (-1, 0)."""
     z = np.asarray(z, dtype=float)
-    # sigma(z) - 1 computed without overflow on either sign of z.
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = -np.exp(-z[pos]) / (1.0 + np.exp(-z[pos]))
-    out[~pos] = -1.0 / (1.0 + np.exp(z[~pos]))
+    # sigma(z) - 1 without overflow on either sign of z: with e = exp(-|z|),
+    # -e / (1 + e) for z >= 0 and -1 / (1 + e) for z < 0.
+    e = np.exp(-np.abs(z))
+    out = np.where(z >= 0, -e, -1.0) / (1.0 + e)
     return out if out.ndim else float(out)
 
 
@@ -94,6 +98,47 @@ def augmented_gradient(theta: np.ndarray, p: LocalObjectiveParams, a: AugmentedP
     for theta_j in a.neighbor_prev:
         grad += 2.0 * a.eta * (theta - 0.5 * (a.self_prev + theta_j))
     return grad
+
+
+def local_value_and_grad(theta: np.ndarray, p: LocalObjectiveParams):
+    """(local_objective, local_gradient) from one pass over the margins."""
+    scale = p.lambda_hat / p.num_agents
+    value, grad = scale * 0.5 * float(theta @ theta), scale * theta
+    if p.dataset is None:
+        return value, grad
+    d = p.dataset
+    z = _margins(theta, d)
+    w = logistic_loss_deriv(z) * d.labels
+    return float(np.mean(logistic_loss(z))) + value, (d.features.T @ w) / d.n_samples + grad
+
+
+def augmented_value_and_grad(theta: np.ndarray, p: LocalObjectiveParams, a: AugmentedParams):
+    """(augmented_objective, augmented_gradient), bit for bit, at one margin pass."""
+    b1 = a.noise_b1 if a.noise_b1 is not None else 0.0
+    value, grad = local_value_and_grad(theta, p)
+    value += float((2.0 * a.dual + b1) @ theta)
+    grad = grad + 2.0 * a.dual + b1
+    for theta_j in a.neighbor_prev:
+        diff = 0.5 * (a.self_prev + theta_j) - theta
+        value += a.eta * float(diff @ diff)
+        grad -= 2.0 * a.eta * diff  # exactly + 2 eta (theta - midpoint)
+    return value, grad
+
+
+def curvature_bounds(p: LocalObjectiveParams, eta: float, degree: int) -> tuple:
+    """(mu, L): strong-convexity and smoothness constants of the augmented objective.
+
+    mu = lambda_hat / N + 2 eta degree is exact (the regularizer and the
+    neighbor penalties are isotropic quadratics).  L adds 0.25 times the
+    largest squared row norm of the agent's own shard, which bounds the
+    logistic Hessian X^T diag(s (1 - s)) X / n.  The dataset=None surrogate
+    has no loss term, so there L = mu.
+    """
+    mu = p.lambda_hat / p.num_agents + 2.0 * eta * degree
+    if p.dataset is None:
+        return mu, mu
+    x = p.dataset.features
+    return mu, mu + 0.25 * float(np.max(np.einsum("ij,ij->i", x, x)))
 
 
 def clipped_quality(

@@ -1,8 +1,13 @@
 """First-order inner solver: run until the gradient norm drops below beta.
 
-Gradient descent with backtracking (halving) line search.  The augmented
-subproblems are strongly convex, so this converges linearly and keeps the
-whole pipeline deterministic.
+Gradient descent that tries `initial_step` at every iteration and halves it
+only while the Armijo test fails.  The engine sets `initial_step` to
+2 / (mu + L) from each subproblem's strong-convexity and smoothness bounds
+(model.curvature_bounds); at that step gradient descent contracts by
+(L - mu) / (L + mu) per iteration, and the Armijo test holds whenever
+mu / (mu + L) >= ARMIJO_C, so the backtracking is only a guard.  The stopping
+rule is unchanged: the gradient norm at the returned iterate is <= beta.
+Deterministic: no internal randomness.
 """
 
 from __future__ import annotations

@@ -51,6 +51,15 @@ class TestMetrics:
         perfect, inverted = np.array([1.0]), np.array([-1.0])
         assert error_rate([perfect, inverted], test) == 0.5
 
+    def test_error_rate_matches_per_agent_loop(self):
+        rng = np.random.default_rng(0)
+        test = Dataset(rng.normal(size=(97, 4)), rng.choice([-1, 1], size=97))
+        thetas = [rng.normal(size=4) for _ in range(6)] + [np.zeros(4)]
+        rates = [float(np.mean(np.where(test.features @ t >= 0, 1, -1) != test.labels))
+                 for t in thetas]
+        assert error_rate(thetas, test) == float(np.mean(rates))
+        assert error_rate(np.array(thetas), test) == float(np.mean(rates))
+
     def test_average_loss_at_zero(self):
         parts = [Dataset(np.ones((4, 1)), np.array([1, 1, -1, -1]))]
         assert average_loss([np.zeros(1)], parts) == pytest.approx(np.log(2))

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from padmm import data, engine, metrics
+from padmm import cli, data, engine, metrics
 from padmm.accountant import plan_budget, zcdp_sufficient_epsilon
 from padmm.engine import EngineError, dual_update
-from padmm.solver import SolverConfig
+from padmm.model import LocalObjectiveParams, curvature_bounds
+from padmm.solver import SolverConfig, minimize
 from padmm.svt import svt_split_ratio
 from padmm.topology import ring
 
@@ -204,3 +205,47 @@ class TestCentralizedReference:
         a = engine.centralized_reference(ds, 0.5, cfg)
         b = engine.centralized_reference(ds, 0.5, cfg)
         assert np.array_equal(a, b)
+
+
+class TestCurvatureStep:
+    """The inner solver's step 2 / (mu + L) on the documented default config."""
+
+    def test_step_from_agent_bounds(self):
+        ds = data.synthetic_blobs(50, 3, 2.0, 0)
+        params = LocalObjectiveParams(ds, 0.7, 4)
+        cfg = engine.bounded_step_config(SolverConfig(beta=BETA, max_iterations=50), params,
+                                         0.5, 2)
+        mu, lipschitz = curvature_bounds(params, 0.5, 2)
+        assert cfg.initial_step == 2.0 / (mu + lipschitz)
+        assert (cfg.beta, cfg.max_iterations) == (BETA, 50)
+
+    def test_default_ipp_admm_completes_every_seed(self):
+        cfg = cli.ExperimentConfig(algorithm="ipp_admm", seeds=tuple(range(6)))
+        assert (cfg.topology, cfg.epsilon) == ("random", 1.0)
+        report = cli.run_experiment(cfg)
+        assert len(report.rounds) == 6 * cfg.T
+        for counts in report.summary["broadcast_counts"].values():
+            assert max(counts.values()) <= cfg.c_max
+
+    @pytest.mark.parametrize("algorithm", ["nonprivate", "pp_admm", "ipp_admm"])
+    def test_solves_take_few_evaluations(self, monkeypatch, algorithm):
+        evals, final_norms = [], []
+
+        def counting_minimize(objective, start, solver_cfg):
+            calls = []
+
+            def counted(theta):
+                calls.append(theta)
+                return objective(theta)
+
+            out = minimize(counted, start, solver_cfg)
+            evals.append(len(calls))
+            final_norms.append(np.linalg.norm(objective(out)[1]))
+            return out
+
+        monkeypatch.setattr(engine, "minimize", counting_minimize)
+        cfg = cli.ExperimentConfig(algorithm=algorithm, T=10, seeds=(1,))
+        cli.run_experiment(cfg)
+        assert len(evals) == cfg.n_agents * cfg.T
+        assert max(evals) <= 10
+        assert max(final_norms) <= cfg.beta

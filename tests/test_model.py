@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from padmm import data
 from padmm.model import (
@@ -8,7 +8,9 @@ from padmm.model import (
     LocalObjectiveParams,
     augmented_gradient,
     augmented_objective,
+    augmented_value_and_grad,
     clipped_quality,
+    curvature_bounds,
     local_objective,
     logistic_loss,
     logistic_loss_deriv,
@@ -46,6 +48,14 @@ class TestLogisticLoss:
 
     def test_deriv_saturates(self):
         assert logistic_loss_deriv(500.0) == pytest.approx(0.0, abs=1e-200)
+
+    def test_deriv_matches_two_branch_reference(self):
+        z = np.concatenate([np.random.default_rng(0).normal(size=2000) * 40,
+                            [0.0, -0.0, 745.0, -745.0, 1e-300, -1e-300]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            reference = np.where(z >= 0, -np.exp(-z) / (1.0 + np.exp(-z)),
+                                 -1.0 / (1.0 + np.exp(z)))
+        assert np.array_equal(logistic_loss_deriv(z), reference)
 
     @given(st.floats(min_value=-30, max_value=30), st.floats(min_value=1e-4, max_value=0.1))
     def test_curvature_at_most_quarter(self, z, h):
@@ -140,6 +150,74 @@ class TestAugmentedGradient:
         a = AugmentedParams(np.zeros(3), prev, [nb], 0.5, None)
         g = augmented_gradient(0.5 * (prev + nb), surrogate(), a)
         assert np.allclose(g, 0, atol=1e-14)
+
+
+class TestValueAndGrad:
+    @pytest.mark.parametrize("n_nbrs", [0, 1, 2, 3])
+    @pytest.mark.parametrize("with_b1", [False, True])
+    @pytest.mark.parametrize("with_data", [False, True])
+    def test_bit_identical_to_separate_functions(self, with_data, with_b1, n_nbrs):
+        rng = np.random.default_rng(100 * n_nbrs + 10 * with_b1 + with_data)
+        for trial in range(10):
+            d = int(rng.integers(1, 6))
+            ds = toy_dataset(seed=trial, n=int(rng.integers(2, 40)), d=d) if with_data else None
+            p = LocalObjectiveParams(ds, float(rng.uniform(0, 2)), int(rng.integers(1, 6)))
+            a = AugmentedParams(rng.normal(size=d), rng.normal(size=d),
+                                [rng.normal(size=d) for _ in range(n_nbrs)],
+                                float(rng.uniform(0.1, 2)),
+                                rng.normal(size=d) if with_b1 else None)
+            theta = rng.normal(size=d) * 3
+            value, grad = augmented_value_and_grad(theta, p, a)
+            assert value == augmented_objective(theta, p, a)
+            assert np.array_equal(grad, augmented_gradient(theta, p, a))
+
+
+def exact_hessian(theta, p, eta, degree):
+    """lambda_hat/N I + X^T diag(s (1 - s)) X / n + 2 eta deg I."""
+    x = p.dataset.features
+    e = np.exp(-np.abs(x @ theta))
+    curvature = e / (1.0 + e) ** 2  # s (1 - s) with s the sigmoid of the margin
+    d = x.shape[1]
+    return ((p.lambda_hat / p.num_agents + 2.0 * eta * degree) * np.eye(d)
+            + (x.T * curvature) @ x / x.shape[0])
+
+
+class TestCurvatureBounds:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 30),
+        d=st.integers(1, 6),
+        feature_scale=st.floats(0.01, 10.0),
+        lambda_hat=st.floats(0.0, 5.0),
+        num_agents=st.integers(1, 20),
+        eta=st.floats(0.0, 2.0),
+        degree=st.integers(0, 5),
+    )
+    def test_brackets_exact_hessian(self, seed, n, d, feature_scale, lambda_hat,
+                                    num_agents, eta, degree):
+        rng = np.random.default_rng(seed)
+        ds = data.Dataset(rng.normal(size=(n, d)) * feature_scale,
+                          rng.choice([-1, 1], size=n))
+        p = LocalObjectiveParams(ds, lambda_hat, num_agents)
+        mu, lipschitz = curvature_bounds(p, eta, degree)
+        for _ in range(5):
+            theta = rng.normal(size=d) * rng.choice([0.0, 0.1, 1.0, 10.0])
+            eigs = np.linalg.eigvalsh(exact_hessian(theta, p, eta, degree))
+            tol = 1e-9 * max(1.0, lipschitz)
+            assert mu <= eigs[0] + tol
+            assert eigs[-1] <= lipschitz + tol
+
+    def test_quadratic_is_tight(self):
+        # at theta = 0 every sample has s (1 - s) = 1/4; one sample makes
+        # the loss Hessian rank one with top eigenvalue 0.25 ||x||^2
+        ds = data.Dataset(np.array([[0.6, 0.8]]), np.array([1]))
+        mu, lipschitz = curvature_bounds(LocalObjectiveParams(ds, 2.0, 4), 0.5, 3)
+        assert mu == 0.5 + 3.0
+        assert lipschitz == pytest.approx(mu + 0.25)
+
+    def test_surrogate_has_no_loss_curvature(self):
+        assert curvature_bounds(surrogate(1.5), 0.25, 2) == (2.5, 2.5)
 
 
 class TestClippedQuality:
