@@ -20,7 +20,7 @@ from .data import Dataset
 from .model import (
     AugmentedParams,
     LocalObjectiveParams,
-    augmented_value_and_grad,
+    augmented_kernel,
     clipped_quality,
     curvature_bounds,
     local_value_and_grad,
@@ -57,12 +57,8 @@ def _solve_round(theta_prev, dual, neighbor_vals, params, eta, b1, cfg, t, i):
     aug = AugmentedParams(
         dual=dual, self_prev=theta_prev, neighbor_prev=neighbor_vals, eta=eta, noise_b1=b1
     )
-
-    def objective(theta):
-        return augmented_value_and_grad(theta, params, aug)
-
     try:
-        return minimize(objective, theta_prev, cfg)
+        return minimize(augmented_kernel(params, aug), theta_prev, cfg)
     except NonConvergence as exc:
         raise EngineError(f"round {t}, agent {i}: solver did not converge: {exc}") from exc
 

@@ -5,13 +5,13 @@ from __future__ import annotations
 import numpy as np
 
 from .data import Dataset
-from .model import logistic_loss
+from .model import mean_logistic_loss
 
 
 def average_loss(theta_per_agent, train_per_agent) -> float:
     """(1/N) sum_i mean_n L(y theta_i . x); no regularizer term."""
     losses = [
-        float(np.mean(logistic_loss(d.labels * (d.features @ theta))))
+        mean_logistic_loss(theta, d)
         for theta, d in zip(theta_per_agent, train_per_agent, strict=True)
     ]
     return float(np.mean(losses))

@@ -15,6 +15,13 @@ The augmented form is mu-strongly convex and L-smooth with
     mu = lambda_hat / N + 2 eta deg_i,    L = mu + 0.25 max_n ||x_n||^2
 
 (the logistic loss has curvature at most 1/4); see curvature_bounds.
+
+Each evaluation takes one exponential per sample: with e = exp(-|z|),
+L(z) = log(1 + exp(-z)) is max(-z, 0) + log1p(e) and its derivative is
+-e / (1 + e) for z >= 0 and -1 / (1 + e) for z < 0.  augmented_kernel
+computes a solve's round-local terms (2 dual, b1 and the neighbor midpoints)
+once and returns the value-and-gradient objective the solver calls; it is
+bit-identical to the loop-form augmented_objective / augmented_gradient.
 """
 
 from __future__ import annotations
@@ -26,18 +33,27 @@ import numpy as np
 from .data import Dataset
 
 
+def _loss(z: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """log(1 + exp(-z)) as max(-z, 0) + log1p(e), given e = exp(-|z|)."""
+    return np.maximum(-z, 0.0) + np.log1p(e)
+
+
+def _deriv(z: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """sigma(z) - 1 given e = exp(-|z|): -e / (1 + e) for z >= 0, -1 / (1 + e) below."""
+    return np.where(z >= 0, -e, -1.0) / (1.0 + e)
+
+
 def logistic_loss(z):
     """log(1 + exp(-z)), overflow-safe; accepts scalars or arrays."""
-    return np.logaddexp(0.0, -np.asarray(z, dtype=float))
+    z = np.asarray(z, dtype=float)
+    out = _loss(z, np.exp(-np.abs(z)))
+    return out if out.ndim else float(out)
 
 
 def logistic_loss_deriv(z):
     """Derivative of logistic_loss: -1/(1+exp(z)), always in (-1, 0)."""
     z = np.asarray(z, dtype=float)
-    # sigma(z) - 1 without overflow on either sign of z: with e = exp(-|z|),
-    # -e / (1 + e) for z >= 0 and -1 / (1 + e) for z < 0.
-    e = np.exp(-np.abs(z))
-    out = np.where(z >= 0, -e, -1.0) / (1.0 + e)
+    out = _deriv(z, np.exp(-np.abs(z)))
     return out if out.ndim else float(out)
 
 
@@ -67,11 +83,16 @@ def _margins(theta: np.ndarray, data: Dataset) -> np.ndarray:
     return data.labels * (data.features @ theta)
 
 
+def mean_logistic_loss(theta: np.ndarray, data: Dataset) -> float:
+    """mean_n L(y_n theta.x_n): the data term of f_i and the reported training loss."""
+    return float(logistic_loss(_margins(theta, data)).sum() / data.n_samples)
+
+
 def local_objective(theta: np.ndarray, p: LocalObjectiveParams) -> float:
     reg = (p.lambda_hat / p.num_agents) * 0.5 * float(theta @ theta)
     if p.dataset is None:
         return reg
-    return float(np.mean(logistic_loss(_margins(theta, p.dataset)))) + reg
+    return mean_logistic_loss(theta, p.dataset) + reg
 
 
 def local_gradient(theta: np.ndarray, p: LocalObjectiveParams) -> np.ndarray:
@@ -101,28 +122,48 @@ def augmented_gradient(theta: np.ndarray, p: LocalObjectiveParams, a: AugmentedP
 
 
 def local_value_and_grad(theta: np.ndarray, p: LocalObjectiveParams):
-    """(local_objective, local_gradient) from one pass over the margins."""
+    """(local_objective, local_gradient) from one margin pass and one exponential."""
     scale = p.lambda_hat / p.num_agents
     value, grad = scale * 0.5 * float(theta @ theta), scale * theta
     if p.dataset is None:
         return value, grad
     d = p.dataset
     z = _margins(theta, d)
-    w = logistic_loss_deriv(z) * d.labels
-    return float(np.mean(logistic_loss(z))) + value, (d.features.T @ w) / d.n_samples + grad
+    e = np.exp(-np.abs(z))
+    w = _deriv(z, e) * d.labels
+    return (float(_loss(z, e).sum() / d.n_samples) + value,
+            (d.features.T @ w) / d.n_samples + grad)
+
+
+def augmented_kernel(p: LocalObjectiveParams, a: AugmentedParams):
+    """objective(theta) -> (augmented_objective, augmented_gradient), bit for bit.
+
+    The round-local terms (2 dual, the b1 term and the neighbor midpoints
+    0.5 (theta_self_prev + theta_j)) are computed once here, for every
+    evaluation of one solve; the evaluation order is that of the loop form.
+    """
+    two_dual = 2.0 * a.dual
+    b1 = a.noise_b1 if a.noise_b1 is not None else 0.0
+    linear = two_dual + b1
+    midpoints = [0.5 * (a.self_prev + theta_j) for theta_j in a.neighbor_prev]
+    eta, two_eta = a.eta, 2.0 * a.eta
+
+    def objective(theta: np.ndarray):
+        value, grad = local_value_and_grad(theta, p)
+        value += float(linear @ theta)
+        grad = grad + two_dual + b1
+        for midpoint in midpoints:
+            diff = midpoint - theta
+            value += eta * float(diff @ diff)
+            grad -= two_eta * diff  # exactly + 2 eta (theta - midpoint)
+        return value, grad
+
+    return objective
 
 
 def augmented_value_and_grad(theta: np.ndarray, p: LocalObjectiveParams, a: AugmentedParams):
     """(augmented_objective, augmented_gradient), bit for bit, at one margin pass."""
-    b1 = a.noise_b1 if a.noise_b1 is not None else 0.0
-    value, grad = local_value_and_grad(theta, p)
-    value += float((2.0 * a.dual + b1) @ theta)
-    grad = grad + 2.0 * a.dual + b1
-    for theta_j in a.neighbor_prev:
-        diff = 0.5 * (a.self_prev + theta_j) - theta
-        value += a.eta * float(diff @ diff)
-        grad -= 2.0 * a.eta * diff  # exactly + 2 eta (theta - midpoint)
-    return value, grad
+    return augmented_kernel(p, a)(theta)
 
 
 def curvature_bounds(p: LocalObjectiveParams, eta: float, degree: int) -> tuple:
@@ -160,6 +201,6 @@ def clipped_quality(
         if p.dataset is None:
             return reg
         losses = np.minimum(logistic_loss(_margins(theta, p.dataset)), c_loss)
-        return float(np.mean(losses)) + reg
+        return float(losses.sum() / p.dataset.n_samples) + reg
 
     return clipped_f(theta_prev) - clipped_f(theta_hat)

@@ -55,7 +55,12 @@ def laplace_scalar(b: float, rng: RngHandle) -> float:
         raise ValueError("Laplace scale must be positive")
     if rng.disabled:
         return 0.0
-    u = rng.uniform() - 0.5
+    # uniform() is on [0, 1) and u = 0 would give an infinite draw; redrawing
+    # it keeps the distribution exact and leaves every other draw unchanged.
+    u = rng.uniform()
+    while u == 0.0:
+        u = rng.uniform()
+    u -= 0.5
     return laplace_inverse_cdf(b, u + 0.5)
 
 

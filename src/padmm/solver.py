@@ -12,6 +12,7 @@ Deterministic: no internal randomness.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,7 +53,7 @@ def minimize(objective, start: np.ndarray, cfg: SolverConfig) -> np.ndarray:
     theta = np.asarray(start, dtype=float).copy()
     value, grad = objective(theta)
     for _ in range(cfg.max_iterations):
-        grad_norm = float(np.linalg.norm(grad))
+        grad_norm = math.sqrt(float(grad @ grad))
         if grad_norm <= cfg.beta:
             return theta
         step = cfg.initial_step
@@ -69,7 +70,7 @@ def minimize(objective, start: np.ndarray, cfg: SolverConfig) -> np.ndarray:
                     grad_norm,
                 )
         theta, value, grad = candidate, cand_value, cand_grad
-    grad_norm = float(np.linalg.norm(grad))
+    grad_norm = math.sqrt(float(grad @ grad))
     if grad_norm <= cfg.beta:
         return theta
     raise NonConvergence(

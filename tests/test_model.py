@@ -2,19 +2,22 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from padmm import data
+from padmm import cli, data, engine, metrics, noise
 from padmm.model import (
     AugmentedParams,
     LocalObjectiveParams,
     augmented_gradient,
+    augmented_kernel,
     augmented_objective,
     augmented_value_and_grad,
     clipped_quality,
     curvature_bounds,
     local_objective,
+    local_value_and_grad,
     logistic_loss,
     logistic_loss_deriv,
 )
+from padmm.solver import SolverConfig, minimize
 
 finite_z = st.floats(min_value=-500, max_value=500, allow_nan=False)
 
@@ -170,6 +173,123 @@ class TestValueAndGrad:
             value, grad = augmented_value_and_grad(theta, p, a)
             assert value == augmented_objective(theta, p, a)
             assert np.array_equal(grad, augmented_gradient(theta, p, a))
+
+
+def ulp_distance(a, b):
+    """Units in the last place between nonnegative doubles (elementwise)."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return np.abs(a.view(np.int64) - b.view(np.int64))
+
+
+class TestOneExpLoss:
+    # logaddexp uses the C library's exp and log1p, logistic_loss NumPy's
+    # vectorized ones.  Both measure within 2 ulp of the exact value, so
+    # the two may differ by up to 4 (3 at z = 4.156232774190723).
+    ULP_TOL = 4
+    GRID = np.concatenate([
+        [745.0, -745.0, 1e-300, -1e-300, 0.0, -0.0, 1.0, -1.0, 36.7, -36.7, 709.0, -709.0,
+         800.0, -800.0, 1e300, -1e300, np.inf, -np.inf, 4.156232774190723],
+        np.linspace(-60.0, 60.0, 2401),
+        np.random.default_rng(7).normal(size=4000) * 20,
+    ])
+
+    def test_grid_matches_logaddexp(self):
+        out = logistic_loss(self.GRID)
+        reference = np.logaddexp(0.0, -self.GRID)
+        assert np.all(out >= 0)
+        far = ulp_distance(out, reference) > self.ULP_TOL
+        assert not far.any(), self.GRID[far]
+
+    @given(st.floats(allow_nan=False))
+    def test_floats_match_logaddexp(self, z):
+        assert ulp_distance(logistic_loss(z), np.logaddexp(0.0, -z)) <= self.ULP_TOL
+
+    @pytest.mark.parametrize("z", [0.5, -3, np.float64(2.0), np.array(-1.5)])
+    def test_scalar_input_returns_python_float(self, z):
+        assert type(logistic_loss(z)) is float
+
+    def test_fused_local_value_is_the_reported_loss(self):
+        # metrics.average_loss and the solver's objective share one formula
+        ds = toy_dataset(seed=3, n=50, d=4)
+        rng = np.random.default_rng(8)
+        for _ in range(10):
+            theta = rng.normal(size=4) * 3
+            value, _ = local_value_and_grad(theta, LocalObjectiveParams(ds, 0.0, 1))
+            assert metrics.average_loss([theta], [ds]) == value
+            assert local_objective(theta, LocalObjectiveParams(ds, 0.0, 1)) == value
+
+
+def reference_closure(p, a):
+    """The loop-form pair, as one (value, gradient) objective."""
+
+    def objective(theta):
+        return augmented_objective(theta, p, a), augmented_gradient(theta, p, a)
+
+    return objective
+
+
+class TestAugmentedKernel:
+    @pytest.mark.parametrize("n_nbrs", [0, 1, 2, 3])
+    @pytest.mark.parametrize("with_b1", [False, True])
+    @pytest.mark.parametrize("with_data", [False, True])
+    def test_one_closure_many_thetas(self, with_data, with_b1, n_nbrs):
+        rng = np.random.default_rng(1000 + 100 * n_nbrs + 10 * with_b1 + with_data)
+        for trial in range(4):
+            d = int(rng.integers(1, 6))
+            ds = toy_dataset(seed=trial, n=int(rng.integers(2, 40)), d=d) if with_data else None
+            p = LocalObjectiveParams(ds, float(rng.uniform(0, 2)), int(rng.integers(1, 6)))
+            a = AugmentedParams(rng.normal(size=d), rng.normal(size=d),
+                                [rng.normal(size=d) for _ in range(n_nbrs)],
+                                float(rng.uniform(0.1, 2)),
+                                rng.normal(size=d) if with_b1 else None)
+            kernel = augmented_kernel(p, a)
+            theta = np.empty(d)  # one buffer, overwritten between evaluations
+            for _ in range(5):
+                theta[:] = rng.normal(size=d) * 3
+                value, grad = kernel(theta)
+                assert value == augmented_objective(theta, p, a)
+                assert np.array_equal(grad, augmented_gradient(theta, p, a))
+                grad += 1.0  # a caller writing into the result must not leak back
+
+    def test_does_not_mutate_round_terms(self):
+        rng = np.random.default_rng(11)
+        a = AugmentedParams(rng.normal(size=3), rng.normal(size=3),
+                            [rng.normal(size=3), rng.normal(size=3)], 0.5, rng.normal(size=3))
+        before = [a.dual.copy(), a.self_prev.copy(), a.noise_b1.copy()] + [
+            t.copy() for t in a.neighbor_prev]
+        kernel = augmented_kernel(LocalObjectiveParams(toy_dataset(), 1.0, 2), a)
+        for _ in range(5):
+            kernel(rng.normal(size=3))
+        after = [a.dual, a.self_prev, a.noise_b1] + list(a.neighbor_prev)
+        assert all(np.array_equal(x, y) for x, y in zip(before, after, strict=True))
+
+
+def default_subproblems(algorithm):
+    """Perturbed subproblems of the documented default config, 1-3 neighbors each."""
+    cfg = cli.ExperimentConfig(algorithm=algorithm)
+    parts, _ = cli.prepare_data(cfg)
+    graph = cli.build_graph(cfg)
+    plan = cli.build_plan(cfg, parts, graph)
+    solver_cfg = SolverConfig(beta=cfg.beta)
+    rng = np.random.default_rng(12)
+    d = cfg.synthetic_d
+    for i in range(cfg.n_agents):
+        p = LocalObjectiveParams(parts[i], plan.lambda_hat_floor, cfg.n_agents)
+        b1_rng = noise.RngHandle.for_agent(0, i, noise.OBJECTIVE_NOISE)
+        b1 = noise.gaussian_vector(plan.sigma_i1[i], d, b1_rng)
+        for degree in (1, 2, 3):
+            a = AugmentedParams(rng.normal(size=d) * 0.05, rng.normal(size=d),
+                                [rng.normal(size=d) for _ in range(degree)], cfg.eta, b1)
+            yield p, a, engine.bounded_step_config(solver_cfg, p, cfg.eta, degree)
+
+
+class TestKernelSolves:
+    @pytest.mark.parametrize("algorithm", ["pp_admm", "ipp_admm"])
+    def test_minimize_returns_the_reference_iterate(self, algorithm):
+        for p, a, cfg in default_subproblems(algorithm):
+            start = a.self_prev
+            expected = minimize(reference_closure(p, a), start, cfg)
+            assert np.array_equal(minimize(augmented_kernel(p, a), start, cfg), expected)
 
 
 def exact_hessian(theta, p, eta, degree):

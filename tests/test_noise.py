@@ -57,6 +57,39 @@ class TestLaplaceScalar:
         assert 1.9 < draws.var() < 2.1  # true variance 2 b^2
 
 
+class _ScriptedUniform:
+    """Stands in for an RngHandle whose uniform() returns preset values."""
+
+    disabled = False
+
+    def __init__(self, *values):
+        self.values = list(values)
+
+    def uniform(self) -> float:
+        return self.values.pop(0)
+
+
+class TestLaplaceZeroUniform:
+    def test_zero_uniform_is_redrawn(self):
+        rng = _ScriptedUniform(0.0, 0.3)
+        draw = laplace_scalar(2.0, rng)
+        assert np.isfinite(draw)
+        assert draw == laplace_scalar(2.0, _ScriptedUniform(0.3))
+        assert rng.values == []
+
+    def test_repeated_zeros_are_all_redrawn(self):
+        assert laplace_scalar(1.0, _ScriptedUniform(0.0, 0.0, 0.0, 0.75)) == laplace_inverse_cdf(
+            1.0, 0.75
+        )
+
+    def test_nonzero_draws_unchanged(self):
+        # every draw that is not exactly 0 maps through the inverse CDF as before
+        rng, ref = RngHandle(3, 5), RngHandle(3, 5)
+        for _ in range(1000):
+            u = ref.uniform()
+            assert laplace_scalar(1.5, rng) == laplace_inverse_cdf(1.5, (u - 0.5) + 0.5)
+
+
 class TestStreams:
     def test_distinct_streams_uncorrelated(self):
         a = gaussian_vector(1.0, 10**6, RngHandle(0, 0))
