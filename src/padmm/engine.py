@@ -1,11 +1,14 @@
-"""The three training loops over a synchronous-round simulated network.
+"""One training loop over a synchronous-round simulated network.
 
 Every round, each agent minimizes its (optionally perturbed) augmented
 objective against a read-only snapshot of the values its neighbors shared
-at the previous round, then duals are updated from the newly shared
-values.  The private full-broadcast loop and the non-private loop share
-one code path, so disabling the noise reproduces the non-private run
-bit for bit.
+at the previous round, then releases the value it shares this round, and
+duals are updated from the newly shared values.  The three algorithms
+differ only in the objective noise and the release step: non-private ADMM
+shares the solution, PP-ADMM adds output noise to it, and IPP-ADMM does so
+only when its sparse-vector gate fires, keeping the previous value
+otherwise.  With the noise disabled the private runs reproduce the
+non-private run bit for bit.
 """
 
 from __future__ import annotations
@@ -53,16 +56,6 @@ def dual_update(dual, theta_new, neighbor_thetas, eta: float):
     return updated
 
 
-def _solve_round(theta_prev, dual, neighbor_vals, params, eta, b1, cfg, t, i):
-    aug = AugmentedParams(
-        dual=dual, self_prev=theta_prev, neighbor_prev=neighbor_vals, eta=eta, noise_b1=b1
-    )
-    try:
-        return minimize(augmented_kernel(params, aug), theta_prev, cfg)
-    except NonConvergence as exc:
-        raise EngineError(f"round {t}, agent {i}: solver did not converge: {exc}") from exc
-
-
 def bounded_step_config(cfg: SolverConfig, params, eta: float, degree: int) -> SolverConfig:
     """cfg with the gradient step 2 / (mu + L) of this agent's subproblem.
 
@@ -75,11 +68,12 @@ def bounded_step_config(cfg: SolverConfig, params, eta: float, degree: int) -> S
 
 
 def _agents(data, g: Graph, lambda_hat: float, eta: float, cfg: SolverConfig):
-    """Per-agent objective parameters, sorted neighbor lists and solver configs."""
+    """Feature dimension, per-agent objective parameters, sorted neighbors and solver configs."""
+    d = _check_inputs(data, g)
     params = [LocalObjectiveParams(data[i], lambda_hat, g.n) for i in range(g.n)]
     nbrs = [sorted(g.neighbors(i)) for i in range(g.n)]
     cfgs = [bounded_step_config(cfg, params[i], eta, len(nbrs[i])) for i in range(g.n)]
-    return params, nbrs, cfgs
+    return d, params, nbrs, cfgs
 
 
 def _check_inputs(data, g: Graph):
@@ -91,74 +85,77 @@ def _check_inputs(data, g: Graph):
     return dims.pop()
 
 
-def _trace(t, thetas, data, test, broadcasts, ledger):
-    return IterationTrace(
-        round=t,
-        average_loss=metrics.average_loss(thetas, data),
-        consensus_residual=metrics.consensus_residual(thetas),
-        error_rate_test=metrics.error_rate(thetas, test) if test is not None else None,
-        broadcasts=dict(broadcasts),
-        cumulative_rho=dict(ledger.per_agent) if ledger is not None else {},
-        thetas=np.array(thetas),
-    )
+def _train(data, agents, eta, T, test, ledger, draw_b1, release):
+    """The ADMM loop shared by all three algorithms; returns the per-round trace.
 
-
-def _run_full_broadcast(data, g, eta, lambda_hat, T, cfg, draw_b1, draw_b2, charge, test):
-    """Common loop for the non-private and full-broadcast private algorithms."""
-    d = _check_inputs(data, g)
-    n = g.n
+    Agent i draws its objective noise with draw_b1(i) (None for none) before
+    its solve.  release(i, theta_prev, theta_hat) then returns the value the
+    agent shares this round, or None to discard theta_hat and keep
+    theta_prev; it charges `ledger` for what it releases.
+    """
+    d, params, nbrs, cfgs = agents
+    n = len(params)
     thetas = [np.zeros(d) for _ in range(n)]
     duals = [np.zeros(d) for _ in range(n)]
-    params, nbrs, cfgs = _agents(data, g, lambda_hat, eta, cfg)
-
     traces = []
     for t in range(T):
-        snapshot = [theta.copy() for theta in thetas]
-        new_thetas = []
+        snapshot, thetas, broadcasts = thetas, [], {}
         for i in range(n):
-            b1 = draw_b1(i)
-            theta_hat = _solve_round(
-                snapshot[i], duals[i], [snapshot[j] for j in nbrs[i]],
-                params[i], eta, b1, cfgs[i], t, i,
-            )
-            new_thetas.append(theta_hat + draw_b2(i))
-            charge(i)
-        thetas = new_thetas
+            aug = AugmentedParams(dual=duals[i], self_prev=snapshot[i],
+                                  neighbor_prev=[snapshot[j] for j in nbrs[i]],
+                                  eta=eta, noise_b1=draw_b1(i))
+            try:
+                theta_hat = minimize(augmented_kernel(params[i], aug), snapshot[i], cfgs[i])
+            except NonConvergence as exc:
+                raise EngineError(f"round {t}, agent {i}: solver did not converge: {exc}") from exc
+            shared = release(i, snapshot[i], theta_hat)
+            broadcasts[i] = shared is not None
+            thetas.append(snapshot[i] if shared is None else shared)
         duals = [
             dual_update(duals[i], thetas[i], [thetas[j] for j in nbrs[i]], eta)
             for i in range(n)
         ]
-        traces.append(_trace(t, thetas, data, test, {i: True for i in range(n)}, charge.ledger))
-    return traces, thetas
+        traces.append(IterationTrace(
+            round=t,
+            average_loss=metrics.average_loss(thetas, data),
+            consensus_residual=metrics.consensus_residual(thetas),
+            error_rate_test=metrics.error_rate(thetas, test) if test is not None else None,
+            broadcasts=broadcasts,
+            cumulative_rho=dict(ledger.per_agent) if ledger is not None else {},
+            thetas=np.array(thetas),
+        ))
+    return traces
 
 
-class _NullCharge:
-    ledger = None
+def _private_setup(data, g, plan, c_max, lambda_hat, eta, cfg, seed, noise_disabled, purposes):
+    """Checks and state shared by the private loops.
 
-    def __call__(self, agent):
-        pass
-
-
-class _PlanCharge:
-    def __init__(self, ledger, plan):
-        self.ledger = ledger
-        self.plan = plan
-
-    def __call__(self, agent):
-        self.ledger.charge_pp_iteration(agent, self.plan)
+    c_max is None for a full-broadcast plan.  Returns the agents at the
+    effective lambda_hat, an empty ledger and one RngHandle list per purpose.
+    """
+    if plan.c_broadcasts != c_max or (plan.svt_eps is None) != (c_max is None):
+        raise EngineError("budget plan was not made for gated mode with this c_max"
+                          if c_max is not None else
+                          "budget plan was made for gated mode; full broadcast needs its own plan")
+    if set(plan.sigma_i1) != set(range(g.n)):
+        raise EngineError("budget plan does not cover this graph's agents")
+    if lambda_hat is None:
+        lambda_hat = plan.lambda_hat_floor
+    if lambda_hat < plan.lambda_hat_floor * (1 - 1e-12):
+        raise EngineError(
+            f"lambda_hat {lambda_hat} below the planned floor {plan.lambda_hat_floor}"
+        )
+    rngs = [[noise.RngHandle.for_agent(seed, i, purpose, disabled=noise_disabled)
+             for i in range(g.n)] for purpose in purposes]
+    return _agents(data, g, lambda_hat, eta, cfg), ZcdpLedger(delta_target=plan.delta_total), rngs
 
 
 def run_nonprivate(data, g: Graph, eta: float, lambda_hat: float, T: int,
                    cfg: SolverConfig, test: Dataset | None = None):
     """Noise-free consensus ADMM; returns the per-round trace."""
-    d = _check_inputs(data, g)
-    zero = np.zeros(d)
-    traces, _ = _run_full_broadcast(
-        data, g, eta, lambda_hat, T, cfg,
-        draw_b1=lambda i: zero, draw_b2=lambda i: zero,
-        charge=_NullCharge(), test=test,
-    )
-    return traces
+    return _train(data, _agents(data, g, lambda_hat, eta, cfg), eta, T, test, None,
+                  draw_b1=lambda i: None,
+                  release=lambda i, theta_prev, theta_hat: theta_hat)
 
 
 def run_pp_admm(data, g: Graph, plan: BudgetPlan, eta: float, T: int,
@@ -169,31 +166,19 @@ def run_pp_admm(data, g: Graph, plan: BudgetPlan, eta: float, T: int,
     Every agent pays rho_i1 + rho_i2 per round; after T rounds the ledger
     equals the planned budget exactly.
     """
-    d = _check_inputs(data, g)
-    if lambda_hat is None:
-        lambda_hat = plan.lambda_hat_floor
-    if lambda_hat < plan.lambda_hat_floor * (1 - 1e-12):
-        raise EngineError(
-            f"lambda_hat {lambda_hat} below the planned floor {plan.lambda_hat_floor}"
-        )
-    if set(plan.sigma_i1) != set(range(g.n)):
-        raise EngineError("budget plan does not cover this graph's agents")
-
-    ledger = ZcdpLedger(delta_target=plan.delta_total)
-    b1_rngs = [
-        noise.RngHandle.for_agent(seed, i, noise.OBJECTIVE_NOISE, disabled=noise_disabled)
-        for i in range(g.n)
-    ]
-    b2_rngs = [
-        noise.RngHandle.for_agent(seed, i, noise.OUTPUT_NOISE, disabled=noise_disabled)
-        for i in range(g.n)
-    ]
-    traces, _ = _run_full_broadcast(
-        data, g, eta, lambda_hat, T, cfg,
-        draw_b1=lambda i: noise.gaussian_vector(plan.sigma_i1[i], d, b1_rngs[i]),
-        draw_b2=lambda i: noise.gaussian_vector(plan.sigma_i2[i], d, b2_rngs[i]),
-        charge=_PlanCharge(ledger, plan), test=test,
+    agents, ledger, (b1_rngs, b2_rngs) = _private_setup(
+        data, g, plan, None, lambda_hat, eta, cfg, seed, noise_disabled,
+        (noise.OBJECTIVE_NOISE, noise.OUTPUT_NOISE),
     )
+    d = agents[0]
+
+    def release(i, theta_prev, theta_hat):
+        shared = theta_hat + noise.gaussian_vector(plan.sigma_i2[i], d, b2_rngs[i])
+        ledger.charge_pp_iteration(i, plan)
+        return shared
+
+    traces = _train(data, agents, eta, T, test, ledger,
+                    lambda i: noise.gaussian_vector(plan.sigma_i1[i], d, b1_rngs[i]), release)
     return traces, ledger
 
 
@@ -208,64 +193,27 @@ def run_ipp_admm(data, g: Graph, plan: BudgetPlan, eta: float, T: int,
     implicitly reuse stale values.  Ledger: the gate's cost once per agent,
     plus rho_i1 + rho_i2 per actual broadcast, capped by the c_max counter.
     """
-    d = _check_inputs(data, g)
-    if plan.c_broadcasts != c_max or plan.svt_eps is None:
-        raise EngineError("budget plan was not made for gated mode with this c_max")
-    if lambda_hat is None:
-        lambda_hat = plan.lambda_hat_floor
-    if lambda_hat < plan.lambda_hat_floor * (1 - 1e-12):
-        raise EngineError(
-            f"lambda_hat {lambda_hat} below the planned floor {plan.lambda_hat_floor}"
-        )
-
-    n = g.n
+    agents, ledger, (b1_rngs, b2_rngs, threshold_rngs, query_rngs) = _private_setup(
+        data, g, plan, c_max, lambda_hat, eta, cfg, seed, noise_disabled,
+        (noise.OBJECTIVE_NOISE, noise.OUTPUT_NOISE, noise.SVT_THRESHOLD, noise.SVT_QUERY),
+    )
+    d, params, _, _ = agents
     eps1, eps2 = plan.svt_eps
-    ledger = ZcdpLedger(delta_target=plan.delta_total)
-    b1_rngs = [noise.RngHandle.for_agent(seed, i, noise.OBJECTIVE_NOISE, disabled=noise_disabled)
-               for i in range(n)]
-    b2_rngs = [noise.RngHandle.for_agent(seed, i, noise.OUTPUT_NOISE, disabled=noise_disabled)
-               for i in range(n)]
-    query_rngs = [noise.RngHandle.for_agent(seed, i, noise.SVT_QUERY, disabled=noise_disabled)
-                  for i in range(n)]
     gates = []
-    for i in range(n):
-        threshold_rng = noise.RngHandle.for_agent(
-            seed, i, noise.SVT_THRESHOLD, disabled=noise_disabled
-        )
-        gates.append(SvtGate(alpha, c_max, eps1, eps2, c_loss, threshold_rng))
+    for i in range(g.n):
+        gates.append(SvtGate(alpha, c_max, eps1, eps2, c_loss, threshold_rngs[i]))
         ledger.charge_ipp(i, plan, "svt_open")
 
-    thetas = [np.zeros(d) for _ in range(n)]
-    duals = [np.zeros(d) for _ in range(n)]
-    params, nbrs, cfgs = _agents(data, g, lambda_hat, eta, cfg)
+    def release(i, theta_prev, theta_hat):
+        quality = clipped_quality(theta_prev, theta_hat, params[i], c_loss)
+        if gates[i].check(quality, query_rngs[i]) is not Decision.ABOVE:
+            return None
+        shared = theta_hat + noise.gaussian_vector(plan.sigma_i2[i], d, b2_rngs[i])
+        ledger.charge_ipp(i, plan, "broadcast")
+        return shared
 
-    traces = []
-    for t in range(T):
-        snapshot = [theta.copy() for theta in thetas]
-        new_thetas = []
-        broadcasts = {}
-        for i in range(n):
-            b1 = noise.gaussian_vector(plan.sigma_i1[i], d, b1_rngs[i])
-            theta_hat = _solve_round(
-                snapshot[i], duals[i], [snapshot[j] for j in nbrs[i]],
-                params[i], eta, b1, cfgs[i], t, i,
-            )
-            quality = clipped_quality(snapshot[i], theta_hat, params[i], c_loss)
-            decision = gates[i].check(quality, query_rngs[i])
-            if decision is Decision.ABOVE:
-                b2 = noise.gaussian_vector(plan.sigma_i2[i], d, b2_rngs[i])
-                new_thetas.append(theta_hat + b2)
-                broadcasts[i] = True
-                ledger.charge_ipp(i, plan, "broadcast")
-            else:
-                new_thetas.append(snapshot[i])
-                broadcasts[i] = False
-        thetas = new_thetas
-        duals = [
-            dual_update(duals[i], thetas[i], [thetas[j] for j in nbrs[i]], eta)
-            for i in range(n)
-        ]
-        traces.append(_trace(t, thetas, data, test, broadcasts, ledger))
+    traces = _train(data, agents, eta, T, test, ledger,
+                    lambda i: noise.gaussian_vector(plan.sigma_i1[i], d, b1_rngs[i]), release)
     return traces, ledger
 
 

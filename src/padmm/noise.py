@@ -60,8 +60,7 @@ def laplace_scalar(b: float, rng: RngHandle) -> float:
     u = rng.uniform()
     while u == 0.0:
         u = rng.uniform()
-    u -= 0.5
-    return laplace_inverse_cdf(b, u + 0.5)
+    return laplace_inverse_cdf(b, u)
 
 
 def laplace_inverse_cdf(b: float, u: float) -> float:

@@ -31,11 +31,7 @@ class SvtGate:
     ):
         if c_max < 1 or eps1 <= 0 or eps2 <= 0 or c_loss <= 0:
             raise ValueError("c_max, eps1, eps2, c_loss must be positive")
-        self.alpha = alpha
         self.c_max = c_max
-        self.eps1 = eps1
-        self.eps2 = eps2
-        self.c_loss = c_loss
         self.count = 0
         self.noisy_threshold = alpha + laplace_scalar(2.0 * c_max * c_loss / eps1, rng)
         self.query_noise_scale = 4.0 * c_max * c_loss / eps2

@@ -181,6 +181,53 @@ class TestIppAdmm:
             )
 
 
+class TestSharedLoop:
+    """Checks and behaviour the three algorithms share through one loop."""
+
+    def test_pp_rejects_gated_plan(self):
+        parts = make_parts()
+        g = ring(3)
+        plan = make_plan(parts, g, gated=True, c_max=3)
+        with pytest.raises(EngineError, match="gated"):
+            engine.run_pp_admm(parts, g, plan, 0.5, 8, SolverConfig(beta=BETA), seed=0)
+
+    @pytest.mark.parametrize("algorithm", ["pp_admm", "ipp_admm"])
+    def test_plan_for_another_graph_rejected(self, algorithm):
+        g3, g4 = ring(3), ring(4)
+        plan = make_plan(make_parts(n_agents=3), g3, gated=algorithm == "ipp_admm", c_max=3)
+        parts = make_parts(n_agents=4)
+        cfg = SolverConfig(beta=BETA)
+        with pytest.raises(EngineError, match="does not cover this graph's agents"):
+            if algorithm == "pp_admm":
+                engine.run_pp_admm(parts, g4, plan, 0.5, 2, cfg, seed=0)
+            else:
+                engine.run_ipp_admm(parts, g4, plan, 0.5, 2, alpha=0.0, c_max=3, c_loss=2.0,
+                                    cfg=cfg, seed=0)
+
+    def test_private_policies_reduce_to_nonprivate(self):
+        # with no noise and a gate that always fires, every policy shares the
+        # solution itself, so all three runs are the same loop bit for bit
+        parts = make_parts()
+        g = ring(3)
+        T = 6
+        cfg = SolverConfig(beta=BETA)
+        pp_plan = make_plan(parts, g, T=T)
+        ipp_plan = make_plan(parts, g, T=T, gated=True, c_max=T)
+        lam = 1.5 * max(pp_plan.lambda_hat_floor, ipp_plan.lambda_hat_floor)
+        plain = engine.run_nonprivate(parts, g, 0.5, lam, T, cfg)
+        pp, _ = engine.run_pp_admm(parts, g, pp_plan, 0.5, T, cfg, seed=3, lambda_hat=lam,
+                                   noise_disabled=True)
+        ipp, _ = engine.run_ipp_admm(parts, g, ipp_plan, 0.5, T, alpha=-1e9, c_max=T,
+                                     c_loss=2.0, cfg=cfg, seed=3, lambda_hat=lam,
+                                     noise_disabled=True)
+        assert len(plain) == T
+        for a, b, c in zip(plain, pp, ipp, strict=True):
+            assert np.array_equal(a.thetas, b.thetas)
+            assert np.array_equal(a.thetas, c.thetas)
+            assert a.average_loss == b.average_loss == c.average_loss
+            assert all(c.broadcasts[i] for i in range(g.n))
+
+
 class TestCentralizedReference:
     def test_single_agent_admm_degenerates(self):
         ds = data.synthetic_blobs(100, 2, 2.0, 3)

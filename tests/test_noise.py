@@ -88,6 +88,11 @@ class TestLaplaceZeroUniform:
         for _ in range(1000):
             u = ref.uniform()
             assert laplace_scalar(1.5, rng) == laplace_inverse_cdf(1.5, (u - 0.5) + 0.5)
+        # explicit inputs below 0.25, where the round trip (u - 0.5) + 0.5 changes u
+        for u in (2.0**-53, 0.1, np.nextafter(0.25, 0.0)):
+            assert laplace_scalar(1.5, _ScriptedUniform(u)) == laplace_inverse_cdf(
+                1.5, (u - 0.5) + 0.5
+            )
 
 
 class TestStreams:
