@@ -10,8 +10,8 @@ regularizer floor the training loops need:
                                                              one-time SVT charge
                                                              rho_svt = (e1+e2)^2/2)
   rho_i2 = splits * budget,  rho_i1 = (1 - splits) * budget
-  eps_i1 = rho_i1 + 2 sqrt(rho_i1 ln(1/delta_i1)),  eps_i3 = 0.99 eps_i1
-  lambda_hat >= max_i 2.8 N c1 / ((eps_i1 - eps_i3) |D_i|)
+  eps_i1 = rho_i1 + 2 sqrt(rho_i1 ln(1/delta_i1)),  eps_i3 = 0.99 eps_i1,  delta_i1 = delta
+  lambda_hat >= max_i 2.8 N c1 / ((eps_i1 - eps_i3) |D_i|),  c1 = C1
   sigma_i1 = 2 sqrt(2 ln(1.25/delta_i1)) / (|D_i| eps_i3)
   sigma_i2 = beta / (sqrt(2 rho_i2) (lambda_hat/N + 2 eta deg_i))
 """
@@ -22,6 +22,9 @@ import math
 from dataclasses import dataclass, field
 
 from .model import LocalObjectiveParams, curvature_bounds
+
+# c1 in the regularizer floor: the bound 1/4 on the logistic loss's second derivative.
+C1 = 0.25
 
 
 class BudgetError(ValueError):
@@ -124,10 +127,8 @@ def plan_budget(
     eta: float,
     degrees: dict,
     beta: float,
-    c1: float = 0.25,
     c_broadcasts: int | None = None,
     eps_ratio_svt: tuple | None = None,
-    delta_i1: float | None = None,
 ) -> BudgetPlan:
     """Derive all noise scales and the regularizer floor from an (eps, delta) target.
 
@@ -142,8 +143,7 @@ def plan_budget(
         raise BudgetError("T must be >= 1")
     if set(dataset_sizes) != set(degrees) or len(dataset_sizes) != n_agents:
         raise BudgetError("dataset_sizes and degrees must cover exactly the n_agents agents")
-    if delta_i1 is None:
-        delta_i1 = delta
+    delta_i1 = delta
 
     rho_total = dp_to_zcdp(epsilon, delta)
     svt_eps = None
@@ -171,7 +171,7 @@ def plan_budget(
     epsilon_i3 = 0.99 * epsilon_i1
 
     lambda_hat_floor = max(
-        2.8 * n_agents * c1 / ((epsilon_i1 - epsilon_i3) * dataset_sizes[i])
+        2.8 * n_agents * C1 / ((epsilon_i1 - epsilon_i3) * dataset_sizes[i])
         for i in dataset_sizes
     )
     sigma_i1 = {

@@ -118,9 +118,7 @@ def load_config(path: str | None, overrides: dict) -> ExperimentConfig:
 
 
 def config_echo(cfg: ExperimentConfig) -> dict:
-    echo = dataclasses.asdict(cfg)
-    echo["seeds"] = list(cfg.seeds)
-    return echo
+    return dataclasses.asdict(cfg)
 
 
 def build_graph(cfg: ExperimentConfig) -> topology.Graph:
@@ -159,8 +157,7 @@ def prepare_data(cfg: ExperimentConfig):
     scales = data_mod.column_scales(raw_train)
     train = data_mod.preprocess(raw_train, scales)
     test = data_mod.preprocess(raw_test, scales)
-    plan = data_mod.partition(train, cfg.n_agents, cfg.split_seed)
-    return data_mod.split_by_plan(train, plan), test
+    return data_mod.partition(train, cfg.n_agents, cfg.split_seed), test
 
 
 def build_plan(cfg: ExperimentConfig, train_parts, graph) -> accountant.BudgetPlan | None:
@@ -192,6 +189,13 @@ def build_plan(cfg: ExperimentConfig, train_parts, graph) -> accountant.BudgetPl
     raise ConfigError(f"unknown algorithm {cfg.algorithm!r}")
 
 
+def build_experiment(cfg: ExperimentConfig):
+    """Graph, per-agent train shards, test set and budget plan (None for nonprivate)."""
+    graph = build_graph(cfg)
+    train_parts, test = prepare_data(cfg)
+    return graph, train_parts, test, build_plan(cfg, train_parts, graph)
+
+
 def _round_record(seed, trace):
     return {
         "seed": seed,
@@ -205,9 +209,7 @@ def _round_record(seed, trace):
 
 
 def run_experiment(cfg: ExperimentConfig) -> RunReport:
-    graph = build_graph(cfg)
-    train_parts, test = prepare_data(cfg)
-    plan = build_plan(cfg, train_parts, graph)
+    graph, train_parts, test, plan = build_experiment(cfg)
     solver_cfg = SolverConfig(beta=cfg.beta, max_iterations=cfg.max_iterations)
     if cfg.insecure_no_noise and cfg.algorithm != "nonprivate":
         print(
@@ -216,10 +218,8 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
             file=sys.stderr,
         )
 
-    rounds = []
-    per_seed_final = []
+    runs = []  # (seed, traces), one trace per round
     ledger_report = None
-    broadcast_counts = {}
     for seed in cfg.seeds:
         if cfg.algorithm == "nonprivate":
             lam = cfg.lambda_hat if cfg.lambda_hat is not None else 0.01
@@ -239,64 +239,55 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
                 cfg.c_loss, solver_cfg, seed, lambda_hat=cfg.lambda_hat,
                 test=test, noise_disabled=cfg.insecure_no_noise,
             )
-        rounds += [_round_record(seed, trace) for trace in traces]
-        per_seed_final.append(traces[-1] if traces else None)
+        runs.append((seed, traces))
         if ledger is not None:
             ledger_report = ledger.report()
             if cfg.insecure_no_noise:
                 ledger_report["epsilon_sufficient"] = "inf"
-        if traces:
-            counts = {str(i): 0 for i in range(graph.n)}
-            for trace in traces:
-                for i, did in trace.broadcasts.items():
-                    counts[str(i)] += int(did)
-            broadcast_counts[str(seed)] = counts
 
-    summary = _summarize(cfg, rounds, ledger_report, broadcast_counts, graph)
-    report = RunReport(config=config_echo(cfg), rounds=rounds, summary=summary)
+    report = RunReport(
+        config=config_echo(cfg),
+        rounds=[_round_record(seed, trace) for seed, traces in runs for trace in traces],
+        summary=_summarize(runs, ledger_report, graph),
+    )
     if cfg.output:
         with open(cfg.output, "w") as fh:
             fh.write(report.to_ndjson())
     return report
 
 
-def _summarize(cfg, rounds, ledger_report, broadcast_counts, graph):
-    by_round = {}
-    for record in rounds:
-        by_round.setdefault(record["round"], []).append(record)
-    mean_loss, std_loss, mean_err, std_err = [], [], [], []
-    for t in sorted(by_round):
-        losses = np.array([r["average_loss"] for r in by_round[t]])
-        mean_loss.append(float(losses.mean()))
-        std_loss.append(float(losses.std()) if len(losses) > 1 else 0.0)
-        errs = [r["error_rate"] for r in by_round[t] if r["error_rate"] is not None]
-        if errs:
-            errs = np.array(errs)
-            mean_err.append(float(errs.mean()))
-            std_err.append(float(errs.std()) if len(errs) > 1 else 0.0)
+def _summarize(runs, ledger_report, graph):
+    """Per-round mean and std over seeds, privacy spend and broadcast counts."""
+    by_round = list(zip(*(traces for _, traces in runs)))  # one tuple per round, over seeds
+
+    def column(reduce, field):
+        return [float(reduce(np.array([getattr(trace, field) for trace in traces])))
+                for traces in by_round]
+
     return {
-        "n_seeds": len(cfg.seeds),
+        "n_seeds": len(runs),
         "graph_edges": [list(e) for e in graph.edge_list()],
-        "mean_average_loss": mean_loss,
-        "std_average_loss": std_loss,
-        "mean_error_rate": mean_err,
-        "std_error_rate": std_err,
+        "mean_average_loss": column(np.mean, "average_loss"),
+        "std_average_loss": column(np.std, "average_loss"),
+        "mean_error_rate": column(np.mean, "error_rate_test"),
+        "std_error_rate": column(np.std, "error_rate_test"),
         "privacy": ledger_report,
-        "broadcast_counts": broadcast_counts,
+        "broadcast_counts": {
+            str(seed): {str(i): sum(trace.broadcasts[i] for trace in traces)
+                        for i in range(graph.n)}
+            for seed, traces in runs if traces
+        },
     }
 
 
 def validate_config(cfg: ExperimentConfig) -> list:
     """Check a config's derived objects without training; returns findings."""
-    notes = []
-    graph = build_graph(cfg)
-    notes.append(f"graph: {cfg.topology} on {graph.n} agents, {len(graph.edges)} edges")
-    train_parts, test = prepare_data(cfg)
-    notes.append(
+    graph, train_parts, test, plan = build_experiment(cfg)
+    notes = [
+        f"graph: {cfg.topology} on {graph.n} agents, {len(graph.edges)} edges",
         f"data: {sum(p.n_samples for p in train_parts)} train / {test.n_samples} test, "
-        f"d={train_parts[0].dimension}"
-    )
-    plan = build_plan(cfg, train_parts, graph)
+        f"d={train_parts[0].dimension}",
+    ]
     if plan is not None:
         eps_back = accountant.zcdp_sufficient_epsilon(plan.rho_total, plan.delta_total)
         if abs(eps_back - cfg.epsilon) > 1e-9:
@@ -305,15 +296,6 @@ def validate_config(cfg: ExperimentConfig) -> list:
             f"plan: rho_total={plan.rho_total:.6g}, lambda_hat_floor={plan.lambda_hat_floor:.6g}"
         )
     return notes
-
-
-def _plan_to_dict(plan: accountant.BudgetPlan) -> dict:
-    out = dataclasses.asdict(plan)
-    out["sigma_i1"] = {str(k): v for k, v in plan.sigma_i1.items()}
-    out["sigma_i2"] = {str(k): v for k, v in plan.sigma_i2.items()}
-    if plan.svt_eps is not None:
-        out["svt_eps"] = list(plan.svt_eps)
-    return out
 
 
 def _add_override_args(parser):
@@ -342,12 +324,10 @@ def main(argv=None) -> int:
                 sys.stdout.write(report.to_ndjson())
             return 0
         if args.command == "plan":
-            graph = build_graph(cfg)
-            train_parts, _ = prepare_data(cfg)
-            if cfg.algorithm == "nonprivate":
+            _, _, _, plan = build_experiment(cfg)
+            if plan is None:
                 raise ConfigError("plan requires a private algorithm")
-            plan = build_plan(cfg, train_parts, graph)
-            print(json.dumps(_plan_to_dict(plan), indent=2))
+            print(json.dumps(dataclasses.asdict(plan), indent=2))
             return 0
         for note in validate_config(cfg):
             print(note)

@@ -46,23 +46,6 @@ class Dataset:
         return Dataset(self.features[indices], self.labels[indices])
 
 
-@dataclass(frozen=True)
-class PartitionPlan:
-    """Disjoint assignment of sample indices to agents.
-
-    assignment[k] is the agent id owning sample k.  Disjointness across
-    agents is what makes parallel composition of per-agent privacy costs
-    valid.
-    """
-
-    num_agents: int
-    assignment: np.ndarray
-    seed: int
-
-    def indices_for(self, agent: int) -> np.ndarray:
-        return np.flatnonzero(self.assignment == agent)
-
-
 def load_csv(path, label_column: str, positive_value: str) -> Dataset:
     """Load a numeric-feature CSV with a two-valued label column.
 
@@ -105,6 +88,9 @@ def load_csv(path, label_column: str, positive_value: str) -> Dataset:
     distinct = set(raw_labels)
     if len(distinct) > 2:
         raise DataError(f"{path}: label column has {len(distinct)} distinct values, expected 2")
+    if positive_value not in distinct:
+        raise DataError(f"{path}: positive_value {positive_value!r} is not in label column "
+                        f"{label_column!r}, which has {sorted(distinct)}")
     labels = np.where(np.asarray(raw_labels) == positive_value, 1, -1)
     return Dataset(np.asarray(rows, dtype=float), labels)
 
@@ -130,25 +116,17 @@ def preprocess(raw: Dataset, scales: np.ndarray | None = None) -> Dataset:
     return Dataset(x, raw.labels.copy())
 
 
-def partition(data: Dataset, n_agents: int, seed: int) -> PartitionPlan:
-    """Randomly split samples into n_agents near-equal disjoint blocks."""
+def partition(data: Dataset, n_agents: int, seed: int) -> list[Dataset]:
+    """Randomly split samples into n_agents near-equal disjoint shards, one per agent.
+
+    Disjointness across agents is what makes parallel composition of
+    per-agent privacy costs valid.
+    """
     n = data.n_samples
     if n_agents < 1 or n_agents > n:
         raise DataError(f"cannot split {n} samples across {n_agents} agents")
     perm = np.random.default_rng(seed).permutation(n)
-    sizes = np.full(n_agents, n // n_agents)
-    sizes[: n % n_agents] += 1
-    assignment = np.empty(n, dtype=int)
-    start = 0
-    for agent, size in enumerate(sizes):
-        assignment[perm[start : start + size]] = agent
-        start += size
-    return PartitionPlan(n_agents, assignment, seed)
-
-
-def split_by_plan(data: Dataset, plan: PartitionPlan) -> list[Dataset]:
-    """Materialize one Dataset per agent from a PartitionPlan."""
-    return [data.subset(plan.indices_for(i)) for i in range(plan.num_agents)]
+    return [data.subset(np.sort(block)) for block in np.array_split(perm, n_agents)]
 
 
 def synthetic_blobs(n: int, d: int, separation: float, seed: int) -> Dataset:

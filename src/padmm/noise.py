@@ -23,8 +23,6 @@ class RngHandle:
     """One logical random stream, deterministic in (seed, stream_id)."""
 
     def __init__(self, seed: int, stream_id: int = 0, disabled: bool = False):
-        self.seed = seed
-        self.stream_id = stream_id
         self.disabled = disabled
         self._gen = np.random.Generator(
             np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(stream_id,)))

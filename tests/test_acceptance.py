@@ -57,7 +57,7 @@ def test_1_accounting_exactness():
 
     start = time.time()
     ds = data.synthetic_blobs(35000, 5, 5.0, 0)
-    parts = data.split_by_plan(ds, data.partition(ds, 5, 0))
+    parts = data.partition(ds, 5, 0)
     assert all(p.n_samples == 7000 for p in parts)
     g = ring(5)
     _, ledger = engine.run_pp_admm(parts, g, plan, 0.5, 30, SolverConfig(beta=BETA), seed=0)
@@ -71,7 +71,7 @@ def test_1_accounting_exactness():
 def test_2_reduction_identity():
     start = time.time()
     ds = data.synthetic_blobs(500, 5, 5.0, 0)
-    parts = data.split_by_plan(ds, data.partition(ds, 5, 0))
+    parts = data.partition(ds, 5, 0)
     g = ring(5)
     plan = five_agent_plan(parts, g)
     cfg = SolverConfig(beta=BETA)
@@ -90,7 +90,7 @@ def test_2_reduction_identity():
 def test_3_consensus_oracle():
     start = time.time()
     ds = data.synthetic_blobs(200, 2, 2.0, 1)
-    parts = data.split_by_plan(ds, data.partition(ds, 3, 1))
+    parts = data.partition(ds, 3, 1)
     cfg = SolverConfig(beta=1e-6)
     lam = 1.0
     traces = engine.run_nonprivate(parts, ring(3), 0.5, lam, 50, cfg)
@@ -141,7 +141,7 @@ def test_5_svt_behavior():
 
     # broadcast cap and exact ledger accounting on a real gated run
     ds = data.synthetic_blobs(300, 3, 2.0, 0)
-    parts = data.split_by_plan(ds, data.partition(ds, 3, 0))
+    parts = data.partition(ds, 3, 0)
     g = ring(3)
     sizes = {i: p.n_samples for i, p in enumerate(parts)}
     c_max = 4
@@ -188,7 +188,7 @@ def test_6_mechanism_statistics():
 def test_7_privacy_utility_trend():
     start = time.time()
     ds = data.synthetic_blobs(2000, 5, 5.0, 0)
-    parts = data.split_by_plan(ds, data.partition(ds, 5, 0))
+    parts = data.partition(ds, 5, 0)
     g = ring(5)
     cfg = SolverConfig(beta=BETA)
     plan_lo = five_agent_plan(parts, g, epsilon=1.0)

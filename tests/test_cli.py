@@ -132,6 +132,32 @@ class TestRunExperiment:
         assert report.summary["n_seeds"] == 3
         assert len(report.rounds) == 6
 
+    def test_summary_reduces_each_round_over_seeds(self):
+        # Nine seeds pass numpy's 8-way pairwise-sum block, where a reduction
+        # in another order would show in the last bits.
+        cfg = small_cfg(algorithm="pp_admm", epsilon=5.0, lambda_hat=None, T=3,
+                        seeds=tuple(range(9)))
+        report = run_experiment(cfg)
+        for t in range(3):
+            records = [r for r in report.rounds if r["round"] == t]
+            assert len(records) == 9
+            for field in ("average_loss", "error_rate"):
+                values = np.array([r[field] for r in records])
+                assert report.summary[f"mean_{field}"][t] == float(np.mean(values))
+                assert report.summary[f"std_{field}"][t] == float(np.std(values))
+
+    @pytest.mark.parametrize("overrides", [
+        dict(seeds=()),
+        dict(algorithm="pp_admm", lambda_hat=None, seeds=()),
+        dict(T=0),
+    ])
+    def test_summary_empty_without_rounds(self, overrides):
+        report = run_experiment(small_cfg(**overrides))
+        assert report.rounds == []
+        for key in ("mean_average_loss", "std_average_loss", "mean_error_rate", "std_error_rate"):
+            assert report.summary[key] == []
+        assert report.summary["broadcast_counts"] == {}
+
     def test_output_file_ndjson(self, tmp_path):
         out = tmp_path / "report.ndjson"
         run_experiment(small_cfg(output=str(out)))

@@ -32,6 +32,11 @@ class TestLoadCsv:
         with pytest.raises(data.DataError, match="no such file"):
             data.load_csv(tmp_path / "nope.csv", "y", "x")
 
+    def test_positive_value_not_a_label(self, tmp_path):
+        p = write_csv(tmp_path, "a,y\n1,Yes\n2,No\n3,Yes\n")
+        with pytest.raises(data.DataError, match=r"'yes'.*\['No', 'Yes'\]"):
+            data.load_csv(p, "y", "yes")
+
     def test_unparsable_cell_reports_location(self, tmp_path):
         p = write_csv(tmp_path, "a,y\n1,x\nbad,y\n")
         with pytest.raises(data.DataError, match="row 3.*'a'"):
@@ -69,29 +74,62 @@ class TestPreprocess:
         assert np.array_equal(out.labels, ds.labels)
 
 
+def indexed_dataset(n):
+    """A one-feature dataset whose feature is the sample's index."""
+    index = np.arange(n)
+    return data.Dataset(index[:, np.newaxis].astype(float), np.where(index % 3, 1, -1))
+
+
+def reference_shards(ds, n_agents, seed):
+    """Shards from an explicit sample-to-agent assignment over the seeded permutation."""
+    n = ds.n_samples
+    perm = np.random.default_rng(seed).permutation(n)
+    sizes = np.full(n_agents, n // n_agents)
+    sizes[: n % n_agents] += 1
+    assignment = np.empty(n, dtype=int)
+    start = 0
+    for agent, size in enumerate(sizes):
+        assignment[perm[start : start + size]] = agent
+        start += size
+    return [ds.subset(np.flatnonzero(assignment == i)) for i in range(n_agents)]
+
+
 class TestPartition:
     def test_equal_blocks(self):
         ds = data.synthetic_blobs(35000, 3, 2.0, 0)
-        plan = data.partition(ds, 5, 0)
-        assert all(len(plan.indices_for(i)) == 7000 for i in range(5))
+        parts = data.partition(ds, 5, 0)
+        assert all(p.n_samples == 7000 for p in parts)
 
     def test_near_equal_blocks(self):
         ds = data.synthetic_blobs(10, 2, 1.0, 0)
-        plan = data.partition(ds, 3, 0)
-        sizes = sorted(len(plan.indices_for(i)) for i in range(3))
+        parts = data.partition(ds, 3, 0)
+        sizes = sorted(p.n_samples for p in parts)
         assert sizes == [3, 3, 4]
 
     def test_disjoint_cover(self):
-        ds = data.synthetic_blobs(100, 2, 1.0, 0)
-        plan = data.partition(ds, 7, 3)
-        all_idx = np.concatenate([plan.indices_for(i) for i in range(7)])
+        ds = indexed_dataset(100)
+        parts = data.partition(ds, 7, 3)
+        all_idx = np.concatenate([p.features[:, 0] for p in parts])
         assert sorted(all_idx) == list(range(100))
 
     def test_deterministic(self):
         ds = data.synthetic_blobs(100, 2, 1.0, 0)
         a = data.partition(ds, 4, 9)
         b = data.partition(ds, 4, 9)
-        assert np.array_equal(a.assignment, b.assignment)
+        assert all(np.array_equal(p.features, q.features) for p, q in zip(a, b))
+
+    @pytest.mark.parametrize(
+        "n, n_agents, seed", [(100, 7, 3), (10, 3, 0), (35, 5, 1), (9, 9, 2), (5, 1, 4)]
+    )
+    def test_matches_assignment_reference(self, n, n_agents, seed):
+        # Same shards, sizes (first n % n_agents one larger) and in-shard order.
+        ds = indexed_dataset(n)
+        parts = data.partition(ds, n_agents, seed)
+        expected = reference_shards(ds, n_agents, seed)
+        assert len(parts) == n_agents
+        for p, e in zip(parts, expected):
+            assert np.array_equal(p.features, e.features)
+            assert np.array_equal(p.labels, e.labels)
 
     def test_too_many_agents(self):
         ds = data.synthetic_blobs(4, 2, 1.0, 0)

@@ -14,7 +14,7 @@ BETA = 10.0**-3.5
 
 def make_parts(n=300, d=3, n_agents=3, seed=0, separation=2.0):
     ds = data.synthetic_blobs(n, d, separation, seed)
-    return data.split_by_plan(ds, data.partition(ds, n_agents, seed))
+    return data.partition(ds, n_agents, seed)
 
 
 def make_plan(parts, graph, epsilon=1.0, T=10, gated=False, c_max=None):

@@ -1,12 +1,15 @@
 """Golden traces: tiny runs of each algorithm against committed NDJSON reports.
 
 Each `tests/golden/<name>.cfg` is a `padmm run` config and `<name>.ndjson`
-its report.  A change that alters any released or evaluated number by more
+its report; for the private algorithms `<name>.plan.json` is its `padmm plan`
+output.  A change that alters any released or evaluated number by more
 than a relative 1e-9 fails here.  After a deliberate numerical change,
-regenerate a report from the repository root with
+regenerate the files from the repository root with
 
     PYTHONPATH=src python -m padmm.cli run --config tests/golden/<name>.cfg \
         > tests/golden/<name>.ndjson
+    PYTHONPATH=src python -m padmm.cli plan --config tests/golden/<name>.cfg \
+        > tests/golden/<name>.plan.json
 
 and say in the change description why the traces moved.
 """
@@ -49,3 +52,11 @@ def test_report_matches_golden(name):
     assert len(actual) == len(expected)
     for line_num, (a, e) in enumerate(zip(actual, expected), start=1):
         assert_close(json.loads(a), json.loads(e), f"{name}.ndjson:{line_num}")
+
+
+@pytest.mark.parametrize("name", ["pp_admm", "ipp_admm"])
+def test_plan_matches_golden(name, capsys):
+    assert cli.main(["plan", "--config", str(GOLDEN / f"{name}.cfg")]) == 0
+    actual = json.loads(capsys.readouterr().out)
+    expected = json.loads((GOLDEN / f"{name}.plan.json").read_text())
+    assert_close(actual, expected, f"{name}.plan.json")
