@@ -15,15 +15,17 @@ class DataError(ValueError):
 
 @dataclass(frozen=True)
 class Dataset:
-    """Labeled feature vectors; labels are -1/+1, features are float64.
+    """Labeled feature vectors; labels are -1.0/+1.0, features are float64.
 
-    features has shape (n, d), labels has shape (n,).
+    features has shape (n, d), labels has shape (n,).  Labels are stored as
+    floats so that the products with margins need no cast.
     """
 
     features: np.ndarray
     labels: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "labels", np.asarray(self.labels, dtype=float))
         if self.features.ndim != 2 or self.features.shape[0] == 0:
             raise DataError("features must be a nonempty (n, d) array")
         if self.labels.shape != (self.features.shape[0],):
@@ -120,13 +122,52 @@ def partition(data: Dataset, n_agents: int, seed: int) -> list[Dataset]:
     """Randomly split samples into n_agents near-equal disjoint shards, one per agent.
 
     Disjointness across agents is what makes parallel composition of
-    per-agent privacy costs valid.
+    per-agent privacy costs valid.  Shards differ in size by at most one
+    sample; the shards of each size are views into one (k, m, d) array, so
+    blocks() stacks them without a copy.
     """
     n = data.n_samples
     if n_agents < 1 or n_agents > n:
         raise DataError(f"cannot split {n} samples across {n_agents} agents")
     perm = np.random.default_rng(seed).permutation(n)
-    return [data.subset(np.sort(block)) for block in np.array_split(perm, n_agents)]
+    splits = np.array_split(perm, n_agents)  # the larger shards come first
+    parts = []
+    for size in dict.fromkeys(map(len, splits)):
+        index = np.sort([s for s in splits if len(s) == size], axis=1)
+        parts += map(Dataset, data.features[index], data.labels[index])
+    return parts
+
+
+@dataclass(frozen=True)
+class ShardBlock:
+    """The equal-size shards of agents `rows`: features (k, m, d), labels (k, m)."""
+
+    rows: np.ndarray
+    features: np.ndarray
+    labels: np.ndarray
+
+
+def blocks(parts: list[Dataset]) -> list[ShardBlock]:
+    """The agents' shards grouped by size, each group stacked, in agent order.
+
+    Shards that are the rows of one array in order, as partition() returns
+    them, are stacked as that array; any other group is copied.
+    """
+    by_size = {}
+    for i, part in enumerate(parts):
+        by_size.setdefault(part.n_samples, []).append(i)
+    return [ShardBlock(np.array(rows), _stack([parts[i].features for i in rows]),
+                       _stack([parts[i].labels for i in rows]))
+            for rows in by_size.values()]
+
+
+def _stack(arrays: list) -> np.ndarray:
+    base = arrays[0].base
+    if (isinstance(base, np.ndarray) and base.shape == (len(arrays), *arrays[0].shape)
+            and all(a.__array_interface__ == row.__array_interface__
+                    for a, row in zip(arrays, base))):
+        return base
+    return np.stack(arrays)
 
 
 def synthetic_blobs(n: int, d: int, separation: float, seed: int) -> Dataset:

@@ -9,6 +9,12 @@ shares the solution, PP-ADMM adds output noise to it, and IPP-ADMM does so
 only when its sparse-vector gate fires, keeping the previous value
 otherwise.  With the noise disabled the private runs reproduce the
 non-private run bit for bit.
+
+The agents' solves within a round are independent, so the loop runs them
+as one row-wise solve over the shards stacked by size
+(model.stacked_kernel) and updates every dual in one call.  Each agent's
+iterates, noise draws, gate decisions and charges are those of solving and
+releasing one agent at a time.
 """
 
 from __future__ import annotations
@@ -19,15 +25,8 @@ import numpy as np
 
 from . import metrics, noise
 from .accountant import BudgetPlan, ZcdpLedger
-from .data import Dataset
-from .model import (
-    AugmentedParams,
-    LocalObjectiveParams,
-    augmented_kernel,
-    clipped_quality,
-    curvature_bounds,
-    local_value_and_grad,
-)
+from .data import Dataset, blocks
+from .model import LocalObjectiveParams, clipped_quality, curvature_bounds, stacked_kernel
 from .solver import NonConvergence, SolverConfig, minimize
 from .svt import Decision, SvtGate
 from .topology import Graph
@@ -49,7 +48,11 @@ class IterationTrace:
 
 
 def dual_update(dual, theta_new, neighbor_thetas, eta: float):
-    """lambda <- lambda + (eta/2) sum_j (theta_i - theta_j)."""
+    """lambda <- lambda + (eta/2) sum_j (theta_i - theta_j).
+
+    Works row-wise on stacked agents too: a neighbor slot filled with the
+    agent's own value adds (eta/2) * 0.0, which changes no bit.
+    """
     updated = np.asarray(dual, dtype=float).copy()
     for theta_j in neighbor_thetas:
         updated += (eta / 2.0) * (theta_new - theta_j)
@@ -67,13 +70,27 @@ def bounded_step_config(cfg: SolverConfig, params, eta: float, degree: int) -> S
     return replace(cfg, initial_step=2.0 / (mu + lipschitz))
 
 
-def _agents(data, g: Graph, lambda_hat: float, eta: float, cfg: SolverConfig):
-    """Feature dimension, per-agent objective parameters, sorted neighbors and solver configs."""
+@dataclass(frozen=True)
+class _Agents:
+    """What the loop needs of the agents, built once per run."""
+
+    dimension: int
+    params: list  # LocalObjectiveParams per agent
+    blocks: list  # data.ShardBlock: the shards stacked by size
+    slots: np.ndarray  # (N, max degree) sorted neighbors, padded with the agent itself
+    cfg: SolverConfig  # initial_step: each agent's 2 / (mu + L)
+
+
+def _agents(data, g: Graph, lambda_hat: float, eta: float, cfg: SolverConfig) -> _Agents:
     d = _check_inputs(data, g)
     params = [LocalObjectiveParams(data[i], lambda_hat, g.n) for i in range(g.n)]
     nbrs = [sorted(g.neighbors(i)) for i in range(g.n)]
-    cfgs = [bounded_step_config(cfg, params[i], eta, len(nbrs[i])) for i in range(g.n)]
-    return d, params, nbrs, cfgs
+    slots = np.tile(np.arange(g.n)[:, None], max(map(len, nbrs), default=0))
+    for i, js in enumerate(nbrs):
+        slots[i, :len(js)] = js
+    steps = [bounded_step_config(cfg, params[i], eta, len(nbrs[i])).initial_step
+             for i in range(g.n)]
+    return _Agents(d, params, blocks(data), slots, replace(cfg, initial_step=np.array(steps)))
 
 
 def _check_inputs(data, g: Graph):
@@ -85,44 +102,41 @@ def _check_inputs(data, g: Graph):
     return dims.pop()
 
 
-def _train(data, agents, eta, T, test, ledger, draw_b1, release):
+def _train(agents: _Agents, eta, T, test, ledger, draw_b1, release):
     """The ADMM loop shared by all three algorithms; returns the per-round trace.
 
-    Agent i draws its objective noise with draw_b1(i) (None for none) before
-    its solve.  release(i, theta_prev, theta_hat) then returns the value the
-    agent shares this round, or None to discard theta_hat and keep
-    theta_prev; it charges `ledger` for what it releases.
+    Every agent i draws its objective noise with draw_b1(i) (draw_b1 is None
+    for none) before the round's solve.  release(i, theta_prev, theta_hat)
+    then returns, agent by agent, the value agent i shares this round, or
+    None to discard theta_hat and keep theta_prev; it charges `ledger` for
+    what it releases.
     """
-    d, params, nbrs, cfgs = agents
-    n = len(params)
-    thetas = [np.zeros(d) for _ in range(n)]
-    duals = [np.zeros(d) for _ in range(n)]
+    n, d = len(agents.params), agents.dimension
+    lambda_hat = agents.params[0].lambda_hat
+    thetas = np.zeros((n, d))
+    duals = np.zeros((n, d))
     traces = []
     for t in range(T):
-        snapshot, thetas, broadcasts = thetas, [], {}
-        for i in range(n):
-            aug = AugmentedParams(dual=duals[i], self_prev=snapshot[i],
-                                  neighbor_prev=[snapshot[j] for j in nbrs[i]],
-                                  eta=eta, noise_b1=draw_b1(i))
-            try:
-                theta_hat = minimize(augmented_kernel(params[i], aug), snapshot[i], cfgs[i])
-            except NonConvergence as exc:
-                raise EngineError(f"round {t}, agent {i}: solver did not converge: {exc}") from exc
-            shared = release(i, snapshot[i], theta_hat)
-            broadcasts[i] = shared is not None
-            thetas.append(snapshot[i] if shared is None else shared)
-        duals = [
-            dual_update(duals[i], thetas[i], [thetas[j] for j in nbrs[i]], eta)
-            for i in range(n)
-        ]
+        snapshot = thetas
+        b1 = None if draw_b1 is None else np.array([draw_b1(i) for i in range(n)])
+        objective = stacked_kernel(agents.blocks, lambda_hat, n, duals, snapshot, agents.slots,
+                                   eta, b1)
+        try:
+            theta_hat = minimize(objective, snapshot, agents.cfg)
+        except NonConvergence as exc:
+            raise EngineError(
+                f"round {t}, agent {exc.row}: solver did not converge: {exc}") from exc
+        shared = [release(i, snapshot[i], theta_hat[i]) for i in range(n)]
+        thetas = np.array([snapshot[i] if s is None else s for i, s in enumerate(shared)])
+        duals = dual_update(duals, thetas, thetas[agents.slots.T], eta)
         traces.append(IterationTrace(
             round=t,
-            average_loss=metrics.average_loss(thetas, data),
+            average_loss=metrics.average_loss(thetas, agents.blocks),
             consensus_residual=metrics.consensus_residual(thetas),
             error_rate_test=metrics.error_rate(thetas, test) if test is not None else None,
-            broadcasts=broadcasts,
+            broadcasts={i: s is not None for i, s in enumerate(shared)},
             cumulative_rho=dict(ledger.per_agent) if ledger is not None else {},
-            thetas=np.array(thetas),
+            thetas=thetas,
         ))
     return traces
 
@@ -153,9 +167,8 @@ def _private_setup(data, g, plan, c_max, lambda_hat, eta, cfg, seed, noise_disab
 def run_nonprivate(data, g: Graph, eta: float, lambda_hat: float, T: int,
                    cfg: SolverConfig, test: Dataset | None = None):
     """Noise-free consensus ADMM; returns the per-round trace."""
-    return _train(data, _agents(data, g, lambda_hat, eta, cfg), eta, T, test, None,
-                  draw_b1=lambda i: None,
-                  release=lambda i, theta_prev, theta_hat: theta_hat)
+    return _train(_agents(data, g, lambda_hat, eta, cfg), eta, T, test, None,
+                  draw_b1=None, release=lambda i, theta_prev, theta_hat: theta_hat)
 
 
 def run_pp_admm(data, g: Graph, plan: BudgetPlan, eta: float, T: int,
@@ -170,14 +183,14 @@ def run_pp_admm(data, g: Graph, plan: BudgetPlan, eta: float, T: int,
         data, g, plan, None, lambda_hat, eta, cfg, seed, noise_disabled,
         (noise.OBJECTIVE_NOISE, noise.OUTPUT_NOISE),
     )
-    d = agents[0]
+    d = agents.dimension
 
     def release(i, theta_prev, theta_hat):
         shared = theta_hat + noise.gaussian_vector(plan.sigma_i2[i], d, b2_rngs[i])
         ledger.charge_pp_iteration(i, plan)
         return shared
 
-    traces = _train(data, agents, eta, T, test, ledger,
+    traces = _train(agents, eta, T, test, ledger,
                     lambda i: noise.gaussian_vector(plan.sigma_i1[i], d, b1_rngs[i]), release)
     return traces, ledger
 
@@ -197,7 +210,7 @@ def run_ipp_admm(data, g: Graph, plan: BudgetPlan, eta: float, T: int,
         data, g, plan, c_max, lambda_hat, eta, cfg, seed, noise_disabled,
         (noise.OBJECTIVE_NOISE, noise.OUTPUT_NOISE, noise.SVT_THRESHOLD, noise.SVT_QUERY),
     )
-    d, params, _, _ = agents
+    d, params = agents.dimension, agents.params
     eps1, eps2 = plan.svt_eps
     gates = []
     for i in range(g.n):
@@ -212,7 +225,7 @@ def run_ipp_admm(data, g: Graph, plan: BudgetPlan, eta: float, T: int,
         ledger.charge_ipp(i, plan, "broadcast")
         return shared
 
-    traces = _train(data, agents, eta, T, test, ledger,
+    traces = _train(agents, eta, T, test, ledger,
                     lambda i: noise.gaussian_vector(plan.sigma_i1[i], d, b1_rngs[i]), release)
     return traces, ledger
 
@@ -224,13 +237,11 @@ def centralized_reference(pooled: Dataset, lambda_hat: float, cfg: SolverConfig)
     consensus problem's minimizer equals this one at lambda_hat = (total
     regularizer weight) / N.
     """
-    params = LocalObjectiveParams(pooled, lambda_hat, 1)
-    cfg = bounded_step_config(cfg, params, eta=0.0, degree=0)
-
-    def objective(theta):
-        return local_value_and_grad(theta, params)
-
+    cfg = bounded_step_config(cfg, LocalObjectiveParams(pooled, lambda_hat, 1), eta=0.0, degree=0)
+    zeros = np.zeros((1, pooled.dimension))
+    objective = stacked_kernel(blocks([pooled]), lambda_hat, 1, zeros, zeros,
+                               np.zeros((1, 0), dtype=int), 0.0)
     try:
-        return minimize(objective, np.zeros(pooled.dimension), cfg)
+        return minimize(objective, zeros, cfg)[0]
     except NonConvergence as exc:
         raise EngineError(f"centralized reference did not converge: {exc}") from exc

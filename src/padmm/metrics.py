@@ -4,20 +4,29 @@ from __future__ import annotations
 
 import numpy as np
 
-from .data import Dataset
-from .model import mean_logistic_loss
+from . import data
+from .model import block_margins, logistic_loss
 
 
 def average_loss(theta_per_agent, train_per_agent) -> float:
-    """(1/N) sum_i mean_n L(y theta_i . x); no regularizer term."""
-    losses = [
-        mean_logistic_loss(theta, d)
-        for theta, d in zip(theta_per_agent, train_per_agent, strict=True)
-    ]
+    """(1/N) sum_i mean_n L(y theta_i . x); no regularizer term.
+
+    train_per_agent is a list of Datasets or their data.blocks(); each
+    block of equal-size shards is one stacked pass.
+    """
+    thetas = np.asarray(theta_per_agent, dtype=float)
+    if isinstance(train_per_agent[0], data.Dataset):
+        train_per_agent = data.blocks(train_per_agent)
+    if len(thetas) != sum(len(block.rows) for block in train_per_agent):
+        raise ValueError("one theta per agent dataset is needed")
+    losses = np.empty(len(thetas))
+    for block in train_per_agent:
+        z = block_margins(block, thetas)
+        losses[block.rows] = logistic_loss(z).sum(axis=1) / z.shape[1]
     return float(np.mean(losses))
 
 
-def error_rate(theta_per_agent, test: Dataset) -> float:
+def error_rate(theta_per_agent, test: data.Dataset) -> float:
     """Misclassification rate of sign(theta_i . x), averaged over agents.
 
     sign(0) predicts +1.

@@ -1,4 +1,4 @@
-"""Logistic loss, local and augmented objectives, and the gated quality score.
+"""Logistic loss, the stacked augmented objective, and the gated quality score.
 
 The local objective of agent i is
 
@@ -18,19 +18,21 @@ The augmented form is mu-strongly convex and L-smooth with
 
 Each evaluation takes one exponential per sample: with e = exp(-|z|),
 L(z) = log(1 + exp(-z)) is max(-z, 0) + log1p(e) and its derivative is
--e / (1 + e) for z >= 0 and -1 / (1 + e) for z < 0.  augmented_kernel
-computes a solve's round-local terms (2 dual, b1 and the neighbor midpoints)
-once and returns the value-and-gradient objective the solver calls; it is
-bit-identical to the loop-form augmented_objective / augmented_gradient.
+-e / (1 + e) for z >= 0 and -1 / (1 + e) for z < 0.  stacked_kernel
+evaluates every agent's subproblem of a round at once, one row per agent,
+on the shards stacked by size (data.blocks).  Its rows are bit-identical to
+the one-agent loop form, which tests/reference.py keeps as the oracle; that
+rests on NumPy's stacked matmul and vecdot calling the same BLAS gemv and
+dot per row as the 2-D and 1-D products.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, ShardBlock
 
 
 def _loss(z: np.ndarray, e: np.ndarray) -> np.ndarray:
@@ -50,13 +52,6 @@ def logistic_loss(z):
     return out if out.ndim else float(out)
 
 
-def logistic_loss_deriv(z):
-    """Derivative of logistic_loss: -1/(1+exp(z)), always in (-1, 0)."""
-    z = np.asarray(z, dtype=float)
-    out = _deriv(z, np.exp(-np.abs(z)))
-    return out if out.ndim else float(out)
-
-
 @dataclass(frozen=True)
 class LocalObjectiveParams:
     """Parameters of f_i.  dataset=None is a test surrogate with zero loss term."""
@@ -66,104 +61,61 @@ class LocalObjectiveParams:
     num_agents: int
 
 
-@dataclass(frozen=True)
-class AugmentedParams:
-    """Round-local terms of the primal subproblem."""
-
-    dual: np.ndarray
-    self_prev: np.ndarray
-    neighbor_prev: list = field(default_factory=list)
-    eta: float = 0.5
-    noise_b1: np.ndarray | None = None
-
-
 def _margins(theta: np.ndarray, data: Dataset) -> np.ndarray:
     if theta.shape[0] != data.dimension:
         raise ValueError(f"theta has dimension {theta.shape[0]}, data has {data.dimension}")
     return data.labels * (data.features @ theta)
 
 
-def mean_logistic_loss(theta: np.ndarray, data: Dataset) -> float:
-    """mean_n L(y_n theta.x_n): the data term of f_i and the reported training loss."""
-    return float(logistic_loss(_margins(theta, data)).sum() / data.n_samples)
+def block_margins(block: ShardBlock, thetas: np.ndarray) -> np.ndarray:
+    """(k, m) margins y theta_i.x of the block's agents, thetas one row per agent."""
+    return block.labels * np.matmul(block.features, thetas[block.rows, :, None])[:, :, 0]
 
 
-def local_objective(theta: np.ndarray, p: LocalObjectiveParams) -> float:
-    reg = (p.lambda_hat / p.num_agents) * 0.5 * float(theta @ theta)
-    if p.dataset is None:
-        return reg
-    return mean_logistic_loss(theta, p.dataset) + reg
+def stacked_kernel(blocks, lambda_hat: float, num_agents: int, dual: np.ndarray,
+                   self_prev: np.ndarray, slots: np.ndarray, eta: float,
+                   noise_b1: np.ndarray | None = None):
+    """objective(thetas) -> (values (N,), grads (N, d)) of every agent's subproblem.
 
-
-def local_gradient(theta: np.ndarray, p: LocalObjectiveParams) -> np.ndarray:
-    reg = (p.lambda_hat / p.num_agents) * theta
-    if p.dataset is None:
-        return reg
-    d = p.dataset
-    w = logistic_loss_deriv(_margins(theta, d)) * d.labels
-    return (d.features.T @ w) / d.n_samples + reg
-
-
-def augmented_objective(theta: np.ndarray, p: LocalObjectiveParams, a: AugmentedParams) -> float:
-    b1 = a.noise_b1 if a.noise_b1 is not None else 0.0
-    value = local_objective(theta, p) + float((2.0 * a.dual + b1) @ theta)
-    for theta_j in a.neighbor_prev:
-        diff = 0.5 * (a.self_prev + theta_j) - theta
-        value += a.eta * float(diff @ diff)
-    return value
-
-
-def augmented_gradient(theta: np.ndarray, p: LocalObjectiveParams, a: AugmentedParams) -> np.ndarray:
-    b1 = a.noise_b1 if a.noise_b1 is not None else 0.0
-    grad = local_gradient(theta, p) + 2.0 * a.dual + b1
-    for theta_j in a.neighbor_prev:
-        grad += 2.0 * a.eta * (theta - 0.5 * (a.self_prev + theta_j))
-    return grad
-
-
-def local_value_and_grad(theta: np.ndarray, p: LocalObjectiveParams):
-    """(local_objective, local_gradient) from one margin pass and one exponential."""
-    scale = p.lambda_hat / p.num_agents
-    value, grad = scale * 0.5 * float(theta @ theta), scale * theta
-    if p.dataset is None:
-        return value, grad
-    d = p.dataset
-    z = _margins(theta, d)
-    e = np.exp(-np.abs(z))
-    w = _deriv(z, e) * d.labels
-    return (float(_loss(z, e).sum() / d.n_samples) + value,
-            (d.features.T @ w) / d.n_samples + grad)
-
-
-def augmented_kernel(p: LocalObjectiveParams, a: AugmentedParams):
-    """objective(theta) -> (augmented_objective, augmented_gradient), bit for bit.
-
-    The round-local terms (2 dual, the b1 term and the neighbor midpoints
-    0.5 (theta_self_prev + theta_j)) are computed once here, for every
-    evaluation of one solve; the evaluation order is that of the loop form.
+    Row i is agent i's augmented objective and gradient at thetas[i].  blocks
+    are the agents' shards (data.blocks); dual, self_prev and noise_b1 (None
+    for no objective noise) have one row per agent; slots[i] lists agent
+    i's neighbors in ascending order, padded with i itself, and the padded
+    slots are skipped.  The round-local terms (2 dual, the b1 term and the
+    neighbor midpoints 0.5 (theta_self_prev + theta_j)) are computed once
+    here, for every evaluation of one solve.  Each row takes the per-agent
+    form's operations in its order, as row-wise matmul, vecdot and sums, so
+    it matches a one-agent evaluation bit for bit.
     """
-    two_dual = 2.0 * a.dual
-    b1 = a.noise_b1 if a.noise_b1 is not None else 0.0
+    scale = lambda_hat / num_agents
+    two_dual = 2.0 * dual
+    b1 = noise_b1 if noise_b1 is not None else 0.0
     linear = two_dual + b1
-    midpoints = [0.5 * (a.self_prev + theta_j) for theta_j in a.neighbor_prev]
-    eta, two_eta = a.eta, 2.0 * a.eta
+    midpoints = 0.5 * (self_prev[:, None, :] + self_prev[slots])  # (N, S, d)
+    real = slots != np.arange(len(slots))[:, None]
+    two_eta = 2.0 * eta
 
-    def objective(theta: np.ndarray):
-        value, grad = local_value_and_grad(theta, p)
-        value += float(linear @ theta)
-        grad = grad + two_dual + b1
-        for midpoint in midpoints:
-            diff = midpoint - theta
-            value += eta * float(diff @ diff)
-            grad -= two_eta * diff  # exactly + 2 eta (theta - midpoint)
-        return value, grad
+    def objective(thetas: np.ndarray):
+        values = scale * 0.5 * np.vecdot(thetas, thetas)
+        grads = scale * thetas
+        for block in blocks:
+            z = block_margins(block, thetas)
+            e = np.exp(-np.abs(z))
+            w = _deriv(z, e) * block.labels
+            n = z.shape[1]
+            data_grads = np.matmul(block.features.transpose(0, 2, 1), w[:, :, None])[:, :, 0]
+            values[block.rows] = _loss(z, e).sum(axis=1) / n + values[block.rows]
+            grads[block.rows] = data_grads / n + grads[block.rows]
+        values += np.vecdot(linear, thetas)
+        grads = grads + two_dual + b1
+        for s in range(slots.shape[1]):
+            diff = midpoints[:, s] - thetas
+            np.add(values, eta * np.vecdot(diff, diff), out=values, where=real[:, s])
+            # exactly + 2 eta (theta - midpoint)
+            np.subtract(grads, two_eta * diff, out=grads, where=real[:, s, None])
+        return values, grads
 
     return objective
-
-
-def augmented_value_and_grad(theta: np.ndarray, p: LocalObjectiveParams, a: AugmentedParams):
-    """(augmented_objective, augmented_gradient), bit for bit, at one margin pass."""
-    return augmented_kernel(p, a)(theta)
 
 
 def curvature_bounds(p: LocalObjectiveParams, eta: float, degree: int) -> tuple:

@@ -7,12 +7,15 @@ only while the Armijo test fails.  The engine sets `initial_step` to
 (L - mu) / (L + mu) per iteration, and the Armijo test holds whenever
 mu / (mu + L) >= ARMIJO_C, so the backtracking is only a guard.  The stopping
 rule is unchanged: the gradient norm at the returned iterate is <= beta.
-Deterministic: no internal randomness.
+
+`minimize` solves several independent problems at once, one per row: each
+row has its own step, Armijo guard and iteration count, and stops at its own
+first iterate with gradient norm <= beta, so every row follows the iterates
+of a one-row solve bit for bit.  Deterministic: no internal randomness.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,59 +26,75 @@ MIN_STEP = 1e-20
 
 @dataclass(frozen=True)
 class SolverConfig:
+    """initial_step is one step for every row, or an array with one per row."""
+
     beta: float
     max_iterations: int = 10_000
-    initial_step: float = 1.0
+    initial_step: float | np.ndarray = 1.0
 
     def __post_init__(self):
-        if self.beta <= 0 or self.max_iterations < 1 or self.initial_step <= 0:
+        if self.beta <= 0 or self.max_iterations < 1 or np.any(np.asarray(self.initial_step) <= 0):
             raise ValueError("beta, max_iterations, initial_step must be positive")
 
 
 class NonConvergence(RuntimeError):
     """Gradient norm still above beta after the iteration cap.
 
-    Carries the last iterate so the caller can choose to accept it.
+    Carries the row that failed and its last iterate so the caller can
+    choose to accept it.
     """
 
-    def __init__(self, message: str, last_iterate: np.ndarray, gradient_norm: float):
+    def __init__(self, message: str, last_iterate: np.ndarray, gradient_norm: float,
+                 row: int = 0):
         super().__init__(message)
         self.last_iterate = last_iterate
         self.gradient_norm = gradient_norm
+        self.row = row
 
 
 def minimize(objective, start: np.ndarray, cfg: SolverConfig) -> np.ndarray:
-    """Minimize a smooth convex objective to gradient norm <= cfg.beta.
+    """Minimize smooth convex objectives, row by row, to gradient norm <= cfg.beta.
 
-    `objective(theta)` must return a (value, gradient) pair.  Deterministic:
-    no internal randomness, bit-identical outputs for identical inputs.
+    For a (k, d) start, `objective(thetas)` returns (values (k,), gradients
+    (k, d)) and is evaluated at all k rows on every call; rows that have
+    stopped are evaluated at their final iterate.  A 1-D start is one row:
+    then `objective(theta)` returns a (value, gradient) pair and the result
+    is 1-D.  If any row fails, NonConvergence names the lowest failing row,
+    after the others have finished.
     """
-    theta = np.asarray(start, dtype=float).copy()
+    theta = np.array(start, dtype=float)
+    if theta.ndim == 1:
+        def one_row(thetas):
+            value, grad = objective(thetas[0])
+            return np.array([value]), grad[None]
+
+        return minimize(one_row, theta[None], cfg)[0]
+
+    initial_step = np.broadcast_to(np.asarray(cfg.initial_step, dtype=float), theta.shape[:1])
     value, grad = objective(theta)
-    for _ in range(cfg.max_iterations):
-        grad_norm = math.sqrt(float(grad @ grad))
-        if grad_norm <= cfg.beta:
-            return theta
-        step = cfg.initial_step
-        while True:
-            candidate = theta - step * grad
-            cand_value, cand_grad = objective(candidate)
-            if cand_value <= value - ARMIJO_C * step * grad_norm * grad_norm:
-                break
-            step *= 0.5
-            if step < MIN_STEP:
-                raise NonConvergence(
-                    f"line search stalled at gradient norm {grad_norm:.3e}",
-                    theta,
-                    grad_norm,
-                )
-        theta, value, grad = candidate, cand_value, cand_grad
-    grad_norm = math.sqrt(float(grad @ grad))
-    if grad_norm <= cfg.beta:
-        return theta
-    raise NonConvergence(
-        f"gradient norm {grad_norm:.3e} > beta {cfg.beta:.3e} "
-        f"after {cfg.max_iterations} iterations",
-        theta,
-        grad_norm,
-    )
+    grad_norm = np.sqrt(np.vecdot(grad, grad))
+    active = ~(grad_norm <= cfg.beta)
+    step = initial_step.copy()
+    iterations = np.zeros(len(theta), dtype=int)
+    failures = {}
+    while active.any():
+        candidate = np.where(active[:, None], theta - step[:, None] * grad, theta)
+        cand_value, cand_grad = objective(candidate)
+        accept = active & (cand_value <= value - ARMIJO_C * step * grad_norm * grad_norm)
+        theta = np.where(accept[:, None], candidate, theta)
+        value = np.where(accept, cand_value, value)
+        grad = np.where(accept[:, None], cand_grad, grad)
+        grad_norm = np.sqrt(np.vecdot(grad, grad))
+        iterations += accept
+        step = np.where(accept, initial_step, 0.5 * step)
+        active &= ~(accept & (grad_norm <= cfg.beta))
+        for i in np.flatnonzero(active & ~accept & (step < MIN_STEP)):
+            failures[i] = f"line search stalled at gradient norm {grad_norm[i]:.3e}"
+        for i in np.flatnonzero(active & (iterations == cfg.max_iterations)):
+            failures[i] = (f"gradient norm {grad_norm[i]:.3e} > beta {cfg.beta:.3e} "
+                           f"after {cfg.max_iterations} iterations")
+        active[list(failures)] = False
+    if failures:
+        row = min(failures)
+        raise NonConvergence(failures[row], theta[row], float(grad_norm[row]), int(row))
+    return theta

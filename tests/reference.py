@@ -1,0 +1,118 @@
+"""One-agent loop forms of the logistic objective: the oracles for the stacked kernel.
+
+The engine evaluates every agent's subproblem at once with
+padmm.model.stacked_kernel.  These functions compute one agent's objective
+and gradient the plain way; model tests require the stacked rows to equal
+augmented_kernel bit for bit, and augmented_kernel to equal the
+augmented_objective / augmented_gradient pair bit for bit.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+
+import numpy as np
+
+from padmm.data import Dataset
+from padmm.model import LocalObjectiveParams, _deriv, _loss, _margins, logistic_loss
+
+
+def logistic_loss_deriv(z):
+    """Derivative of logistic_loss: -1/(1+exp(z)), always in (-1, 0)."""
+    z = np.asarray(z, dtype=float)
+    out = _deriv(z, np.exp(-np.abs(z)))
+    return out if out.ndim else float(out)
+
+
+@dataclass(frozen=True)
+class AugmentedParams:
+    """Round-local terms of one agent's primal subproblem."""
+
+    dual: np.ndarray
+    self_prev: np.ndarray
+    neighbor_prev: list = field(default_factory=list)
+    eta: float = 0.5
+    noise_b1: np.ndarray | None = None
+
+
+def mean_logistic_loss(theta: np.ndarray, data: Dataset) -> float:
+    """mean_n L(y_n theta.x_n): the data term of f_i and the reported training loss."""
+    return float(logistic_loss(_margins(theta, data)).sum() / data.n_samples)
+
+
+def local_objective(theta: np.ndarray, p: LocalObjectiveParams) -> float:
+    reg = (p.lambda_hat / p.num_agents) * 0.5 * float(theta @ theta)
+    if p.dataset is None:
+        return reg
+    return mean_logistic_loss(theta, p.dataset) + reg
+
+
+def local_gradient(theta: np.ndarray, p: LocalObjectiveParams) -> np.ndarray:
+    reg = (p.lambda_hat / p.num_agents) * theta
+    if p.dataset is None:
+        return reg
+    d = p.dataset
+    w = logistic_loss_deriv(_margins(theta, d)) * d.labels
+    return (d.features.T @ w) / d.n_samples + reg
+
+
+def augmented_objective(theta: np.ndarray, p: LocalObjectiveParams, a: AugmentedParams) -> float:
+    b1 = a.noise_b1 if a.noise_b1 is not None else 0.0
+    value = local_objective(theta, p) + float((2.0 * a.dual + b1) @ theta)
+    for theta_j in a.neighbor_prev:
+        diff = 0.5 * (a.self_prev + theta_j) - theta
+        value += a.eta * float(diff @ diff)
+    return value
+
+
+def augmented_gradient(theta: np.ndarray, p: LocalObjectiveParams, a: AugmentedParams) -> np.ndarray:
+    b1 = a.noise_b1 if a.noise_b1 is not None else 0.0
+    grad = local_gradient(theta, p) + 2.0 * a.dual + b1
+    for theta_j in a.neighbor_prev:
+        grad += 2.0 * a.eta * (theta - 0.5 * (a.self_prev + theta_j))
+    return grad
+
+
+def local_value_and_grad(theta: np.ndarray, p: LocalObjectiveParams):
+    """(local_objective, local_gradient) from one margin pass and one exponential."""
+    scale = p.lambda_hat / p.num_agents
+    value, grad = scale * 0.5 * float(theta @ theta), scale * theta
+    if p.dataset is None:
+        return value, grad
+    d = p.dataset
+    z = _margins(theta, d)
+    e = np.exp(-np.abs(z))
+    w = _deriv(z, e) * d.labels
+    return (float(_loss(z, e).sum() / d.n_samples) + value,
+            (d.features.T @ w) / d.n_samples + grad)
+
+
+def augmented_kernel(p: LocalObjectiveParams, a: AugmentedParams):
+    """objective(theta) -> (augmented_objective, augmented_gradient), bit for bit.
+
+    The round-local terms (2 dual, the b1 term and the neighbor midpoints
+    0.5 (theta_self_prev + theta_j)) are computed once here, for every
+    evaluation of one solve; the evaluation order is that of the loop form.
+    """
+    two_dual = 2.0 * a.dual
+    b1 = a.noise_b1 if a.noise_b1 is not None else 0.0
+    linear = two_dual + b1
+    midpoints = [0.5 * (a.self_prev + theta_j) for theta_j in a.neighbor_prev]
+    eta, two_eta = a.eta, 2.0 * a.eta
+
+    def objective(theta: np.ndarray):
+        value, grad = local_value_and_grad(theta, p)
+        value += float(linear @ theta)
+        grad = grad + two_dual + b1
+        for midpoint in midpoints:
+            diff = midpoint - theta
+            value += eta * float(diff @ diff)
+            grad -= two_eta * diff  # exactly + 2 eta (theta - midpoint)
+        return value, grad
+
+    return objective
+
+
+def augmented_value_and_grad(theta: np.ndarray, p: LocalObjectiveParams, a: AugmentedParams):
+    """(augmented_objective, augmented_gradient), bit for bit, at one margin pass."""
+    return augmented_kernel(p, a)(theta)

@@ -137,6 +137,40 @@ class TestPartition:
             data.partition(ds, 5, 0)
 
 
+class TestBlocks:
+    def test_partition_shards_stack_without_a_copy(self):
+        ds = data.synthetic_blobs(1003, 3, 2.0, 0)
+        parts = data.partition(ds, 7, 1)  # sizes 144 x 2, then 143 x 5
+        blocks = data.blocks(parts)
+        assert [list(b.rows) for b in blocks] == [[0, 1], [2, 3, 4, 5, 6]]
+        for b in blocks:
+            assert b.features.shape == (len(b.rows), parts[b.rows[0]].n_samples, 3)
+            for j, i in enumerate(b.rows):
+                assert parts[i].features.base is b.features
+                assert parts[i].labels.base is b.labels
+                assert np.array_equal(b.features[j], parts[i].features)
+                assert np.array_equal(b.labels[j], parts[i].labels)
+
+    def test_hand_built_list_groups_by_size(self):
+        # three sizes, agents of one size not adjacent, one shard used twice
+        ds = indexed_dataset(30)
+        parts = [ds.subset(range(0, 4)), ds.subset(range(4, 10)), ds.subset(range(10, 14)),
+                 ds.subset(range(14, 17)), ds.subset(range(0, 4))]
+        blocks = data.blocks(parts)
+        assert [list(b.rows) for b in blocks] == [[0, 2, 4], [1], [3]]
+        for b in blocks:
+            for j, i in enumerate(b.rows):
+                assert np.array_equal(b.features[j], parts[i].features)
+                assert np.array_equal(b.labels[j], parts[i].labels)
+        assert not np.shares_memory(blocks[0].features, parts[0].features)
+
+    def test_labels_are_float(self):
+        ds = data.Dataset(np.zeros((3, 1)), np.array([1, -1, 1]))
+        assert ds.labels.dtype == np.float64
+        assert list(ds.labels) == [1.0, -1.0, 1.0]
+        assert data.synthetic_blobs(10, 2, 1.0, 0).labels.dtype == np.float64
+
+
 class TestSyntheticBlobs:
     def test_deterministic(self):
         a = data.synthetic_blobs(50, 3, 2.0, 5)

@@ -46,6 +46,17 @@ class TestDualUpdate:
         dual = dual_update(dual, np.array([-1.0, 0.0]), [np.zeros(2)], 0.5)
         assert np.allclose(dual, 0)
 
+    def test_stacked_with_self_padding_equals_per_agent(self):
+        # the loop's one call: neighbor slots padded with the agent's own index
+        rng = np.random.default_rng(4)
+        nbrs = [[1, 2, 3], [0], [0, 3], [0, 2]]
+        slots = np.array([[1, 2, 3], [0, 1, 1], [0, 3, 2], [0, 2, 3]])
+        duals, thetas = rng.normal(size=(4, 3)), rng.normal(size=(4, 3))
+        stacked = dual_update(duals, thetas, thetas[slots.T], 0.7)
+        for i in range(4):
+            expected = dual_update(duals[i], thetas[i], [thetas[j] for j in nbrs[i]], 0.7)
+            assert np.array_equal(stacked[i], expected)
+
 
 class TestNonprivate:
     def test_zero_rounds(self):
@@ -75,6 +86,28 @@ class TestNonprivate:
         parts = make_parts(n_agents=3)
         with pytest.raises(EngineError, match="datasets"):
             engine.run_nonprivate(parts, ring(4), 0.5, 1.0, 1, SolverConfig(beta=BETA))
+
+    def test_failed_solve_names_round_and_agent(self, monkeypatch):
+        # from round 2 on, no candidate of agents 1 and 2 passes the Armijo test;
+        # the error names the first of them
+        stacked_kernel, rounds = engine.stacked_kernel, []
+
+        def failing_kernel(*args):
+            objective = stacked_kernel(*args)
+            rounds.append(None)
+
+            def poisoned(thetas):
+                values, grads = objective(thetas)
+                if len(rounds) > 2:
+                    values[1:3] = np.nan
+                return values, grads
+
+            return poisoned
+
+        monkeypatch.setattr(engine, "stacked_kernel", failing_kernel)
+        with pytest.raises(EngineError, match=r"round 2, agent 1: solver did not converge: "
+                                              r"line search stalled"):
+            engine.run_nonprivate(make_parts(), ring(3), 0.5, 1.0, 5, SolverConfig(beta=BETA))
 
 
 class TestPpAdmm:
@@ -276,7 +309,9 @@ class TestCurvatureStep:
 
     @pytest.mark.parametrize("algorithm", ["nonprivate", "pp_admm", "ipp_admm"])
     def test_solves_take_few_evaluations(self, monkeypatch, algorithm):
-        evals, final_norms = [], []
+        # one stacked solve per round; its evaluation count is the largest
+        # of the agents' own counts, so the bound holds for every agent
+        evals, final_norms, starts = [], [], []
 
         def counting_minimize(objective, start, solver_cfg):
             calls = []
@@ -286,13 +321,14 @@ class TestCurvatureStep:
                 return objective(theta)
 
             out = minimize(counted, start, solver_cfg)
+            starts.append(start.shape)
             evals.append(len(calls))
-            final_norms.append(np.linalg.norm(objective(out)[1]))
+            final_norms.extend(np.linalg.norm(objective(out)[1], axis=1))
             return out
 
         monkeypatch.setattr(engine, "minimize", counting_minimize)
         cfg = cli.ExperimentConfig(algorithm=algorithm, T=10, seeds=(1,))
         cli.run_experiment(cfg)
-        assert len(evals) == cfg.n_agents * cfg.T
+        assert starts == [(cfg.n_agents, cfg.synthetic_d)] * cfg.T
         assert max(evals) <= 10
         assert max(final_norms) <= cfg.beta

@@ -4,20 +4,24 @@ from hypothesis import given, settings, strategies as st
 
 from padmm import cli, data, engine, metrics, noise
 from padmm.model import (
-    AugmentedParams,
     LocalObjectiveParams,
+    clipped_quality,
+    curvature_bounds,
+    logistic_loss,
+    stacked_kernel,
+)
+from padmm.solver import SolverConfig, minimize
+from reference import (
+    AugmentedParams,
     augmented_gradient,
     augmented_kernel,
     augmented_objective,
     augmented_value_and_grad,
-    clipped_quality,
-    curvature_bounds,
     local_objective,
     local_value_and_grad,
-    logistic_loss,
     logistic_loss_deriv,
+    mean_logistic_loss,
 )
-from padmm.solver import SolverConfig, minimize
 
 finite_z = st.floats(min_value=-500, max_value=500, allow_nan=False)
 
@@ -283,6 +287,86 @@ def default_subproblems(algorithm):
             yield p, a, engine.bounded_step_config(solver_cfg, p, cfg.eta, degree)
 
 
+def random_round(rng, n_agents, max_degree, with_b1, shuffled):
+    """Shards of two sizes (one when n_agents is 1) and random round terms."""
+    d = int(rng.integers(1, 6))
+    extra = int(rng.integers(1, n_agents)) if n_agents > 1 else 0  # shards one sample larger
+    n = n_agents * int(rng.integers(2, 30)) + extra
+    parts = data.partition(toy_dataset(seed=int(rng.integers(100)), n=n, d=d), n_agents, 0)
+    if shuffled:  # size groups no longer contiguous: blocks() copies them
+        parts = [parts[i] for i in rng.permutation(n_agents)]
+    nbrs = [sorted(rng.choice([j for j in range(n_agents) if j != i],
+                              size=min(int(rng.integers(0, max_degree + 1)), n_agents - 1),
+                              replace=False).tolist())
+            for i in range(n_agents)]
+    slots = np.tile(np.arange(n_agents)[:, None], max(map(len, nbrs), default=0))
+    for i, js in enumerate(nbrs):
+        slots[i, :len(js)] = js
+    lam, eta = float(rng.uniform(0.2, 2)), float(rng.uniform(0.1, 2))
+    dual, prev = rng.normal(size=(n_agents, d)), rng.normal(size=(n_agents, d))
+    b1 = rng.normal(size=(n_agents, d)) if with_b1 else None
+    kernel = stacked_kernel(data.blocks(parts), lam, n_agents, dual, prev, slots, eta, b1)
+    references = [
+        augmented_kernel(LocalObjectiveParams(parts[i], lam, n_agents),
+                         AugmentedParams(dual[i], prev[i], [prev[j] for j in nbrs[i]], eta,
+                                         None if b1 is None else b1[i]))
+        for i in range(n_agents)
+    ]
+    return d, kernel, references
+
+
+class TestStackedKernel:
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_agents=st.integers(1, 7),
+           max_degree=st.integers(0, 3), with_b1=st.booleans(), shuffled=st.booleans())
+    def test_rows_equal_one_agent_kernel(self, seed, n_agents, max_degree, with_b1, shuffled):
+        rng = np.random.default_rng(seed)
+        d, kernel, references = random_round(rng, n_agents, max_degree, with_b1, shuffled)
+        for _ in range(3):
+            thetas = rng.normal(size=(n_agents, d)) * 3
+            values, grads = kernel(thetas)
+            assert values.shape == (n_agents,) and grads.shape == (n_agents, d)
+            for i, reference in enumerate(references):
+                value, grad = reference(thetas[i].copy())
+                assert values[i] == value
+                assert np.array_equal(grads[i], grad)
+
+    def test_does_not_mutate_round_terms_or_thetas(self):
+        rng = np.random.default_rng(11)
+        parts = data.partition(toy_dataset(n=31), 3, 0)
+        dual, prev, b1 = (rng.normal(size=(3, 3)) for _ in range(3))
+        slots = np.array([[1, 2], [0, 1], [2, 2]])
+        before = [a.copy() for a in (dual, prev, b1, slots)]
+        kernel = stacked_kernel(data.blocks(parts), 1.0, 3, dual, prev, slots, 0.5, b1)
+        thetas = rng.normal(size=(3, 3))
+        kept = thetas.copy()
+        for _ in range(3):
+            _, grads = kernel(thetas)
+            grads += 1.0  # a caller writing into the result must not leak back
+        assert all(np.array_equal(x, y)
+                   for x, y in zip(before, (dual, prev, b1, slots), strict=True))
+        assert np.array_equal(thetas, kept)
+
+
+class TestAverageLoss:
+    def test_stacked_pass_equals_per_agent_means(self):
+        # three shard sizes, agents of one size not adjacent
+        ds = toy_dataset(seed=4, n=60, d=3)
+        parts = [ds.subset(range(0, 10)), ds.subset(range(10, 17)),
+                 ds.subset(range(17, 27)), ds.subset(range(27, 31)), ds.subset(range(31, 60))]
+        rng = np.random.default_rng(9)
+        for _ in range(5):
+            thetas = rng.normal(size=(5, 3)) * 3
+            expected = float(np.mean([mean_logistic_loss(t, p) for t, p in zip(thetas, parts)]))
+            assert metrics.average_loss(thetas, parts) == expected
+            assert metrics.average_loss(list(thetas), data.blocks(parts)) == expected
+
+    def test_one_theta_per_agent(self):
+        parts = data.partition(toy_dataset(n=20), 2, 0)
+        with pytest.raises(ValueError, match="one theta per agent"):
+            metrics.average_loss(np.zeros((3, 3)), parts)
+
+
 class TestKernelSolves:
     @pytest.mark.parametrize("algorithm", ["pp_admm", "ipp_admm"])
     def test_minimize_returns_the_reference_iterate(self, algorithm):
@@ -290,6 +374,20 @@ class TestKernelSolves:
             start = a.self_prev
             expected = minimize(reference_closure(p, a), start, cfg)
             assert np.array_equal(minimize(augmented_kernel(p, a), start, cfg), expected)
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_agents=st.integers(1, 7),
+           max_degree=st.integers(0, 3), with_b1=st.booleans())
+    def test_stacked_solve_equals_one_agent_solves(self, seed, n_agents, max_degree, with_b1):
+        rng = np.random.default_rng(seed)
+        d, kernel, references = random_round(rng, n_agents, max_degree, with_b1, False)
+        # steps up to 1.5 exceed 2 / L on some rows, so their Armijo guard backtracks
+        steps = rng.uniform(0.3, 1.5, size=n_agents)
+        start = rng.normal(size=(n_agents, d))
+        out = minimize(kernel, start, SolverConfig(beta=1e-4, initial_step=steps))
+        for i, reference in enumerate(references):
+            expected = minimize(reference, start[i], SolverConfig(beta=1e-4, initial_step=steps[i]))
+            assert np.array_equal(out[i], expected)
 
 
 def exact_hessian(theta, p, eta, degree):

@@ -33,10 +33,8 @@ class TestMinimize:
 
     def test_gradient_norm_postcondition(self):
         from padmm import data
-        from padmm.model import (
-            AugmentedParams, LocalObjectiveParams,
-            augmented_gradient, augmented_objective,
-        )
+        from padmm.model import LocalObjectiveParams
+        from reference import AugmentedParams, augmented_gradient, augmented_objective
 
         ds = data.synthetic_blobs(100, 2, 5.0, 0)
         p = LocalObjectiveParams(ds, 0.5, 2)
@@ -86,3 +84,80 @@ class TestMinimize:
             SolverConfig(beta=0.0)
         with pytest.raises(ValueError):
             SolverConfig(beta=1e-3, max_iterations=0)
+
+
+def rowwise_quadratics(centers, curvatures, log=None):
+    """Row i: 0.5 a_i ||theta - c_i||^2 + sum log cosh(theta); row by row, any row count."""
+
+    def objective(thetas):
+        diff = thetas - centers
+        values = 0.5 * curvatures * np.vecdot(diff, diff) + np.log(np.cosh(thetas)).sum(axis=1)
+        if log is not None:
+            log.append(values.copy())
+        return values, curvatures[:, None] * diff + np.tanh(thetas)
+
+    return objective
+
+
+def one_row(objective):
+    def single(theta):
+        values, grads = objective(theta[None])
+        return values[0], grads[0]
+
+    return single
+
+
+class TestRowwise:
+    CENTERS = np.array([[3.0, -1.0], [0.5, 2.0], [-2.0, 1.0], [0.0, 0.0], [1.0, 1.0]])
+    CURVATURES = np.array([1.0, 1.0, 4.0, 1.0, 0.2])
+    STEPS = np.array([3.0, 0.5, 0.3, 1.0, 1.2])  # row 0's step is too long: it backtracks
+    START = np.array([[0.0, 0.0], [1.0, 1.0], [0.0, 2.0], [0.0, 0.0], [-1.0, 2.0]])
+
+    def test_rows_equal_one_row_solves(self):
+        beta = 1e-6
+        out = minimize(rowwise_quadratics(self.CENTERS, self.CURVATURES), self.START,
+                       SolverConfig(beta=beta, initial_step=self.STEPS))
+        evals = []
+        for i in range(len(self.START)):
+            log = []
+            objective = rowwise_quadratics(self.CENTERS[i:i + 1], self.CURVATURES[i:i + 1], log)
+            expected = minimize(one_row(objective), self.START[i],
+                                SolverConfig(beta=beta, initial_step=self.STEPS[i]))
+            assert np.array_equal(out[i], expected)
+            evals.append(len(log))
+            if i == 0:  # a rejected candidate: the Armijo guard halved the step
+                assert max(v[0] for v in log[1:]) > log[0][0]
+        assert evals[3] == 1  # row 3 starts at its minimizer
+        assert len(set(evals)) == len(evals)  # every row stops at a different evaluation
+
+    def test_one_row_start_returns_one_row(self):
+        objective = rowwise_quadratics(self.CENTERS[:1], self.CURVATURES[:1])
+        out = minimize(objective, self.START[:1], SolverConfig(beta=1e-6, initial_step=3.0))
+        assert out.shape == (1, 2)
+        assert np.array_equal(out[0], minimize(one_row(objective), self.START[0],
+                                               SolverConfig(beta=1e-6, initial_step=3.0)))
+
+    def test_lowest_failing_row_is_named(self):
+        # rows 1 and 3 cannot reach beta in 3 iterations at step 0.01
+        steps = np.array([1.0, 0.01, 1.0, 0.01])
+        objective = rowwise_quadratics(np.full((4, 1), 10.0), np.ones(4))
+        with pytest.raises(NonConvergence, match="after 3 iterations") as err:
+            minimize(objective, np.zeros((4, 1)),
+                     SolverConfig(beta=1e-3, max_iterations=3, initial_step=steps))
+        assert err.value.row == 1
+        assert err.value.last_iterate.shape == (1,)
+        assert err.value.gradient_norm > 1e-3
+
+    def test_stalled_line_search_names_its_row(self):
+        def objective(thetas):
+            values = np.vecdot(thetas, thetas)
+            values[2] = np.nan  # no candidate of row 2 passes the Armijo test
+            return values, 2.0 * thetas
+
+        with pytest.raises(NonConvergence, match="line search stalled") as err:
+            minimize(objective, np.ones((3, 2)), SolverConfig(beta=1e-6, initial_step=0.25))
+        assert err.value.row == 2
+
+    def test_per_row_steps_validated(self):
+        with pytest.raises(ValueError):
+            SolverConfig(beta=1e-3, initial_step=np.array([1.0, 0.0]))
