@@ -68,11 +68,6 @@ def zcdp_sufficient_epsilon(rho: float, delta: float) -> float:
     return 2.0 * math.sqrt(rho * math.log(1.0 / delta))
 
 
-def serial_compose(costs) -> float:
-    """Mechanisms on the same data compose additively."""
-    return float(sum(costs))
-
-
 def parallel_compose(costs) -> float:
     """Mechanisms on disjoint data partitions cost the maximum."""
     costs = list(costs)

@@ -191,6 +191,10 @@ def build_plan(cfg: ExperimentConfig, train_parts, graph) -> accountant.BudgetPl
 
 def build_experiment(cfg: ExperimentConfig):
     """Graph, per-agent train shards, test set and budget plan (None for nonprivate)."""
+    if cfg.T < 1:
+        raise ConfigError(f"T must be >= 1, got {cfg.T}")
+    if not cfg.seeds:
+        raise ConfigError("seeds must list at least one seed")
     graph = build_graph(cfg)
     train_parts, test = prepare_data(cfg)
     return graph, train_parts, test, build_plan(cfg, train_parts, graph)
@@ -275,7 +279,7 @@ def _summarize(runs, ledger_report, graph):
         "broadcast_counts": {
             str(seed): {str(i): sum(trace.broadcasts[i] for trace in traces)
                         for i in range(graph.n)}
-            for seed, traces in runs if traces
+            for seed, traces in runs
         },
     }
 

@@ -8,19 +8,17 @@ from . import data
 from .model import block_margins, logistic_loss
 
 
-def average_loss(theta_per_agent, train_per_agent) -> float:
+def average_loss(theta_per_agent, train_blocks) -> float:
     """(1/N) sum_i mean_n L(y theta_i . x); no regularizer term.
 
-    train_per_agent is a list of Datasets or their data.blocks(); each
+    train_blocks are the agents' shards as data.blocks() stacks them; each
     block of equal-size shards is one stacked pass.
     """
     thetas = np.asarray(theta_per_agent, dtype=float)
-    if isinstance(train_per_agent[0], data.Dataset):
-        train_per_agent = data.blocks(train_per_agent)
-    if len(thetas) != sum(len(block.rows) for block in train_per_agent):
+    if len(thetas) != sum(len(block.rows) for block in train_blocks):
         raise ValueError("one theta per agent dataset is needed")
     losses = np.empty(len(thetas))
-    for block in train_per_agent:
+    for block in train_blocks:
         z = block_margins(block, thetas)
         losses[block.rows] = logistic_loss(z).sum(axis=1) / z.shape[1]
     return float(np.mean(losses))

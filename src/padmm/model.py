@@ -54,7 +54,11 @@ def logistic_loss(z):
 
 @dataclass(frozen=True)
 class LocalObjectiveParams:
-    """Parameters of f_i.  dataset=None is a test surrogate with zero loss term."""
+    """Parameters of f_i.
+
+    dataset=None leaves out the loss term; accountant.plan_budget uses that
+    form to take mu, which no data enters, from curvature_bounds.
+    """
 
     dataset: Dataset | None
     lambda_hat: float
@@ -150,8 +154,6 @@ def clipped_quality(
 
     def clipped_f(theta):
         reg = (p.lambda_hat / p.num_agents) * 0.5 * float(theta @ theta)
-        if p.dataset is None:
-            return reg
         losses = np.minimum(logistic_loss(_margins(theta, p.dataset)), c_loss)
         return float(losses.sum() / p.dataset.n_samples) + reg
 

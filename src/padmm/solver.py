@@ -57,19 +57,11 @@ def minimize(objective, start: np.ndarray, cfg: SolverConfig) -> np.ndarray:
 
     For a (k, d) start, `objective(thetas)` returns (values (k,), gradients
     (k, d)) and is evaluated at all k rows on every call; rows that have
-    stopped are evaluated at their final iterate.  A 1-D start is one row:
-    then `objective(theta)` returns a (value, gradient) pair and the result
-    is 1-D.  If any row fails, NonConvergence names the lowest failing row,
-    after the others have finished.
+    stopped are evaluated at their final iterate.  If any row fails,
+    NonConvergence names the lowest failing row, after the others have
+    finished.
     """
     theta = np.array(start, dtype=float)
-    if theta.ndim == 1:
-        def one_row(thetas):
-            value, grad = objective(thetas[0])
-            return np.array([value]), grad[None]
-
-        return minimize(one_row, theta[None], cfg)[0]
-
     initial_step = np.broadcast_to(np.asarray(cfg.initial_step, dtype=float), theta.shape[:1])
     value, grad = objective(theta)
     grad_norm = np.sqrt(np.vecdot(grad, grad))

@@ -1,10 +1,12 @@
-"""One-agent loop forms of the logistic objective: the oracles for the stacked kernel.
+"""Plain reference forms that tests check padmm against.
 
 The engine evaluates every agent's subproblem at once with
 padmm.model.stacked_kernel.  These functions compute one agent's objective
 and gradient the plain way; model tests require the stacked rows to equal
 augmented_kernel bit for bit, and augmented_kernel to equal the
-augmented_objective / augmented_gradient pair bit for bit.
+augmented_objective / augmented_gradient pair bit for bit.  as_rows lifts a
+one-theta objective to the row form padmm.solver.minimize takes;
+serial_compose is zCDP's additive composition rule, which no run uses.
 """
 
 from __future__ import annotations
@@ -116,3 +118,21 @@ def augmented_kernel(p: LocalObjectiveParams, a: AugmentedParams):
 def augmented_value_and_grad(theta: np.ndarray, p: LocalObjectiveParams, a: AugmentedParams):
     """(augmented_objective, augmented_gradient), bit for bit, at one margin pass."""
     return augmented_kernel(p, a)(theta)
+
+
+def as_rows(objective):
+    """objective(theta) -> (value, gradient) lifted to minimize's one-row form.
+
+    The lifted objective maps a (1, d) stack to (values (1,), gradients (1, d)).
+    """
+
+    def rows(thetas):
+        value, grad = objective(thetas[0])
+        return np.array([value]), grad[None]
+
+    return rows
+
+
+def serial_compose(costs) -> float:
+    """Mechanisms on the same data compose additively."""
+    return float(sum(costs))

@@ -95,7 +95,7 @@ def test_3_consensus_oracle():
     )
     # consensus problem == pooled mean loss + (lam/N) * 0.5 ||theta||^2
     ref = engine.centralized_reference(pooled, lam / 3, cfg)
-    loss_gap = abs(traces[-1].average_loss - metrics.average_loss([ref] * 3, parts))
+    loss_gap = abs(traces[-1].average_loss - metrics.average_loss([ref] * 3, data.blocks(parts)))
     elapsed = time.time() - start
     ok = residual < 1e-5 and loss_gap < 1e-3 and elapsed < 60
     report("3-consensus-oracle", ok,

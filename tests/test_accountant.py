@@ -10,11 +10,11 @@ from padmm.accountant import (
     gaussian_zcdp,
     parallel_compose,
     plan_budget,
-    serial_compose,
     svt_open_cost,
     zcdp_sufficient_epsilon,
     zcdp_to_dp,
 )
+from reference import serial_compose
 
 # Frozen from an independent closed-form chain evaluated with plain math:
 # eps=1, delta=1e-4, T=30, splits=0.001, |D_i|=7000, N=5, eta=0.5, deg=2,

@@ -11,7 +11,7 @@ from padmm.cli import (
     parse_config_text,
     run_experiment,
 )
-from padmm.data import Dataset
+from padmm.data import Dataset, blocks
 from padmm.metrics import average_loss, error_rate
 
 
@@ -62,13 +62,13 @@ class TestMetrics:
 
     def test_average_loss_at_zero(self):
         parts = [Dataset(np.ones((4, 1)), np.array([1, 1, -1, -1]))]
-        assert average_loss([np.zeros(1)], parts) == pytest.approx(np.log(2))
+        assert average_loss([np.zeros(1)], blocks(parts)) == pytest.approx(np.log(2))
 
     def test_average_loss_single_agent_is_local_mean(self):
         ds = Dataset(np.array([[1.0], [0.5]]), np.array([1, -1]))
         theta = np.array([2.0])
         expected = np.mean(np.log1p(np.exp(-ds.labels * (ds.features @ theta))))
-        assert average_loss([theta], [ds]) == pytest.approx(expected)
+        assert average_loss([theta], blocks([ds])) == pytest.approx(expected)
 
 
 class TestConfigParsing:
@@ -146,18 +146,6 @@ class TestRunExperiment:
                 assert report.summary[f"mean_{field}"][t] == float(np.mean(values))
                 assert report.summary[f"std_{field}"][t] == float(np.std(values))
 
-    @pytest.mark.parametrize("overrides", [
-        dict(seeds=()),
-        dict(algorithm="pp_admm", lambda_hat=None, seeds=()),
-        dict(T=0),
-    ])
-    def test_summary_empty_without_rounds(self, overrides):
-        report = run_experiment(small_cfg(**overrides))
-        assert report.rounds == []
-        for key in ("mean_average_loss", "std_average_loss", "mean_error_rate", "std_error_rate"):
-            assert report.summary[key] == []
-        assert report.summary["broadcast_counts"] == {}
-
     def test_output_file_ndjson(self, tmp_path):
         out = tmp_path / "report.ndjson"
         run_experiment(small_cfg(output=str(out)))
@@ -201,6 +189,19 @@ class TestMain:
         code = cli.main(["run", "--algorithm", "bogus"])
         assert code == 1
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--T", "0", "T must be >= 1, got 0"),
+        ("--seeds", "[]", "seeds must list at least one seed"),
+    ], ids=["T=0", "seeds=()"])
+    @pytest.mark.parametrize("algorithm", ["nonprivate", "pp_admm", "ipp_admm"])
+    def test_run_without_rounds_rejected(self, capsys, algorithm, flag, value, message):
+        code = cli.main(["run", "--algorithm", algorithm, "--synthetic-n", "120",
+                         "--n-agents", "3", flag, value])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == f"padmm: error: {message}\n"
 
     def test_insecure_flag_reports_inf(self, tmp_path, capsys):
         out = tmp_path / "r.ndjson"

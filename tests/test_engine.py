@@ -74,7 +74,7 @@ class TestNonprivate:
             np.concatenate([p.labels for p in parts]),
         )
         ref = engine.centralized_reference(pooled, 1.0 / 3, cfg)
-        ref_loss = metrics.average_loss([ref] * 3, parts)
+        ref_loss = metrics.average_loss([ref] * 3, data.blocks(parts))
         assert abs(traces[-1].average_loss - ref_loss) < 1e-3
 
     def test_rounds_numbered(self):

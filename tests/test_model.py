@@ -13,6 +13,7 @@ from padmm.model import (
 from padmm.solver import SolverConfig, minimize
 from reference import (
     AugmentedParams,
+    as_rows,
     augmented_gradient,
     augmented_kernel,
     augmented_objective,
@@ -219,7 +220,7 @@ class TestOneExpLoss:
         for _ in range(10):
             theta = rng.normal(size=4) * 3
             value, _ = local_value_and_grad(theta, LocalObjectiveParams(ds, 0.0, 1))
-            assert metrics.average_loss([theta], [ds]) == value
+            assert metrics.average_loss([theta], data.blocks([ds])) == value
             assert local_objective(theta, LocalObjectiveParams(ds, 0.0, 1)) == value
 
 
@@ -358,22 +359,22 @@ class TestAverageLoss:
         for _ in range(5):
             thetas = rng.normal(size=(5, 3)) * 3
             expected = float(np.mean([mean_logistic_loss(t, p) for t, p in zip(thetas, parts)]))
-            assert metrics.average_loss(thetas, parts) == expected
+            assert metrics.average_loss(thetas, data.blocks(parts)) == expected
             assert metrics.average_loss(list(thetas), data.blocks(parts)) == expected
 
     def test_one_theta_per_agent(self):
         parts = data.partition(toy_dataset(n=20), 2, 0)
         with pytest.raises(ValueError, match="one theta per agent"):
-            metrics.average_loss(np.zeros((3, 3)), parts)
+            metrics.average_loss(np.zeros((3, 3)), data.blocks(parts))
 
 
 class TestKernelSolves:
     @pytest.mark.parametrize("algorithm", ["pp_admm", "ipp_admm"])
     def test_minimize_returns_the_reference_iterate(self, algorithm):
         for p, a, cfg in default_subproblems(algorithm):
-            start = a.self_prev
-            expected = minimize(reference_closure(p, a), start, cfg)
-            assert np.array_equal(minimize(augmented_kernel(p, a), start, cfg), expected)
+            start = a.self_prev[None]
+            expected = minimize(as_rows(reference_closure(p, a)), start, cfg)
+            assert np.array_equal(minimize(as_rows(augmented_kernel(p, a)), start, cfg), expected)
 
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n_agents=st.integers(1, 7),
@@ -386,8 +387,9 @@ class TestKernelSolves:
         start = rng.normal(size=(n_agents, d))
         out = minimize(kernel, start, SolverConfig(beta=1e-4, initial_step=steps))
         for i, reference in enumerate(references):
-            expected = minimize(reference, start[i], SolverConfig(beta=1e-4, initial_step=steps[i]))
-            assert np.array_equal(out[i], expected)
+            expected = minimize(as_rows(reference), start[i:i + 1],
+                                SolverConfig(beta=1e-4, initial_step=steps[i]))
+            assert np.array_equal(out[i], expected[0])
 
 
 def exact_hessian(theta, p, eta, degree):

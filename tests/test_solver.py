@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from padmm.solver import NonConvergence, SolverConfig, minimize
+from reference import as_rows
 
 
 def quadratic(center):
@@ -17,7 +18,7 @@ def quadratic(center):
 class TestMinimize:
     def test_quadratic_bowl(self):
         cfg = SolverConfig(beta=1e-6)
-        out = minimize(quadratic([3.0, -1.0]), np.zeros(2), cfg)
+        out = minimize(as_rows(quadratic([3.0, -1.0])), np.zeros(2)[None], cfg)[0]
         assert np.linalg.norm(out - [3.0, -1.0]) <= 1e-6
 
     def test_early_exit_at_start(self):
@@ -27,7 +28,7 @@ class TestMinimize:
             calls.append(1)
             return 0.0, np.zeros(2)
 
-        out = minimize(objective, np.array([5.0, 5.0]), SolverConfig(beta=1e-3))
+        out = minimize(as_rows(objective), np.array([5.0, 5.0])[None], SolverConfig(beta=1e-3))[0]
         assert np.array_equal(out, [5.0, 5.0])
         assert len(calls) == 1  # single evaluation, zero steps
 
@@ -46,7 +47,7 @@ class TestMinimize:
             return augmented_objective(theta, p, a), augmented_gradient(theta, p, a)
 
         beta = 10.0**-3.5
-        out = minimize(objective, np.zeros(2), SolverConfig(beta=beta))
+        out = minimize(as_rows(objective), np.zeros(2)[None], SolverConfig(beta=beta))[0]
         assert np.linalg.norm(objective(out)[1]) <= beta
 
     def test_monotone_descent(self):
@@ -58,7 +59,7 @@ class TestMinimize:
             history.append(value)
             return value, diff
 
-        minimize(objective, np.zeros(3), SolverConfig(beta=1e-8))
+        minimize(as_rows(objective), np.zeros(3)[None], SolverConfig(beta=1e-8))
         accepted = [history[0]]
         for value in history[1:]:
             if value <= accepted[-1]:
@@ -67,15 +68,15 @@ class TestMinimize:
 
     def test_deterministic(self):
         cfg = SolverConfig(beta=1e-10)
-        a = minimize(quadratic([1.0, 2.0, 3.0]), np.ones(3), cfg)
-        b = minimize(quadratic([1.0, 2.0, 3.0]), np.ones(3), cfg)
+        a = minimize(as_rows(quadratic([1.0, 2.0, 3.0])), np.ones(3)[None], cfg)[0]
+        b = minimize(as_rows(quadratic([1.0, 2.0, 3.0])), np.ones(3)[None], cfg)[0]
         assert np.array_equal(a, b)
 
     def test_non_convergence_carries_iterate(self):
         # small fixed step cannot close a 10-unit gap in 3 iterations
         cfg = SolverConfig(beta=1e-15, max_iterations=3, initial_step=0.1)
         with pytest.raises(NonConvergence) as err:
-            minimize(quadratic([10.0]), np.zeros(1), cfg)
+            minimize(as_rows(quadratic([10.0])), np.zeros(1)[None], cfg)
         assert err.value.last_iterate.shape == (1,)
         assert err.value.gradient_norm > 1e-15
 
@@ -99,14 +100,6 @@ def rowwise_quadratics(centers, curvatures, log=None):
     return objective
 
 
-def one_row(objective):
-    def single(theta):
-        values, grads = objective(theta[None])
-        return values[0], grads[0]
-
-    return single
-
-
 class TestRowwise:
     CENTERS = np.array([[3.0, -1.0], [0.5, 2.0], [-2.0, 1.0], [0.0, 0.0], [1.0, 1.0]])
     CURVATURES = np.array([1.0, 1.0, 4.0, 1.0, 0.2])
@@ -121,21 +114,15 @@ class TestRowwise:
         for i in range(len(self.START)):
             log = []
             objective = rowwise_quadratics(self.CENTERS[i:i + 1], self.CURVATURES[i:i + 1], log)
-            expected = minimize(one_row(objective), self.START[i],
+            expected = minimize(objective, self.START[i:i + 1],
                                 SolverConfig(beta=beta, initial_step=self.STEPS[i]))
-            assert np.array_equal(out[i], expected)
+            assert expected.shape == (1, 2)
+            assert np.array_equal(out[i], expected[0])
             evals.append(len(log))
             if i == 0:  # a rejected candidate: the Armijo guard halved the step
                 assert max(v[0] for v in log[1:]) > log[0][0]
         assert evals[3] == 1  # row 3 starts at its minimizer
         assert len(set(evals)) == len(evals)  # every row stops at a different evaluation
-
-    def test_one_row_start_returns_one_row(self):
-        objective = rowwise_quadratics(self.CENTERS[:1], self.CURVATURES[:1])
-        out = minimize(objective, self.START[:1], SolverConfig(beta=1e-6, initial_step=3.0))
-        assert out.shape == (1, 2)
-        assert np.array_equal(out[0], minimize(one_row(objective), self.START[0],
-                                               SolverConfig(beta=1e-6, initial_step=3.0)))
 
     def test_lowest_failing_row_is_named(self):
         # rows 1 and 3 cannot reach beta in 3 iterations at step 0.01
