@@ -73,6 +73,15 @@ class ConfigError(ValueError):
 _FIELDS = {f.name: f for f in dataclasses.fields(ExperimentConfig)}
 
 
+def _integer(name: str, value) -> int:
+    """value as an int if it is an integral number (2 or 2.0), else ConfigError."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ConfigError(f"{name} must be an integer, got {value!r}")
+
+
 def _coerce(name: str, raw):
     if name not in _FIELDS:
         raise ConfigError(f"unknown config key {name!r}")
@@ -82,9 +91,9 @@ def _coerce(name: str, raw):
         except json.JSONDecodeError:
             pass  # keep as string (paths, names)
     if name == "seeds":
-        if isinstance(raw, (int, float)):
-            raw = [int(raw)]
-        return tuple(int(s) for s in raw)
+        return tuple(_integer(name, s) for s in (raw if isinstance(raw, (list, tuple)) else [raw]))
+    if _FIELDS[name].type == "int":
+        return _integer(name, raw)
     return raw
 
 

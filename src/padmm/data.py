@@ -112,9 +112,7 @@ def preprocess(raw: Dataset, scales: np.ndarray | None = None) -> Dataset:
     if scales is None:
         scales = column_scales(raw)
     x = raw.features / scales
-    norms = np.linalg.norm(x, axis=1)
-    over = norms > 1.0
-    x[over] /= norms[over, np.newaxis]
+    x /= np.maximum(np.linalg.norm(x, axis=1), 1.0)[:, np.newaxis]  # dividing by 1.0 is exact
     return Dataset(x, raw.labels.copy())
 
 
@@ -161,8 +159,8 @@ def synthetic_blobs(n: int, d: int, separation: float, seed: int) -> Dataset:
     rng = np.random.default_rng(seed)
     n_pos = n // 2
     offset = np.full(d, separation / (2.0 * np.sqrt(d)))
-    x_pos = rng.normal(size=(n_pos, d)) + offset
-    x_neg = rng.normal(size=(n - n_pos, d)) - offset
-    features = np.vstack([x_pos, x_neg])
+    features = rng.normal(size=(n, d))  # the same stream as one draw per cluster
+    features[:n_pos] += offset
+    features[n_pos:] -= offset
     labels = np.concatenate([np.ones(n_pos, dtype=int), -np.ones(n - n_pos, dtype=int)])
     return preprocess(Dataset(features, labels))

@@ -15,6 +15,13 @@ as one row-wise solve over the shards stacked by size
 (model.stacked_kernel) and updates every dual in one call.  Each agent's
 iterates, noise draws, gate decisions and charges are those of solving and
 releasing one agent at a time.
+
+The solver's objective and the reported training loss read the shards
+through one model.DataTerms per run, which remembers the last point it
+evaluated.  A round's training loss is taken at the shared values, which
+are the next round's warm start, so the solve's first evaluation reuses
+that pass; in the non-private loop the shared values are the solver's last
+evaluated point, so the training loss costs no pass of its own.
 """
 
 from __future__ import annotations
@@ -26,7 +33,8 @@ import numpy as np
 from . import metrics, noise
 from .accountant import BudgetPlan, ZcdpLedger
 from .data import Dataset, blocks
-from .model import LocalObjectiveParams, clipped_quality, curvature_bounds, stacked_kernel
+from .model import (DataTerms, LocalObjectiveParams, clipped_quality, curvature_bounds,
+                    stacked_kernel)
 from .solver import NonConvergence, SolverConfig, minimize
 from .svt import Decision, SvtGate
 from .topology import Graph
@@ -76,7 +84,7 @@ class _Agents:
 
     dimension: int
     params: list  # LocalObjectiveParams per agent
-    blocks: list  # data.ShardBlock: the shards stacked by size
+    data_terms: DataTerms  # the shards stacked by size, with this run's one-point memo
     slots: np.ndarray  # (N, max degree) sorted neighbors, padded with the agent itself
     cfg: SolverConfig  # initial_step: each agent's 2 / (mu + L)
 
@@ -90,7 +98,8 @@ def _agents(data, g: Graph, lambda_hat: float, eta: float, cfg: SolverConfig) ->
         slots[i, :len(js)] = js
     steps = [bounded_step_config(cfg, params[i], eta, len(nbrs[i])).initial_step
              for i in range(g.n)]
-    return _Agents(d, params, blocks(data), slots, replace(cfg, initial_step=np.array(steps)))
+    return _Agents(d, params, DataTerms(blocks(data)), slots,
+                   replace(cfg, initial_step=np.array(steps)))
 
 
 def _check_inputs(data, g: Graph):
@@ -119,8 +128,8 @@ def _train(agents: _Agents, eta, T, test, ledger, draw_b1, release):
     for t in range(T):
         snapshot = thetas
         b1 = None if draw_b1 is None else np.array([draw_b1(i) for i in range(n)])
-        objective = stacked_kernel(agents.blocks, lambda_hat, n, duals, snapshot, agents.slots,
-                                   eta, b1)
+        objective = stacked_kernel(agents.data_terms, lambda_hat, n, duals, snapshot,
+                                   agents.slots, eta, b1)
         try:
             theta_hat = minimize(objective, snapshot, agents.cfg)
         except NonConvergence as exc:
@@ -131,7 +140,7 @@ def _train(agents: _Agents, eta, T, test, ledger, draw_b1, release):
         duals = dual_update(duals, thetas, thetas[agents.slots.T], eta)
         traces.append(IterationTrace(
             round=t,
-            average_loss=metrics.average_loss(thetas, agents.blocks),
+            average_loss=metrics.average_loss(thetas, agents.data_terms),
             consensus_residual=metrics.consensus_residual(thetas),
             error_rate_test=metrics.error_rate(thetas, test) if test is not None else None,
             broadcasts={i: s is not None for i, s in enumerate(shared)},
@@ -239,7 +248,7 @@ def centralized_reference(pooled: Dataset, lambda_hat: float, cfg: SolverConfig)
     """
     cfg = bounded_step_config(cfg, LocalObjectiveParams(pooled, lambda_hat, 1), eta=0.0, degree=0)
     zeros = np.zeros((1, pooled.dimension))
-    objective = stacked_kernel(blocks([pooled]), lambda_hat, 1, zeros, zeros,
+    objective = stacked_kernel(DataTerms(blocks([pooled])), lambda_hat, 1, zeros, zeros,
                                np.zeros((1, 0), dtype=int), 0.0)
     try:
         return minimize(objective, zeros, cfg)[0]

@@ -5,23 +5,21 @@ from __future__ import annotations
 import numpy as np
 
 from . import data
-from .model import block_margins, logistic_loss
+from .model import DataTerms
 
 
-def average_loss(theta_per_agent, train_blocks) -> float:
+def average_loss(theta_per_agent, data_terms: DataTerms) -> float:
     """(1/N) sum_i mean_n L(y theta_i . x); no regularizer term.
 
-    train_blocks are the agents' shards as data.blocks() stacks them; each
-    block of equal-size shards is one stacked pass.
+    data_terms is the run's evaluator of the agents' shards (the one the
+    solver's objective uses), so a point it has just evaluated costs no
+    second pass.
     """
     thetas = np.asarray(theta_per_agent, dtype=float)
-    if len(thetas) != sum(len(block.rows) for block in train_blocks):
+    if len(thetas) != data_terms.n_agents:
         raise ValueError("one theta per agent dataset is needed")
-    losses = np.empty(len(thetas))
-    for block in train_blocks:
-        z = block_margins(block, thetas)
-        losses[block.rows] = logistic_loss(z).sum(axis=1) / z.shape[1]
-    return float(np.mean(losses))
+    loss, _ = data_terms(thetas)
+    return float(np.mean(loss))
 
 
 def error_rate(theta_per_agent, test: data.Dataset) -> float:

@@ -24,6 +24,14 @@ on the shards stacked by size (data.blocks).  Its rows are bit-identical to
 the one-agent loop form, which tests/reference.py keeps as the oracle; that
 rests on NumPy's stacked matmul and vecdot calling the same BLAS gemv and
 dot per row as the 2-D and 1-D products.
+
+The data terms (the mean loss and its gradient) come from a DataTerms
+evaluator, one per run, which the reported training loss
+(metrics.average_loss) reads too.  It remembers the last point it
+evaluated, so a point the loop evaluates twice in a row costs one pass over
+the shards: the shared values that a round's metrics evaluate are the next
+round's warm start, and in the non-private loop they are also the solver's
+last evaluated point.
 """
 
 from __future__ import annotations
@@ -76,20 +84,57 @@ def block_margins(block: ShardBlock, thetas: np.ndarray) -> np.ndarray:
     return block.labels * np.matmul(block.features, thetas[block.rows, :, None])[:, :, 0]
 
 
-def stacked_kernel(blocks, lambda_hat: float, num_agents: int, dual: np.ndarray,
+class DataTerms:
+    """The data part of every agent's objective, for one run's shards.
+
+    data_terms(thetas) returns, row by row, the mean logistic loss and the
+    mean loss gradient of agent i's shard at thetas[i]: (loss (N,), grads
+    (N, d)), read-only.  It keeps a one-entry memo: a copy of the last point
+    it evaluated and that point's terms, returned again while the point is
+    np.array_equal to the copy.  Points equal that way differ at most in the
+    sign of a zero, which no term sees.
+    """
+
+    def __init__(self, blocks):
+        self.blocks = blocks  # data.ShardBlock: the shards stacked by size
+        self.n_agents = sum(len(block.rows) for block in blocks)
+        self._point = None
+        self._terms = None
+
+    def __call__(self, thetas: np.ndarray):
+        if self._point is not None and np.array_equal(thetas, self._point):
+            return self._terms
+        loss = np.empty(len(thetas))
+        grads = np.empty(thetas.shape)
+        for block in self.blocks:
+            z = block_margins(block, thetas)
+            e = np.exp(-np.abs(z))
+            w = _deriv(z, e) * block.labels
+            n = z.shape[1]
+            loss[block.rows] = _loss(z, e).sum(axis=1) / n
+            grads[block.rows] = (
+                np.matmul(block.features.transpose(0, 2, 1), w[:, :, None])[:, :, 0] / n)
+        loss.flags.writeable = grads.flags.writeable = False
+        self._point = np.array(thetas, dtype=float)
+        self._terms = loss, grads
+        return self._terms
+
+
+def stacked_kernel(data_terms: DataTerms, lambda_hat: float, num_agents: int, dual: np.ndarray,
                    self_prev: np.ndarray, slots: np.ndarray, eta: float,
                    noise_b1: np.ndarray | None = None):
     """objective(thetas) -> (values (N,), grads (N, d)) of every agent's subproblem.
 
-    Row i is agent i's augmented objective and gradient at thetas[i].  blocks
-    are the agents' shards (data.blocks); dual, self_prev and noise_b1 (None
-    for no objective noise) have one row per agent; slots[i] lists agent
-    i's neighbors in ascending order, padded with i itself, and the padded
-    slots are skipped.  The round-local terms (2 dual, the b1 term and the
-    neighbor midpoints 0.5 (theta_self_prev + theta_j)) are computed once
-    here, for every evaluation of one solve.  Each row takes the per-agent
-    form's operations in its order, as row-wise matmul, vecdot and sums, so
-    it matches a one-agent evaluation bit for bit.
+    Row i is agent i's augmented objective and gradient at thetas[i].
+    data_terms evaluates the agents' shards (and may answer from its memo);
+    dual, self_prev and noise_b1 (None for no objective noise) have one row
+    per agent; slots[i] lists agent i's neighbors in ascending order, padded
+    with i itself, and the padded slots are skipped.  The round-local terms
+    (2 dual, the b1 term and the neighbor midpoints 0.5 (theta_self_prev +
+    theta_j)) are computed once here, for every evaluation of one solve.
+    Each row takes the per-agent form's operations in its order, as row-wise
+    matmul, vecdot and sums, so it matches a one-agent evaluation bit for
+    bit.
     """
     scale = lambda_hat / num_agents
     two_dual = 2.0 * dual
@@ -100,18 +145,9 @@ def stacked_kernel(blocks, lambda_hat: float, num_agents: int, dual: np.ndarray,
     two_eta = 2.0 * eta
 
     def objective(thetas: np.ndarray):
-        values = scale * 0.5 * np.vecdot(thetas, thetas)
-        grads = scale * thetas
-        for block in blocks:
-            z = block_margins(block, thetas)
-            e = np.exp(-np.abs(z))
-            w = _deriv(z, e) * block.labels
-            n = z.shape[1]
-            data_grads = np.matmul(block.features.transpose(0, 2, 1), w[:, :, None])[:, :, 0]
-            values[block.rows] = _loss(z, e).sum(axis=1) / n + values[block.rows]
-            grads[block.rows] = data_grads / n + grads[block.rows]
-        values += np.vecdot(linear, thetas)
-        grads = grads + two_dual + b1
+        loss, data_grads = data_terms(thetas)
+        values = loss + scale * 0.5 * np.vecdot(thetas, thetas) + np.vecdot(linear, thetas)
+        grads = data_grads + scale * thetas + two_dual + b1
         for s in range(slots.shape[1]):
             diff = midpoints[:, s] - thetas
             np.add(values, eta * np.vecdot(diff, diff), out=values, where=real[:, s])

@@ -8,7 +8,7 @@ import pytest
 
 from padmm import data, engine, metrics
 from padmm.accountant import plan_budget, zcdp_sufficient_epsilon
-from padmm.model import LocalObjectiveParams, clipped_quality
+from padmm.model import DataTerms, LocalObjectiveParams, clipped_quality
 from padmm.noise import RngHandle, gaussian_vector, laplace_scalar
 from padmm.solver import SolverConfig
 from padmm.svt import Decision, SvtGate, svt_split_ratio
@@ -95,7 +95,7 @@ def test_3_consensus_oracle():
     )
     # consensus problem == pooled mean loss + (lam/N) * 0.5 ||theta||^2
     ref = engine.centralized_reference(pooled, lam / 3, cfg)
-    loss_gap = abs(traces[-1].average_loss - metrics.average_loss([ref] * 3, data.blocks(parts)))
+    loss_gap = abs(traces[-1].average_loss - metrics.average_loss([ref] * 3, DataTerms(data.blocks(parts))))
     elapsed = time.time() - start
     ok = residual < 1e-5 and loss_gap < 1e-3 and elapsed < 60
     report("3-consensus-oracle", ok,

@@ -13,6 +13,7 @@ from padmm.cli import (
 )
 from padmm.data import Dataset, blocks
 from padmm.metrics import average_loss, error_rate
+from padmm.model import DataTerms
 
 
 def small_cfg(**overrides):
@@ -62,13 +63,13 @@ class TestMetrics:
 
     def test_average_loss_at_zero(self):
         parts = [Dataset(np.ones((4, 1)), np.array([1, 1, -1, -1]))]
-        assert average_loss([np.zeros(1)], blocks(parts)) == pytest.approx(np.log(2))
+        assert average_loss([np.zeros(1)], DataTerms(blocks(parts))) == pytest.approx(np.log(2))
 
     def test_average_loss_single_agent_is_local_mean(self):
         ds = Dataset(np.array([[1.0], [0.5]]), np.array([1, -1]))
         theta = np.array([2.0])
         expected = np.mean(np.log1p(np.exp(-ds.labels * (ds.features @ theta))))
-        assert average_loss([theta], blocks([ds])) == pytest.approx(expected)
+        assert average_loss([theta], DataTerms(blocks([ds]))) == pytest.approx(expected)
 
 
 class TestConfigParsing:
@@ -92,6 +93,27 @@ class TestConfigParsing:
         cfg = load_config(str(p), {"epsilon": "2.0"})
         assert cfg.epsilon == 2.0
         assert cfg.T == 3
+
+    INT_FIELDS = ["synthetic_n", "synthetic_d", "n_agents", "topology_seed", "split_seed", "T",
+                  "c_max", "max_iterations", "seeds"]
+
+    @pytest.mark.parametrize("value", ["2.5", "true", "null", "Infinity", "abc", '"3"'])
+    @pytest.mark.parametrize("name", INT_FIELDS)
+    def test_integer_fields_reject_other_values(self, name, value):
+        with pytest.raises(ConfigError, match=f"^{name} must be an integer, got "):
+            load_config(None, {name: value})
+
+    def test_integer_fields_checked_in_config_files(self):
+        with pytest.raises(ConfigError, match=r"^T must be an integer, got 2\.5$"):
+            parse_config_text("T = 2.5\n")
+        with pytest.raises(ConfigError, match=r"^seeds must be an integer, got 2\.5$"):
+            parse_config_text("seeds = [0, 2.5]\n")
+
+    def test_integral_values_become_ints(self):
+        cfg = load_config(None, {"T": "4.0", "n_agents": 3, "seeds": "[1.0, 2]"})
+        assert (cfg.T, cfg.n_agents, cfg.seeds) == (4, 3, (1, 2))
+        assert all(type(v) is int for v in (cfg.T, cfg.n_agents, *cfg.seeds))
+        assert load_config(None, {"seeds": "7"}).seeds == (7,)
 
     def test_echo_round_trips(self):
         cfg = small_cfg()
@@ -197,6 +219,19 @@ class TestMain:
     @pytest.mark.parametrize("algorithm", ["nonprivate", "pp_admm", "ipp_admm"])
     def test_run_without_rounds_rejected(self, capsys, algorithm, flag, value, message):
         code = cli.main(["run", "--algorithm", algorithm, "--synthetic-n", "120",
+                         "--n-agents", "3", flag, value])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == f"padmm: error: {message}\n"
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--T", "2.5", "T must be an integer, got 2.5"),
+        ("--seeds", "1.7", "seeds must be an integer, got 1.7"),
+    ], ids=["T=2.5", "seeds=1.7"])
+    @pytest.mark.parametrize("command", ["run", "plan", "validate"])
+    def test_non_integral_values_rejected(self, capsys, command, flag, value, message):
+        code = cli.main([command, "--algorithm", "pp_admm", "--synthetic-n", "120",
                          "--n-agents", "3", flag, value])
         captured = capsys.readouterr()
         assert code == 1

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from padmm import cli, data, engine, metrics
+from padmm import cli, data, engine, metrics, model
 from padmm.accountant import plan_budget, zcdp_sufficient_epsilon
 from padmm.engine import EngineError, dual_update
-from padmm.model import LocalObjectiveParams, curvature_bounds
+from padmm.model import DataTerms, LocalObjectiveParams, curvature_bounds
 from padmm.solver import SolverConfig, minimize
 from padmm.svt import svt_split_ratio
 from padmm.topology import ring
@@ -74,7 +74,7 @@ class TestNonprivate:
             np.concatenate([p.labels for p in parts]),
         )
         ref = engine.centralized_reference(pooled, 1.0 / 3, cfg)
-        ref_loss = metrics.average_loss([ref] * 3, data.blocks(parts))
+        ref_loss = metrics.average_loss([ref] * 3, DataTerms(data.blocks(parts)))
         assert abs(traces[-1].average_loss - ref_loss) < 1e-3
 
     def test_rounds_numbered(self):
@@ -108,6 +108,63 @@ class TestNonprivate:
         with pytest.raises(EngineError, match=r"round 2, agent 1: solver did not converge: "
                                               r"line search stalled"):
             engine.run_nonprivate(make_parts(), ring(3), 0.5, 1.0, 5, SolverConfig(beta=BETA))
+
+
+class TestDataPasses:
+    """Shard passes per round: the metrics pass and the next warm start share one."""
+
+    @staticmethod
+    def count(monkeypatch, run):
+        """[evaluations, passes] per round, each round's training-loss pass included."""
+        rounds = []
+        block_margins, solve = model.block_margins, engine.minimize
+
+        def counted_margins(block, thetas):
+            rounds[-1][1] += 1
+            return block_margins(block, thetas)
+
+        def counted_minimize(objective, start, cfg):
+            rounds.append([0, 0])
+
+            def counted(thetas):
+                rounds[-1][0] += 1
+                return objective(thetas)
+
+            return solve(counted, start, cfg)
+
+        monkeypatch.setattr(model, "block_margins", counted_margins)
+        monkeypatch.setattr(engine, "minimize", counted_minimize)
+        run()
+        return rounds
+
+    def test_nonprivate_round_is_one_pass_per_candidate(self, monkeypatch):
+        parts = make_parts(n=301)  # shards of 101, 100 and 100: two blocks
+        rounds = self.count(monkeypatch, lambda: engine.run_nonprivate(
+            parts, ring(3), 0.5, 1.0, 8, SolverConfig(beta=BETA)))
+        assert len(rounds) == 8 and sum(evals for evals, _ in rounds) > 2 * 8
+        for t, (evals, passes) in enumerate(rounds):
+            # the warm start is the last round's memoized point, except at the zero start;
+            # the training loss is taken at the solver's last candidate
+            candidates = evals - 1
+            assert passes == 2 * (candidates + (t == 0))
+
+    @pytest.mark.parametrize("gated", [False, True])
+    def test_private_round_saves_the_warm_start_pass(self, monkeypatch, gated):
+        parts, g, T = make_parts(n=301), ring(3), 8
+        plan = make_plan(parts, g, T=T, gated=gated, c_max=3 if gated else None)
+        cfg = SolverConfig(beta=BETA)
+        if gated:
+            def run():
+                engine.run_ipp_admm(parts, g, plan, 0.5, T, 1e-3, 3, 2.0, cfg, seed=0)
+        else:
+            def run():
+                engine.run_pp_admm(parts, g, plan, 0.5, T, cfg, seed=0)
+        rounds = self.count(monkeypatch, run)
+        assert len(rounds) == T
+        for t, (evals, passes) in enumerate(rounds):
+            # one pass per evaluation plus the training loss at the released values,
+            # less the warm start that the previous round's training loss evaluated
+            assert passes == 2 * (evals + 1 - (t > 0))
 
 
 class TestPpAdmm:

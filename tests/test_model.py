@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from padmm import cli, data, engine, metrics, noise
+from padmm import cli, data, engine, metrics, model, noise
 from padmm.model import (
+    DataTerms,
     LocalObjectiveParams,
     clipped_quality,
     curvature_bounds,
@@ -220,7 +221,7 @@ class TestOneExpLoss:
         for _ in range(10):
             theta = rng.normal(size=4) * 3
             value, _ = local_value_and_grad(theta, LocalObjectiveParams(ds, 0.0, 1))
-            assert metrics.average_loss([theta], data.blocks([ds])) == value
+            assert metrics.average_loss([theta], DataTerms(data.blocks([ds]))) == value
             assert local_objective(theta, LocalObjectiveParams(ds, 0.0, 1)) == value
 
 
@@ -306,7 +307,7 @@ def random_round(rng, n_agents, max_degree, with_b1, shuffled):
     lam, eta = float(rng.uniform(0.2, 2)), float(rng.uniform(0.1, 2))
     dual, prev = rng.normal(size=(n_agents, d)), rng.normal(size=(n_agents, d))
     b1 = rng.normal(size=(n_agents, d)) if with_b1 else None
-    kernel = stacked_kernel(data.blocks(parts), lam, n_agents, dual, prev, slots, eta, b1)
+    kernel = stacked_kernel(DataTerms(data.blocks(parts)), lam, n_agents, dual, prev, slots, eta, b1)
     references = [
         augmented_kernel(LocalObjectiveParams(parts[i], lam, n_agents),
                          AugmentedParams(dual[i], prev[i], [prev[j] for j in nbrs[i]], eta,
@@ -338,7 +339,7 @@ class TestStackedKernel:
         dual, prev, b1 = (rng.normal(size=(3, 3)) for _ in range(3))
         slots = np.array([[1, 2], [0, 1], [2, 2]])
         before = [a.copy() for a in (dual, prev, b1, slots)]
-        kernel = stacked_kernel(data.blocks(parts), 1.0, 3, dual, prev, slots, 0.5, b1)
+        kernel = stacked_kernel(DataTerms(data.blocks(parts)), 1.0, 3, dual, prev, slots, 0.5, b1)
         thetas = rng.normal(size=(3, 3))
         kept = thetas.copy()
         for _ in range(3):
@@ -347,6 +348,86 @@ class TestStackedKernel:
         assert all(np.array_equal(x, y)
                    for x, y in zip(before, (dual, prev, b1, slots), strict=True))
         assert np.array_equal(thetas, kept)
+
+
+class TestDataTerms:
+    """The run's data-term evaluator and its one-point memo."""
+
+    @staticmethod
+    def evaluator(monkeypatch=None, passes=None):
+        parts = data.partition(toy_dataset(n=31), 3, 0)  # shards of 11, 10 and 10: two blocks
+        if monkeypatch is not None:
+            block_margins = model.block_margins
+
+            def counted(block, thetas):
+                passes.append(len(block.rows))
+                return block_margins(block, thetas)
+
+            monkeypatch.setattr(model, "block_margins", counted)
+        return DataTerms(data.blocks(parts)), parts
+
+    def test_rows_are_each_shards_mean_loss_and_gradient(self):
+        terms, parts = self.evaluator()
+        thetas = np.random.default_rng(1).normal(size=(3, 3)) * 3
+        loss, grads = terms(thetas)
+        for i, part in enumerate(parts):
+            value, grad = local_value_and_grad(thetas[i], LocalObjectiveParams(part, 0.0, 1))
+            assert loss[i] == value
+            assert np.array_equal(grads[i], grad)
+
+    def test_repeated_point_is_one_pass(self, monkeypatch):
+        passes = []
+        terms, _ = self.evaluator(monkeypatch, passes)
+        thetas = np.random.default_rng(2).normal(size=(3, 3))
+        first = terms(thetas)
+        assert len(passes) == 2  # one per block
+        again = terms(thetas.copy())
+        assert len(passes) == 2
+        assert all(a is b for a, b in zip(first, again, strict=True))
+
+    def test_mutating_the_callers_array_never_gives_stale_terms(self, monkeypatch):
+        passes = []
+        terms, _ = self.evaluator(monkeypatch, passes)
+        thetas = np.random.default_rng(3).normal(size=(3, 3))
+        stale = [a.copy() for a in terms(thetas)]
+        thetas[1, 0] += 1.0
+        loss, grads = terms(thetas)
+        assert len(passes) == 4
+        fresh_loss, fresh_grads = self.evaluator()[0](thetas)
+        assert np.array_equal(loss, fresh_loss) and np.array_equal(grads, fresh_grads)
+        assert loss[1] != stale[0][1]
+
+    def test_a_different_point_recomputes(self, monkeypatch):
+        passes = []
+        terms, _ = self.evaluator(monkeypatch, passes)
+        rng = np.random.default_rng(4)
+        a, b = rng.normal(size=(3, 3)), rng.normal(size=(3, 3))
+        for point in (a, b, a):  # the memo holds one point
+            before = len(passes)
+            loss, grads = terms(point)
+            assert len(passes) == before + 2
+            fresh_loss, fresh_grads = self.evaluator()[0](point)
+            assert np.array_equal(loss, fresh_loss) and np.array_equal(grads, fresh_grads)
+
+    def test_signed_zeros_give_the_memoized_terms(self):
+        # np.array_equal treats -0.0 as 0.0; the terms at both are the same bits
+        thetas = np.array([[0.0, 1.5, -0.0], [0.0, 0.0, 0.0], [-2.0, 0.0, 0.5]])
+        flipped = np.where(thetas == 0.0, np.copysign(0.0, -np.copysign(1.0, thetas)), thetas)
+        assert np.array_equal(np.signbit(thetas) == np.signbit(flipped), thetas != 0.0)
+        terms, _ = self.evaluator()
+        terms(thetas)
+        loss, grads = terms(flipped)
+        fresh_loss, fresh_grads = self.evaluator()[0](flipped)
+        assert loss.tobytes() == fresh_loss.tobytes()
+        assert grads.tobytes() == fresh_grads.tobytes()
+
+    def test_terms_are_read_only(self):
+        terms, _ = self.evaluator()
+        loss, grads = terms(np.zeros((3, 3)))
+        with pytest.raises(ValueError):
+            loss[0] = 1.0
+        with pytest.raises(ValueError):
+            grads += 1.0
 
 
 class TestAverageLoss:
@@ -359,13 +440,13 @@ class TestAverageLoss:
         for _ in range(5):
             thetas = rng.normal(size=(5, 3)) * 3
             expected = float(np.mean([mean_logistic_loss(t, p) for t, p in zip(thetas, parts)]))
-            assert metrics.average_loss(thetas, data.blocks(parts)) == expected
-            assert metrics.average_loss(list(thetas), data.blocks(parts)) == expected
+            assert metrics.average_loss(thetas, DataTerms(data.blocks(parts))) == expected
+            assert metrics.average_loss(list(thetas), DataTerms(data.blocks(parts))) == expected
 
     def test_one_theta_per_agent(self):
         parts = data.partition(toy_dataset(n=20), 2, 0)
         with pytest.raises(ValueError, match="one theta per agent"):
-            metrics.average_loss(np.zeros((3, 3)), data.blocks(parts))
+            metrics.average_loss(np.zeros((3, 3)), DataTerms(data.blocks(parts)))
 
 
 class TestKernelSolves:
