@@ -43,8 +43,10 @@ def dp_to_zcdp(epsilon: float, delta: float) -> float:
 
     epsilon^2 / (4 ln(1/delta)) for delta > 0; epsilon^2 / 2 for pure DP.
     """
-    if epsilon <= 0 or not 0 <= delta < 1:
-        raise BudgetError("need epsilon > 0 and delta in [0, 1)")
+    if not 0 < epsilon < math.inf:
+        raise BudgetError(f"epsilon must be finite and > 0, got {epsilon!r}")
+    if not 0 <= delta < 1:
+        raise BudgetError(f"delta must be in [0, 1), got {delta!r}")
     if delta == 0:
         return 0.5 * epsilon**2
     return epsilon**2 / (4.0 * math.log(1.0 / delta))
@@ -134,6 +136,8 @@ def plan_budget(
     """
     if not 0 < splits < 1:
         raise BudgetError("splits must be in (0, 1)")
+    if delta == 0:
+        raise BudgetError(f"delta must be in (0, 1) for the Gaussian mechanisms, got {delta!r}")
     if T < 1:
         raise BudgetError("T must be >= 1")
     if set(dataset_sizes) != set(degrees) or len(dataset_sizes) != n_agents:

@@ -83,18 +83,40 @@ def _integer(name: str, value) -> int:
 
 
 def _coerce(name: str, raw):
+    """A config value as its field's declared type; text is decoded as JSON.
+
+    String fields keep their text unless it is a JSON string, or null for an
+    optional one (so `positive_value = 1` is the label "1" and
+    `algorithm = "ipp_admm"` is ipp_admm).  Float fields take finite
+    numbers, integer fields integral ones, and insecure_no_noise true or
+    false.
+    """
     if name not in _FIELDS:
         raise ConfigError(f"unknown config key {name!r}")
+    kind = _FIELDS[name].type
+    value = raw
     if isinstance(raw, str):
         try:
-            raw = json.loads(raw)
+            value = json.loads(raw)
         except json.JSONDecodeError:
-            pass  # keep as string (paths, names)
+            pass  # not JSON: only string fields take it
+    if value is None and kind.endswith("| None"):
+        return None
+    if kind.startswith("str"):
+        return value if isinstance(value, str) else raw
     if name == "seeds":
-        return tuple(_integer(name, s) for s in (raw if isinstance(raw, (list, tuple)) else [raw]))
-    if _FIELDS[name].type == "int":
-        return _integer(name, raw)
-    return raw
+        seeds = value if isinstance(value, (list, tuple)) else [value]
+        return tuple(_integer(name, s) for s in seeds)
+    if kind == "int":
+        return _integer(name, value)
+    if kind.startswith("float"):
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            if math.isfinite(value):
+                return value
+        raise ConfigError(f"{name} must be a finite number, got {value!r}")
+    if isinstance(value, bool):  # insecure_no_noise, the one bool field
+        return value
+    raise ConfigError(f"{name} must be true or false, got {value!r}")
 
 
 def parse_config_text(text: str) -> dict:
@@ -274,8 +296,9 @@ def _summarize(runs, ledger_report, graph):
     by_round = list(zip(*(traces for _, traces in runs)))  # one tuple per round, over seeds
 
     def column(reduce, field):
-        return [float(reduce(np.array([getattr(trace, field) for trace in traces])))
-                for traces in by_round]
+        # (T, seeds): each round is one contiguous row, reduced as a 1-D array would be
+        values = np.array([[getattr(trace, field) for trace in traces] for traces in by_round])
+        return reduce(values, axis=1).tolist()
 
     return {
         "n_seeds": len(runs),

@@ -25,13 +25,16 @@ def average_loss(theta_per_agent, data_terms: DataTerms) -> float:
 def error_rate(theta_per_agent, test: data.Dataset) -> float:
     """Misclassification rate of sign(theta_i . x), averaged over agents.
 
-    sign(0) predicts +1.
+    sign(0) predicts +1.  Each agent's predictions are one contiguous row of
+    scores, packed to bits and XORed with the packed labels, so its rate is
+    an exact integer count over n_test.
     """
     if test.n_samples == 0:
         raise ValueError("empty test set")
-    scores = test.features @ np.asarray(theta_per_agent).T  # (n_test, N)
-    wrong = (scores >= 0) != (test.labels > 0)[:, None]
-    return float(np.mean(wrong.mean(axis=0)))
+    scores = np.asarray(theta_per_agent) @ test.features.T  # (N, n_test)
+    wrong = np.packbits(scores >= 0, axis=1) ^ np.packbits(test.labels > 0)
+    counts = np.bitwise_count(wrong).sum(axis=1)
+    return float(np.mean(counts / test.n_samples))
 
 
 def consensus_residual(theta_per_agent) -> float:

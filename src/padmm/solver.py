@@ -33,8 +33,12 @@ class SolverConfig:
     initial_step: float | np.ndarray = 1.0
 
     def __post_init__(self):
-        if self.beta <= 0 or self.max_iterations < 1 or np.any(np.asarray(self.initial_step) <= 0):
-            raise ValueError("beta, max_iterations, initial_step must be positive")
+        # a NaN or infinite step never falls below MIN_STEP, so minimize would not stop
+        step = np.asarray(self.initial_step)
+        finite_step = np.all((0 < step) & (step < np.inf))
+        if not (self.beta > 0 and self.max_iterations >= 1 and finite_step):
+            raise ValueError("beta, max_iterations must be positive; "
+                             "initial_step finite and positive")
 
 
 class NonConvergence(RuntimeError):

@@ -4,7 +4,8 @@ The engine evaluates every agent's subproblem at once with
 padmm.model.stacked_kernel.  These functions compute one agent's objective
 and gradient the plain way; model tests require the stacked rows to equal
 augmented_kernel bit for bit, and augmented_kernel to equal the
-augmented_objective / augmented_gradient pair bit for bit.  as_rows lifts a
+augmented_objective / augmented_gradient pair bit for bit.  error_rate is
+the boolean-matrix form of padmm.metrics.error_rate.  as_rows lifts a
 one-theta objective to the row form padmm.solver.minimize takes;
 serial_compose is zCDP's additive composition rule, which no run uses.
 """
@@ -118,6 +119,13 @@ def augmented_kernel(p: LocalObjectiveParams, a: AugmentedParams):
 def augmented_value_and_grad(theta: np.ndarray, p: LocalObjectiveParams, a: AugmentedParams):
     """(augmented_objective, augmented_gradient), bit for bit, at one margin pass."""
     return augmented_kernel(p, a)(theta)
+
+
+def error_rate(theta_per_agent, test: Dataset) -> float:
+    """Mean over agents of the fraction of test points with sign(theta_i . x) != y."""
+    scores = test.features @ np.asarray(theta_per_agent).T  # (n_test, N)
+    wrong = (scores >= 0) != (test.labels > 0)[:, None]
+    return float(np.mean(wrong.mean(axis=0)))
 
 
 def as_rows(objective):

@@ -65,6 +65,11 @@ class TestConversions:
         assert dp_to_zcdp(2.0, 1e-4) == pytest.approx(0.1085736205, abs=1e-9)
         assert dp_to_zcdp(1.0, 0.0) == 0.5
 
+    @pytest.mark.parametrize("epsilon", [math.inf, -math.inf, math.nan, 0.0])
+    def test_dp_to_zcdp_rejects_epsilon_not_finite_positive(self, epsilon):
+        with pytest.raises(BudgetError, match=r"^epsilon must be finite and > 0, got "):
+            dp_to_zcdp(epsilon, 1e-4)
+
     def test_zcdp_to_dp_examples(self):
         assert zcdp_to_dp(0.0, 0.5) == 0.0
         assert zcdp_to_dp(0.0271434051, 1e-4) == pytest.approx(1.0271427, abs=1e-4)
@@ -171,6 +176,16 @@ class TestPlanBudget:
     def test_gated_mode_requires_pair(self):
         with pytest.raises(BudgetError, match="eps1, eps2"):
             reference_plan(c_broadcasts=15)
+
+    def test_infinite_epsilon_rejected(self):
+        # inf - inf would make the floor and every sigma NaN
+        with pytest.raises(BudgetError, match=r"^epsilon must be finite"):
+            reference_plan(epsilon=math.inf)
+
+    def test_zero_delta_rejected(self):
+        # pure DP converts to zCDP, but the Gaussian scales divide by ln(1/delta)
+        with pytest.raises(BudgetError, match=r"^delta must be in \(0, 1\) for the Gaussian"):
+            reference_plan(delta=0.0)
 
     def test_svt_cost_exceeding_budget(self):
         with pytest.raises(BudgetError, match="budget"):

@@ -2,7 +2,9 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+import reference
 from padmm import cli
 from padmm.cli import (
     ConfigError,
@@ -61,6 +63,30 @@ class TestMetrics:
         assert error_rate(thetas, test) == float(np.mean(rates))
         assert error_rate(np.array(thetas), test) == float(np.mean(rates))
 
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           n_test=st.sampled_from([1, 7, 9, 401]) | st.integers(1, 64),
+           n_random=st.integers(0, 6), d=st.integers(1, 5),
+           zero_rows=st.lists(st.sampled_from([0.0, -0.0]), max_size=2),
+           zero_feature_row=st.booleans(), as_list=st.booleans())
+    @example(seed=0, n_test=401, n_random=1, d=3, zero_rows=[], zero_feature_row=True,
+             as_list=True)
+    @example(seed=1, n_test=9, n_random=0, d=2, zero_rows=[-0.0], zero_feature_row=False,
+             as_list=False)
+    def test_error_rate_matches_boolean_oracle_bit_for_bit(
+            self, seed, n_test, n_random, d, zero_rows, zero_feature_row, as_list):
+        rng = np.random.default_rng(seed)
+        features = rng.normal(size=(n_test, d))
+        if zero_feature_row:
+            features[rng.integers(n_test)] = 0.0
+        test = Dataset(features, rng.choice([-1.0, 1.0], size=n_test))
+        thetas = np.vstack([rng.normal(size=(n_random, d))]
+                           + [np.full((1, d), z) for z in zero_rows])
+        if len(thetas) == 0:
+            thetas = np.zeros((1, d))
+        got = error_rate(list(thetas) if as_list else thetas, test)
+        assert got.hex() == reference.error_rate(thetas, test).hex()
+
     def test_average_loss_at_zero(self):
         parts = [Dataset(np.ones((4, 1)), np.array([1, 1, -1, -1]))]
         assert average_loss([np.zeros(1)], DataTerms(blocks(parts))) == pytest.approx(np.log(2))
@@ -114,6 +140,39 @@ class TestConfigParsing:
         assert (cfg.T, cfg.n_agents, cfg.seeds) == (4, 3, (1, 2))
         assert all(type(v) is int for v in (cfg.T, cfg.n_agents, *cfg.seeds))
         assert load_config(None, {"seeds": "7"}).seeds == (7,)
+
+    def test_string_fields_keep_their_text(self):
+        assert load_config(None, {"positive_value": "1"}).positive_value == "1"
+        assert load_config(None, {"positive_value": '"1"'}).positive_value == "1"
+        assert load_config(None, {"output": "1"}).output == "1"
+        assert load_config(None, {"output": "null"}).output is None
+        assert load_config(None, {"algorithm": '"pp_admm"'}).algorithm == "pp_admm"
+        assert parse_config_text("positive_value = 1\nlabel_column = true\n") == {
+            "positive_value": "1", "label_column": "true"}
+
+    FLOAT_FIELDS = ["synthetic_separation", "edge_prob", "epsilon", "delta", "eta", "splits",
+                    "beta", "c_loss", "alpha", "svt_budget_fraction", "lambda_hat",
+                    "test_fraction"]
+
+    @pytest.mark.parametrize("value", ["true", "Infinity", "-Infinity", "NaN", "abc", '"1.0"',
+                                       "[1.0]"])
+    @pytest.mark.parametrize("name", FLOAT_FIELDS)
+    def test_float_fields_reject_other_values(self, name, value):
+        with pytest.raises(ConfigError, match=f"^{name} must be a finite number, got "):
+            load_config(None, {name: value})
+
+    def test_float_fields_take_numbers(self):
+        cfg = load_config(None, {"epsilon": "2", "delta": "1e-5", "lambda_hat": "null"})
+        assert (cfg.epsilon, cfg.delta, cfg.lambda_hat) == (2, 1e-5, None)
+        with pytest.raises(ConfigError, match=r"^epsilon must be a finite number, got None$"):
+            load_config(None, {"epsilon": "null"})
+
+    @pytest.mark.parametrize("value", ["1", "null", "yes", '"true"'])
+    def test_bool_field_takes_true_or_false(self, value):
+        assert load_config(None, {"insecure_no_noise": "false"}).insecure_no_noise is False
+        assert load_config(None, {"insecure_no_noise": "true"}).insecure_no_noise is True
+        with pytest.raises(ConfigError, match="^insecure_no_noise must be true or false, got "):
+            load_config(None, {"insecure_no_noise": value})
 
     def test_echo_round_trips(self):
         cfg = small_cfg()
@@ -237,6 +296,41 @@ class TestMain:
         assert code == 1
         assert captured.out == ""
         assert captured.err == f"padmm: error: {message}\n"
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--epsilon", "Infinity", "epsilon must be a finite number, got inf"),
+        ("--epsilon", "true", "epsilon must be a finite number, got True"),
+        ("--delta", "0", "delta must be in (0, 1) for the Gaussian mechanisms, got 0"),
+    ], ids=["epsilon=inf", "epsilon=true", "delta=0"])
+    @pytest.mark.parametrize("algorithm", ["pp_admm", "ipp_admm"])
+    @pytest.mark.parametrize("command", ["run", "plan", "validate"])
+    def test_unusable_budget_rejected(self, capsys, command, algorithm, flag, value, message):
+        code = cli.main([command, "--algorithm", algorithm, "--synthetic-n", "120",
+                         "--n-agents", "3", "--T", "2", flag, value])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == f"padmm: error: {message}\n"
+
+    @pytest.mark.parametrize("command", ["run", "plan", "validate"])
+    def test_positive_value_is_label_text(self, tmp_path, capsys, command):
+        rows = "".join(f"{i % 5},{(i * 3) % 7},{i % 2}\n" for i in range(40))
+        csv = tmp_path / "d.csv"
+        csv.write_text("a,b,label\n" + rows)
+        code = cli.main([command, "--algorithm", "pp_admm", "--dataset-csv", str(csv),
+                         "--label-column", "label", "--positive-value", "1",
+                         "--n-agents", "2", "--T", "2"])
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (0, "")
+        if command == "run":
+            assert json.loads(captured.out.split("\n")[0])["positive_value"] == "1"
+
+    def test_output_names_a_file(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        code = cli.main(["run", "--synthetic-n", "80", "--synthetic-d", "2", "--n-agents", "2",
+                         "--T", "1", "--output", "1"])
+        assert (code, capsys.readouterr().out) == (0, "")
+        assert json.loads((tmp_path / "1").read_text().split("\n")[0])["output"] == "1"
 
     def test_insecure_flag_reports_inf(self, tmp_path, capsys):
         out = tmp_path / "r.ndjson"

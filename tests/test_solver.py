@@ -148,3 +148,8 @@ class TestRowwise:
     def test_per_row_steps_validated(self):
         with pytest.raises(ValueError):
             SolverConfig(beta=1e-3, initial_step=np.array([1.0, 0.0]))
+
+    @pytest.mark.parametrize("step", [np.nan, np.inf, np.array([1.0, np.nan])])
+    def test_non_finite_steps_rejected(self, step):
+        with pytest.raises(ValueError, match="initial_step finite"):
+            SolverConfig(beta=1e-3, initial_step=step)
