@@ -47,9 +47,13 @@ def dp_to_zcdp(epsilon: float, delta: float) -> float:
         raise BudgetError(f"epsilon must be finite and > 0, got {epsilon!r}")
     if not 0 <= delta < 1:
         raise BudgetError(f"delta must be in [0, 1), got {delta!r}")
+    try:
+        squared = float(epsilon) ** 2
+    except OverflowError:
+        raise BudgetError(f"epsilon {epsilon!r} is too large: epsilon^2 overflows") from None
     if delta == 0:
-        return 0.5 * epsilon**2
-    return epsilon**2 / (4.0 * math.log(1.0 / delta))
+        return 0.5 * squared
+    return squared / (4.0 * math.log(1.0 / delta))
 
 
 def zcdp_to_dp(rho: float, delta: float) -> float:

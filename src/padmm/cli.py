@@ -8,7 +8,9 @@ flag.  Reports are newline-delimited JSON: a config echo, one record per
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -111,8 +113,9 @@ def _coerce(name: str, raw):
         return _integer(name, value)
     if kind.startswith("float"):
         if isinstance(value, (int, float)) and not isinstance(value, bool):
-            if math.isfinite(value):
-                return value
+            with contextlib.suppress(OverflowError):  # an int past the float range
+                if math.isfinite(value):
+                    return value
         raise ConfigError(f"{name} must be a finite number, got {value!r}")
     if isinstance(value, bool):  # insecure_no_noise, the one bool field
         return value
@@ -226,6 +229,10 @@ def build_experiment(cfg: ExperimentConfig):
         raise ConfigError(f"T must be >= 1, got {cfg.T}")
     if not cfg.seeds:
         raise ConfigError("seeds must list at least one seed")
+    if not cfg.eta > 0:
+        raise ConfigError(f"eta must be > 0, got {cfg.eta}")
+    if cfg.lambda_hat is not None and cfg.lambda_hat < 0:
+        raise ConfigError(f"lambda_hat must be >= 0, got {cfg.lambda_hat}")
     graph = build_graph(cfg)
     train_parts, test = prepare_data(cfg)
     return graph, train_parts, test, build_plan(cfg, train_parts, graph)
@@ -344,12 +351,18 @@ def _add_override_args(parser):
             parser.add_argument(flag, dest=name)
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process (parsing leaves it unchanged)."""
     parser = argparse.ArgumentParser(prog="padmm")
     sub = parser.add_subparsers(dest="command", required=True)
     for command in ("run", "plan", "validate"):
         _add_override_args(sub.add_parser(command))
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
 
     overrides = {name: getattr(args, name) for name in _FIELDS}
     try:

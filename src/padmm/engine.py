@@ -21,7 +21,11 @@ through one model.DataTerms per run, which remembers the last point it
 evaluated.  A round's training loss is taken at the shared values, which
 are the next round's warm start, so the solve's first evaluation reuses
 that pass; in the non-private loop the shared values are the solver's last
-evaluated point, so the training loss costs no pass of its own.
+evaluated point, so the training loss costs no pass of its own.  The gated
+loop scores every agent's quality once per round (model.clipped_quality)
+from the per-sample losses of the solve's first and last evaluated points,
+which are the warm start and the solution, so the gate costs no pass
+either.
 """
 
 from __future__ import annotations
@@ -89,7 +93,8 @@ class _Agents:
     cfg: SolverConfig  # initial_step: each agent's 2 / (mu + L)
 
 
-def _agents(data, g: Graph, lambda_hat: float, eta: float, cfg: SolverConfig) -> _Agents:
+def _agents(data, g: Graph, lambda_hat: float, eta: float, cfg: SolverConfig,
+            keep_losses: bool = False) -> _Agents:
     d = _check_inputs(data, g)
     params = [LocalObjectiveParams(data[i], lambda_hat, g.n) for i in range(g.n)]
     nbrs = [sorted(g.neighbors(i)) for i in range(g.n)]
@@ -98,7 +103,7 @@ def _agents(data, g: Graph, lambda_hat: float, eta: float, cfg: SolverConfig) ->
         slots[i, :len(js)] = js
     steps = [bounded_step_config(cfg, params[i], eta, len(nbrs[i])).initial_step
              for i in range(g.n)]
-    return _Agents(d, params, DataTerms(blocks(data)), slots,
+    return _Agents(d, params, DataTerms(blocks(data), keep_losses), slots,
                    replace(cfg, initial_step=np.array(steps)))
 
 
@@ -111,36 +116,43 @@ def _check_inputs(data, g: Graph):
     return dims.pop()
 
 
-def _train(agents: _Agents, eta, T, test, ledger, draw_b1, release):
+def _train(agents: _Agents, eta, T, test, ledger, draw_b1, release, c_loss=None):
     """The ADMM loop shared by all three algorithms; returns the per-round trace.
 
     Every agent i draws its objective noise with draw_b1(i) (draw_b1 is None
-    for none) before the round's solve.  release(i, theta_prev, theta_hat)
+    for none) before the round's solve.  release(i, theta_hat, quality)
     then returns, agent by agent, the value agent i shares this round, or
-    None to discard theta_hat and keep theta_prev; it charges `ledger` for
-    what it releases.
+    None to discard theta_hat and keep its previous value; it charges
+    `ledger` for what it releases.  quality is agent i's clipped quality
+    score at loss cap c_loss, or None when c_loss is None (agents.data_terms
+    must keep losses otherwise).
     """
     n, d = len(agents.params), agents.dimension
     lambda_hat = agents.params[0].lambda_hat
+    data_terms = agents.data_terms
     thetas = np.zeros((n, d))
     duals = np.zeros((n, d))
     traces = []
     for t in range(T):
         snapshot = thetas
         b1 = None if draw_b1 is None else np.array([draw_b1(i) for i in range(n)])
-        objective = stacked_kernel(agents.data_terms, lambda_hat, n, duals, snapshot,
+        objective = stacked_kernel(data_terms, lambda_hat, n, duals, snapshot,
                                    agents.slots, eta, b1)
+        if c_loss is not None:
+            objective, start_losses = _keeping_first_losses(objective, data_terms)
         try:
             theta_hat = minimize(objective, snapshot, agents.cfg)
         except NonConvergence as exc:
             raise EngineError(
                 f"round {t}, agent {exc.row}: solver did not converge: {exc}") from exc
-        shared = [release(i, snapshot[i], theta_hat[i]) for i in range(n)]
+        quality = [None] * n if c_loss is None else clipped_quality(
+            data_terms, start_losses[0], snapshot, theta_hat, lambda_hat, c_loss)
+        shared = [release(i, theta_hat[i], quality[i]) for i in range(n)]
         thetas = np.array([snapshot[i] if s is None else s for i, s in enumerate(shared)])
         duals = dual_update(duals, thetas, thetas[agents.slots.T], eta)
         traces.append(IterationTrace(
             round=t,
-            average_loss=metrics.average_loss(thetas, agents.data_terms),
+            average_loss=metrics.average_loss(thetas, data_terms),
             consensus_residual=metrics.consensus_residual(thetas),
             error_rate_test=metrics.error_rate(thetas, test) if test is not None else None,
             broadcasts={i: s is not None for i, s in enumerate(shared)},
@@ -148,6 +160,23 @@ def _train(agents: _Agents, eta, T, test, ledger, draw_b1, release):
             thetas=thetas,
         ))
     return traces
+
+
+def _keeping_first_losses(objective, data_terms: DataTerms):
+    """objective, and a list that its first call fills with data_terms.losses.
+
+    minimize evaluates its start first, so the list then holds the
+    per-sample losses at the solve's start, read from the memo.
+    """
+    first = []
+
+    def keeping(thetas):
+        out = objective(thetas)
+        if not first:
+            first.append(data_terms.losses)
+        return out
+
+    return keeping, first
 
 
 def _private_setup(data, g, plan, c_max, lambda_hat, eta, cfg, seed, noise_disabled, purposes):
@@ -170,14 +199,15 @@ def _private_setup(data, g, plan, c_max, lambda_hat, eta, cfg, seed, noise_disab
         )
     rngs = [[noise.RngHandle.for_agent(seed, i, purpose, disabled=noise_disabled)
              for i in range(g.n)] for purpose in purposes]
-    return _agents(data, g, lambda_hat, eta, cfg), ZcdpLedger(delta_target=plan.delta_total), rngs
+    agents = _agents(data, g, lambda_hat, eta, cfg, keep_losses=c_max is not None)
+    return agents, ZcdpLedger(delta_target=plan.delta_total), rngs
 
 
 def run_nonprivate(data, g: Graph, eta: float, lambda_hat: float, T: int,
                    cfg: SolverConfig, test: Dataset | None = None):
     """Noise-free consensus ADMM; returns the per-round trace."""
     return _train(_agents(data, g, lambda_hat, eta, cfg), eta, T, test, None,
-                  draw_b1=None, release=lambda i, theta_prev, theta_hat: theta_hat)
+                  draw_b1=None, release=lambda i, theta_hat, quality: theta_hat)
 
 
 def run_pp_admm(data, g: Graph, plan: BudgetPlan, eta: float, T: int,
@@ -194,7 +224,7 @@ def run_pp_admm(data, g: Graph, plan: BudgetPlan, eta: float, T: int,
     )
     d = agents.dimension
 
-    def release(i, theta_prev, theta_hat):
+    def release(i, theta_hat, quality):
         shared = theta_hat + noise.gaussian_vector(plan.sigma_i2[i], d, b2_rngs[i])
         ledger.charge_pp_iteration(i, plan)
         return shared
@@ -219,15 +249,14 @@ def run_ipp_admm(data, g: Graph, plan: BudgetPlan, eta: float, T: int,
         data, g, plan, c_max, lambda_hat, eta, cfg, seed, noise_disabled,
         (noise.OBJECTIVE_NOISE, noise.OUTPUT_NOISE, noise.SVT_THRESHOLD, noise.SVT_QUERY),
     )
-    d, params = agents.dimension, agents.params
+    d = agents.dimension
     eps1, eps2 = plan.svt_eps
     gates = []
     for i in range(g.n):
         gates.append(SvtGate(alpha, c_max, eps1, eps2, c_loss, threshold_rngs[i]))
         ledger.charge_ipp(i, plan, "svt_open")
 
-    def release(i, theta_prev, theta_hat):
-        quality = clipped_quality(theta_prev, theta_hat, params[i], c_loss)
+    def release(i, theta_hat, quality):
         if gates[i].check(quality, query_rngs[i]) is not Decision.ABOVE:
             return None
         shared = theta_hat + noise.gaussian_vector(plan.sigma_i2[i], d, b2_rngs[i])
@@ -235,7 +264,8 @@ def run_ipp_admm(data, g: Graph, plan: BudgetPlan, eta: float, T: int,
         return shared
 
     traces = _train(agents, eta, T, test, ledger,
-                    lambda i: noise.gaussian_vector(plan.sigma_i1[i], d, b1_rngs[i]), release)
+                    lambda i: noise.gaussian_vector(plan.sigma_i1[i], d, b1_rngs[i]), release,
+                    c_loss)
     return traces, ledger
 
 

@@ -31,7 +31,9 @@ evaluator, one per run, which the reported training loss
 evaluated, so a point the loop evaluates twice in a row costs one pass over
 the shards: the shared values that a round's metrics evaluate are the next
 round's warm start, and in the non-private loop they are also the solver's
-last evaluated point.
+last evaluated point.  For the gated run it also keeps that point's
+per-sample losses, from which clipped_quality scores every agent's gate
+without a pass of its own.
 """
 
 from __future__ import annotations
@@ -93,11 +95,16 @@ class DataTerms:
     it evaluated and that point's terms, returned again while the point is
     np.array_equal to the copy.  Points equal that way differ at most in the
     sign of a zero, which no term sees.
+
+    With keep_losses, `losses` is the memo point's per-sample losses, one
+    read-only (k, m) array per block; otherwise it stays None.
     """
 
-    def __init__(self, blocks):
+    def __init__(self, blocks, keep_losses: bool = False):
         self.blocks = blocks  # data.ShardBlock: the shards stacked by size
         self.n_agents = sum(len(block.rows) for block in blocks)
+        self.keep_losses = keep_losses
+        self.losses = None
         self._point = None
         self._terms = None
 
@@ -106,17 +113,23 @@ class DataTerms:
             return self._terms
         loss = np.empty(len(thetas))
         grads = np.empty(thetas.shape)
+        kept = []
         for block in self.blocks:
             z = block_margins(block, thetas)
             e = np.exp(-np.abs(z))
             w = _deriv(z, e) * block.labels
             n = z.shape[1]
-            loss[block.rows] = _loss(z, e).sum(axis=1) / n
+            losses = _loss(z, e)
+            loss[block.rows] = losses.sum(axis=1) / n
             grads[block.rows] = (
                 np.matmul(block.features.transpose(0, 2, 1), w[:, :, None])[:, :, 0] / n)
+            if self.keep_losses:
+                losses.flags.writeable = False
+                kept.append(losses)
         loss.flags.writeable = grads.flags.writeable = False
         self._point = np.array(thetas, dtype=float)
         self._terms = loss, grads
+        self.losses = kept if self.keep_losses else None
         return self._terms
 
 
@@ -174,23 +187,28 @@ def curvature_bounds(p: LocalObjectiveParams, eta: float, degree: int) -> tuple:
     return mu, mu + 0.25 * float(np.max(np.einsum("ij,ij->i", x, x)))
 
 
-def clipped_quality(
-    theta_prev: np.ndarray,
-    theta_hat: np.ndarray,
-    p: LocalObjectiveParams,
-    c_loss: float,
-) -> float:
-    """f_i(theta_prev) - f_i(theta_hat) with per-sample losses capped at c_loss.
+def clipped_quality(data_terms: DataTerms, losses_prev: list, theta_prev: np.ndarray,
+                    theta_hat: np.ndarray, lambda_hat: float, c_loss: float) -> np.ndarray:
+    """Every agent's f_i(theta_prev) - f_i(theta_hat) with per-sample losses capped at c_loss.
 
-    Capping bounds the score's sensitivity to any single sample swap by
-    2 * c_loss.  The regularizer enters uncapped (it is data-independent).
+    Returns an (N,) array, one score per row of theta_prev and theta_hat.
+    data_terms must keep losses; losses_prev is its `losses` while
+    theta_prev was its point, and theta_hat's losses are read from it (no
+    pass when theta_hat is its last point).  Capping bounds each score's
+    sensitivity to any single sample swap by 2 * c_loss.  The regularizer
+    enters uncapped (it is data-independent).  Each row takes the one-agent
+    form's operations in its order (tests/reference.py keeps that form), so
+    the scores match it bit for bit.
     """
     if c_loss <= 0:
         raise ValueError("c_loss must be positive")
+    data_terms(theta_hat)
+    scale = lambda_hat / data_terms.n_agents
 
-    def clipped_f(theta):
-        reg = (p.lambda_hat / p.num_agents) * 0.5 * float(theta @ theta)
-        losses = np.minimum(logistic_loss(_margins(theta, p.dataset)), c_loss)
-        return float(losses.sum() / p.dataset.n_samples) + reg
+    def clipped_f(losses, thetas):
+        out = np.empty(len(thetas))
+        for block, block_losses in zip(data_terms.blocks, losses, strict=True):
+            out[block.rows] = np.minimum(block_losses, c_loss).sum(axis=1) / block_losses.shape[1]
+        return out + scale * 0.5 * np.vecdot(thetas, thetas)
 
-    return clipped_f(theta_prev) - clipped_f(theta_hat)
+    return clipped_f(losses_prev, theta_prev) - clipped_f(data_terms.losses, theta_hat)

@@ -84,12 +84,15 @@ def minimize(objective, start: np.ndarray, cfg: SolverConfig) -> np.ndarray:
         iterations += accept
         step = np.where(accept, initial_step, 0.5 * step)
         active &= ~(accept & (grad_norm <= cfg.beta))
-        for i in np.flatnonzero(active & ~accept & (step < MIN_STEP)):
-            failures[i] = f"line search stalled at gradient norm {grad_norm[i]:.3e}"
-        for i in np.flatnonzero(active & (iterations == cfg.max_iterations)):
-            failures[i] = (f"gradient norm {grad_norm[i]:.3e} > beta {cfg.beta:.3e} "
-                           f"after {cfg.max_iterations} iterations")
-        active[list(failures)] = False
+        stalled = active & ~accept & (step < MIN_STEP)
+        capped = active & (iterations == cfg.max_iterations)
+        if stalled.any() or capped.any():
+            for i in np.flatnonzero(stalled):
+                failures[i] = f"line search stalled at gradient norm {grad_norm[i]:.3e}"
+            for i in np.flatnonzero(capped):
+                failures[i] = (f"gradient norm {grad_norm[i]:.3e} > beta {cfg.beta:.3e} "
+                               f"after {cfg.max_iterations} iterations")
+            active &= ~(stalled | capped)
     if failures:
         row = min(failures)
         raise NonConvergence(failures[row], theta[row], float(grad_norm[row]), int(row))

@@ -4,8 +4,10 @@ The engine evaluates every agent's subproblem at once with
 padmm.model.stacked_kernel.  These functions compute one agent's objective
 and gradient the plain way; model tests require the stacked rows to equal
 augmented_kernel bit for bit, and augmented_kernel to equal the
-augmented_objective / augmented_gradient pair bit for bit.  error_rate is
-the boolean-matrix form of padmm.metrics.error_rate.  as_rows lifts a
+augmented_objective / augmented_gradient pair bit for bit.  clipped_quality
+is one agent's gate score, which padmm.model.clipped_quality's rows must
+equal bit for bit.  error_rate is the boolean-matrix form of
+padmm.metrics.error_rate.  as_rows lifts a
 one-theta objective to the row form padmm.solver.minimize takes;
 serial_compose is zCDP's additive composition rule, which no run uses.
 """
@@ -119,6 +121,24 @@ def augmented_kernel(p: LocalObjectiveParams, a: AugmentedParams):
 def augmented_value_and_grad(theta: np.ndarray, p: LocalObjectiveParams, a: AugmentedParams):
     """(augmented_objective, augmented_gradient), bit for bit, at one margin pass."""
     return augmented_kernel(p, a)(theta)
+
+
+def clipped_quality(theta_prev: np.ndarray, theta_hat: np.ndarray, p: LocalObjectiveParams,
+                    c_loss: float) -> float:
+    """f_i(theta_prev) - f_i(theta_hat) with per-sample losses capped at c_loss.
+
+    Capping bounds the score's sensitivity to any single sample swap by
+    2 * c_loss.  The regularizer enters uncapped (it is data-independent).
+    """
+    if c_loss <= 0:
+        raise ValueError("c_loss must be positive")
+
+    def clipped_f(theta):
+        reg = (p.lambda_hat / p.num_agents) * 0.5 * float(theta @ theta)
+        losses = np.minimum(logistic_loss(_margins(theta, p.dataset)), c_loss)
+        return float(losses.sum() / p.dataset.n_samples) + reg
+
+    return clipped_f(theta_prev) - clipped_f(theta_hat)
 
 
 def error_rate(theta_per_agent, test: Dataset) -> float:

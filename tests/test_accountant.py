@@ -70,6 +70,12 @@ class TestConversions:
         with pytest.raises(BudgetError, match=r"^epsilon must be finite and > 0, got "):
             dp_to_zcdp(epsilon, 1e-4)
 
+    @pytest.mark.parametrize("epsilon", [1e200, 10**200], ids=["float", "int"])
+    @pytest.mark.parametrize("delta", [1e-4, 0.0])
+    def test_dp_to_zcdp_rejects_epsilon_whose_square_overflows(self, epsilon, delta):
+        with pytest.raises(BudgetError, match=r"^epsilon 1\S+ is too large: epsilon\^2 overflows"):
+            dp_to_zcdp(epsilon, delta)
+
     def test_zcdp_to_dp_examples(self):
         assert zcdp_to_dp(0.0, 0.5) == 0.0
         assert zcdp_to_dp(0.0271434051, 1e-4) == pytest.approx(1.0271427, abs=1e-4)

@@ -161,6 +161,10 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=f"^{name} must be a finite number, got "):
             load_config(None, {name: value})
 
+    def test_float_fields_reject_integers_past_the_float_range(self):
+        with pytest.raises(ConfigError, match=r"^epsilon must be a finite number, got 1000"):
+            load_config(None, {"epsilon": "1" + "0" * 400})
+
     def test_float_fields_take_numbers(self):
         cfg = load_config(None, {"epsilon": "2", "delta": "1e-5", "lambda_hat": "null"})
         assert (cfg.epsilon, cfg.delta, cfg.lambda_hat) == (2, 1e-5, None)
@@ -301,7 +305,8 @@ class TestMain:
         ("--epsilon", "Infinity", "epsilon must be a finite number, got inf"),
         ("--epsilon", "true", "epsilon must be a finite number, got True"),
         ("--delta", "0", "delta must be in (0, 1) for the Gaussian mechanisms, got 0"),
-    ], ids=["epsilon=inf", "epsilon=true", "delta=0"])
+        ("--epsilon", "1e200", "epsilon 1e+200 is too large: epsilon^2 overflows"),
+    ], ids=["epsilon=inf", "epsilon=true", "delta=0", "epsilon=1e200"])
     @pytest.mark.parametrize("algorithm", ["pp_admm", "ipp_admm"])
     @pytest.mark.parametrize("command", ["run", "plan", "validate"])
     def test_unusable_budget_rejected(self, capsys, command, algorithm, flag, value, message):
@@ -311,6 +316,34 @@ class TestMain:
         assert code == 1
         assert captured.out == ""
         assert captured.err == f"padmm: error: {message}\n"
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--eta", "0", "eta must be > 0, got 0"),
+        ("--eta", "-1", "eta must be > 0, got -1"),
+        ("--lambda-hat", "-1", "lambda_hat must be >= 0, got -1"),
+    ], ids=["eta=0", "eta=-1", "lambda_hat=-1"])
+    @pytest.mark.parametrize("algorithm", ["nonprivate", "pp_admm", "ipp_admm"])
+    @pytest.mark.parametrize("command", ["run", "plan", "validate"])
+    def test_bad_penalty_or_regularizer_rejected(self, capsys, command, algorithm, flag, value,
+                                                 message):
+        code = cli.main([command, "--algorithm", algorithm, "--synthetic-n", "120",
+                         "--n-agents", "3", "--T", "2", flag, value])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == f"padmm: error: {message}\n"
+
+    def test_zero_regularizer_runs_nonprivate(self, capsys):
+        code = cli.main(["run", "--synthetic-n", "120", "--n-agents", "3", "--T", "2",
+                         "--lambda-hat", "0"])
+        assert (code, capsys.readouterr().err) == (0, "")
+
+    def test_parser_is_built_once_and_keeps_no_values(self, capsys):
+        assert cli._parser() is cli._parser()
+        argv = ["validate", "--synthetic-n", "120", "--n-agents", "3"]
+        assert cli.main(argv + ["--T", "0"]) == 1
+        assert cli.main(argv) == 0  # T is back at its default
+        assert capsys.readouterr().out.endswith("config OK\n")
 
     @pytest.mark.parametrize("command", ["run", "plan", "validate"])
     def test_positive_value_is_label_text(self, tmp_path, capsys, command):

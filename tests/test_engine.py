@@ -8,6 +8,7 @@ from padmm.model import DataTerms, LocalObjectiveParams, curvature_bounds
 from padmm.solver import SolverConfig, minimize
 from padmm.svt import svt_split_ratio
 from padmm.topology import ring
+from reference import clipped_quality
 
 BETA = 10.0**-3.5
 
@@ -269,6 +270,61 @@ class TestIppAdmm:
                 parts, g, plan, 0.5, 2, alpha=0.0, c_max=3, c_loss=2.0,
                 cfg=SolverConfig(beta=BETA), seed=0,
             )
+
+
+class TestGateQuality:
+    """The gated round scores every agent once, from the solve's own data passes."""
+
+    @staticmethod
+    def run_ipp(parts, T=8, **kwargs):
+        g = ring(len(parts))
+        plan = make_plan(parts, g, T=T, gated=True, c_max=3)
+        return engine.run_ipp_admm(parts, g, plan, 0.5, T, 1e-3, 3, 2.0,
+                                   SolverConfig(beta=BETA), seed=0, **kwargs)
+
+    def test_no_per_agent_shard_pass(self, monkeypatch):
+        def per_agent_pass(theta, dataset):
+            raise AssertionError("the gate read an agent's shard on its own")
+
+        monkeypatch.setattr(model, "_margins", per_agent_pass)
+        traces, _ = self.run_ipp(make_parts(n=301))
+        assert len(traces) == 8
+
+    def test_one_call_per_round_equal_to_the_one_agent_scores(self, monkeypatch):
+        parts = make_parts(n=301)  # shards of 101, 100 and 100: two blocks
+        calls, stacked = [], engine.clipped_quality
+
+        def checked(data_terms, losses_prev, theta_prev, theta_hat, lambda_hat, c_loss):
+            quality = stacked(data_terms, losses_prev, theta_prev, theta_hat, lambda_hat, c_loss)
+            calls.append(theta_prev)
+            for i, part in enumerate(parts):
+                p = LocalObjectiveParams(part, lambda_hat, len(parts))
+                expected = clipped_quality(theta_prev[i], theta_hat[i], p, c_loss)
+                assert float(quality[i]).hex() == expected.hex()
+            return quality
+
+        monkeypatch.setattr(engine, "clipped_quality", checked)
+        traces, _ = self.run_ipp(parts)
+        assert any(any(t.broadcasts.values()) for t in traces[1:])  # the snapshot moves
+        assert len(calls) == len(traces)
+        # each round scores from its snapshot: the last round's shared values, zero at first
+        for theta_prev, before in zip(calls, [np.zeros((3, 3))] + [t.thetas for t in traces]):
+            assert np.array_equal(theta_prev, before)
+
+    def test_only_the_gated_run_keeps_losses(self, monkeypatch):
+        made = []
+
+        class Recorded(DataTerms):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                made.append(self)
+
+        monkeypatch.setattr(engine, "DataTerms", Recorded)
+        parts, g, cfg = make_parts(), ring(3), SolverConfig(beta=BETA)
+        engine.run_nonprivate(parts, g, 0.5, 1.0, 2, cfg)
+        engine.run_pp_admm(parts, g, make_plan(parts, g, T=2), 0.5, 2, cfg, seed=0)
+        self.run_ipp(parts, T=2)
+        assert [terms.losses is None for terms in made] == [True, True, False]
 
 
 class TestSharedLoop:

@@ -6,7 +6,6 @@ from padmm import cli, data, engine, metrics, model, noise
 from padmm.model import (
     DataTerms,
     LocalObjectiveParams,
-    clipped_quality,
     curvature_bounds,
     logistic_loss,
     stacked_kernel,
@@ -19,6 +18,7 @@ from reference import (
     augmented_kernel,
     augmented_objective,
     augmented_value_and_grad,
+    clipped_quality,
     local_objective,
     local_value_and_grad,
     logistic_loss_deriv,
@@ -429,6 +429,33 @@ class TestDataTerms:
         with pytest.raises(ValueError):
             grads += 1.0
 
+    def test_keeps_no_losses_unless_asked(self):
+        terms, _ = self.evaluator()
+        terms(np.ones((3, 3)))
+        assert terms.losses is None
+
+    def test_kept_losses_are_the_memo_points_per_sample_losses(self, monkeypatch):
+        passes = []
+        parts = data.partition(toy_dataset(n=31), 3, 0)
+        terms = DataTerms(data.blocks(parts), keep_losses=True)
+        rng = np.random.default_rng(7)
+        a, b = rng.normal(size=(3, 3)), rng.normal(size=(3, 3))
+        terms(a)
+        kept_a = terms.losses
+        terms(b)
+        block_margins = model.block_margins
+        monkeypatch.setattr(model, "block_margins",
+                            lambda block, thetas: passes.append(1) or block_margins(block, thetas))
+        terms(b.copy())  # a memo hit keeps the point's losses
+        assert passes == []
+        for point, kept in ((a, kept_a), (b, terms.losses)):
+            assert len(kept) == len(terms.blocks) == 2
+            for block, losses in zip(terms.blocks, kept, strict=True):
+                assert not losses.flags.writeable
+                for row, i in enumerate(block.rows):
+                    z = parts[i].labels * (parts[i].features @ point[i])
+                    assert losses[row].tobytes() == logistic_loss(z).tobytes()
+
 
 class TestAverageLoss:
     def test_stacked_pass_equals_per_agent_means(self):
@@ -519,6 +546,60 @@ class TestCurvatureBounds:
 
     def test_surrogate_has_no_loss_curvature(self):
         assert curvature_bounds(surrogate(1.5), 0.25, 2) == (2.5, 2.5)
+
+
+def zero_rows(thetas, signs):
+    """thetas with row i set to +0.0 (signs[i] == 1) or -0.0 (signs[i] == -1)."""
+    zeros = np.copysign(np.zeros_like(thetas), np.asarray(signs, dtype=float)[:, None])
+    return np.where(np.asarray(signs)[:, None] != 0, zeros, thetas)
+
+
+class TestStackedClippedQuality:
+    """model.clipped_quality's rows against the one-agent form, bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_agents=st.integers(2, 5),
+           per_agent=st.integers(2, 9), cap=st.one_of(
+               st.sampled_from([1e-300, 1e300]), st.floats(1e-3, 10.0)),
+           start=st.sampled_from(["random", "zero", "same"]),
+           zero_signs=st.lists(st.sampled_from([0, 1, -1]), min_size=5, max_size=5))
+    def test_rows_equal_the_one_agent_form(self, seed, n_agents, per_agent, cap, start,
+                                           zero_signs):
+        rng = np.random.default_rng(seed)
+        # one agent more than the rest gets per_agent + 1 samples: two shard sizes
+        parts = data.partition(toy_dataset(seed=seed % 7, n=n_agents * per_agent + 1),
+                               n_agents, seed % 5)
+        assert len({part.n_samples for part in parts}) == 2
+        lam = rng.uniform(0.0, 3.0)
+        theta_hat = zero_rows(rng.normal(size=(n_agents, 3)) * 4, zero_signs[:n_agents])
+        theta_prev = {"random": zero_rows(rng.normal(size=(n_agents, 3)) * 4,
+                                          zero_signs[::-1][:n_agents]),
+                      "zero": np.zeros((n_agents, 3)),  # round 0's start
+                      "same": theta_hat.copy()}[start]
+        terms = DataTerms(data.blocks(parts), keep_losses=True)
+        terms(theta_prev)
+        losses_prev = terms.losses
+        terms(theta_hat)
+        quality = model.clipped_quality(terms, losses_prev, theta_prev, theta_hat, lam, cap)
+        assert quality.shape == (n_agents,)
+        for i, part in enumerate(parts):
+            expected = clipped_quality(theta_prev[i], theta_hat[i],
+                                       LocalObjectiveParams(part, lam, n_agents), cap)
+            assert float(quality[i]).hex() == expected.hex()
+        if start == "same":
+            assert np.all(quality == 0.0) and not np.any(np.signbit(quality))
+        if cap == 1e-300:  # every loss capped: only the regularizers differ
+            assert quality == pytest.approx((lam / n_agents) * 0.5 * (
+                np.vecdot(theta_prev, theta_prev) - np.vecdot(theta_hat, theta_hat)),
+                rel=1e-12, abs=1e-300)
+
+    def test_rejects_a_cap_that_is_not_positive(self):
+        parts = data.partition(toy_dataset(n=20), 2, 0)
+        terms = DataTerms(data.blocks(parts), keep_losses=True)
+        zeros = np.zeros((2, 3))
+        terms(zeros)
+        with pytest.raises(ValueError, match="c_loss must be positive"):
+            model.clipped_quality(terms, terms.losses, zeros, zeros, 1.0, 0.0)
 
 
 class TestClippedQuality:
