@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .model import LocalObjectiveParams, curvature_bounds
+from .model import strong_convexity
 
 # c1 in the regularizer floor: the bound 1/4 on the logistic loss's second derivative.
 C1 = 0.25
@@ -183,9 +183,9 @@ def plan_budget(
     }
     # sigma_i2 scales with 1/mu_i, the strong convexity of agent i's subproblem
     # at the floor; the inner solver takes its step from the same bound.
-    surrogate = LocalObjectiveParams(None, lambda_hat_floor, n_agents)
     sigma_i2 = {
-        i: beta / (math.sqrt(2.0 * rho_i2) * curvature_bounds(surrogate, eta, degrees[i])[0])
+        i: beta / (math.sqrt(2.0 * rho_i2)
+                   * strong_convexity(lambda_hat_floor, n_agents, eta, degrees[i]))
         for i in degrees
     }
     return BudgetPlan(
@@ -205,6 +205,13 @@ def plan_budget(
         c_broadcasts=c_broadcasts,
         svt_eps=svt_eps,
     )
+
+
+def check_lambda_hat(plan: BudgetPlan, lambda_hat: float) -> None:
+    """Raise BudgetError if lambda_hat is below the plan's floor (relative tolerance 1e-12)."""
+    if lambda_hat < plan.lambda_hat_floor * (1 - 1e-12):
+        raise BudgetError(
+            f"lambda_hat {lambda_hat} below the planned floor {plan.lambda_hat_floor}")
 
 
 @dataclass

@@ -233,9 +233,18 @@ def build_experiment(cfg: ExperimentConfig):
         raise ConfigError(f"eta must be > 0, got {cfg.eta}")
     if cfg.lambda_hat is not None and cfg.lambda_hat < 0:
         raise ConfigError(f"lambda_hat must be >= 0, got {cfg.lambda_hat}")
+    if not cfg.beta > 0:
+        raise ConfigError(f"beta must be > 0, got {cfg.beta}")
+    if cfg.max_iterations < 1:
+        raise ConfigError(f"max_iterations must be >= 1, got {cfg.max_iterations}")
+    if cfg.algorithm == "ipp_admm" and not cfg.c_loss > 0:
+        raise ConfigError(f"c_loss must be > 0, got {cfg.c_loss}")
     graph = build_graph(cfg)
     train_parts, test = prepare_data(cfg)
-    return graph, train_parts, test, build_plan(cfg, train_parts, graph)
+    plan = build_plan(cfg, train_parts, graph)
+    if plan is not None and cfg.lambda_hat is not None:
+        accountant.check_lambda_hat(plan, cfg.lambda_hat)
+    return graph, train_parts, test, plan
 
 
 def _round_record(seed, trace):

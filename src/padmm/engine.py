@@ -35,10 +35,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import metrics, noise
-from .accountant import BudgetPlan, ZcdpLedger
+from .accountant import BudgetError, BudgetPlan, ZcdpLedger, check_lambda_hat
 from .data import Dataset, blocks
-from .model import (DataTerms, LocalObjectiveParams, clipped_quality, curvature_bounds,
-                    stacked_kernel)
+from .model import DataTerms, clipped_quality, solver_steps, stacked_kernel
 from .solver import NonConvergence, SolverConfig, minimize
 from .svt import Decision, SvtGate
 from .topology import Graph
@@ -71,40 +70,26 @@ def dual_update(dual, theta_new, neighbor_thetas, eta: float):
     return updated
 
 
-def bounded_step_config(cfg: SolverConfig, params, eta: float, degree: int) -> SolverConfig:
-    """cfg with the gradient step 2 / (mu + L) of this agent's subproblem.
-
-    For a mu-strongly convex, L-smooth objective that step contracts the
-    distance to the minimizer by (L - mu) / (L + mu) per iteration, so the
-    solver rarely needs its backtracking guard.
-    """
-    mu, lipschitz = curvature_bounds(params, eta, degree)
-    return replace(cfg, initial_step=2.0 / (mu + lipschitz))
-
-
 @dataclass(frozen=True)
 class _Agents:
     """What the loop needs of the agents, built once per run."""
 
     dimension: int
-    params: list  # LocalObjectiveParams per agent
+    lambda_hat: float
     data_terms: DataTerms  # the shards stacked by size, with this run's one-point memo
     slots: np.ndarray  # (N, max degree) sorted neighbors, padded with the agent itself
     cfg: SolverConfig  # initial_step: each agent's 2 / (mu + L)
 
 
-def _agents(data, g: Graph, lambda_hat: float, eta: float, cfg: SolverConfig,
-            keep_losses: bool = False) -> _Agents:
+def _agents(data, g: Graph, lambda_hat: float, eta: float, cfg: SolverConfig) -> _Agents:
     d = _check_inputs(data, g)
-    params = [LocalObjectiveParams(data[i], lambda_hat, g.n) for i in range(g.n)]
     nbrs = [sorted(g.neighbors(i)) for i in range(g.n)]
     slots = np.tile(np.arange(g.n)[:, None], max(map(len, nbrs), default=0))
     for i, js in enumerate(nbrs):
         slots[i, :len(js)] = js
-    steps = [bounded_step_config(cfg, params[i], eta, len(nbrs[i])).initial_step
-             for i in range(g.n)]
-    return _Agents(d, params, DataTerms(blocks(data), keep_losses), slots,
-                   replace(cfg, initial_step=np.array(steps)))
+    data_terms = DataTerms(blocks(data))
+    steps = solver_steps(data_terms, lambda_hat, eta, [len(js) for js in nbrs])
+    return _Agents(d, lambda_hat, data_terms, slots, replace(cfg, initial_step=steps))
 
 
 def _check_inputs(data, g: Graph):
@@ -124,11 +109,10 @@ def _train(agents: _Agents, eta, T, test, ledger, draw_b1, release, c_loss=None)
     then returns, agent by agent, the value agent i shares this round, or
     None to discard theta_hat and keep its previous value; it charges
     `ledger` for what it releases.  quality is agent i's clipped quality
-    score at loss cap c_loss, or None when c_loss is None (agents.data_terms
-    must keep losses otherwise).
+    score at loss cap c_loss, or None when c_loss is None.
     """
-    n, d = len(agents.params), agents.dimension
-    lambda_hat = agents.params[0].lambda_hat
+    n, d = len(agents.slots), agents.dimension
+    lambda_hat = agents.lambda_hat
     data_terms = agents.data_terms
     thetas = np.zeros((n, d))
     duals = np.zeros((n, d))
@@ -179,11 +163,14 @@ def _keeping_first_losses(objective, data_terms: DataTerms):
     return keeping, first
 
 
-def _private_setup(data, g, plan, c_max, lambda_hat, eta, cfg, seed, noise_disabled, purposes):
+def _private_setup(data, g, plan, c_max, lambda_hat, eta, cfg, seed, noise_disabled,
+                   purposes=()):
     """Checks and state shared by the private loops.
 
     c_max is None for a full-broadcast plan.  Returns the agents at the
-    effective lambda_hat, an empty ledger and one RngHandle list per purpose.
+    effective lambda_hat, an empty ledger, draw_b1(i) (agent i's objective
+    noise), perturb(i, theta_hat) (theta_hat plus agent i's output noise)
+    and one RngHandle list per further purpose.
     """
     if plan.c_broadcasts != c_max or (plan.svt_eps is None) != (c_max is None):
         raise EngineError("budget plan was not made for gated mode with this c_max"
@@ -193,14 +180,24 @@ def _private_setup(data, g, plan, c_max, lambda_hat, eta, cfg, seed, noise_disab
         raise EngineError("budget plan does not cover this graph's agents")
     if lambda_hat is None:
         lambda_hat = plan.lambda_hat_floor
-    if lambda_hat < plan.lambda_hat_floor * (1 - 1e-12):
-        raise EngineError(
-            f"lambda_hat {lambda_hat} below the planned floor {plan.lambda_hat_floor}"
-        )
-    rngs = [[noise.RngHandle.for_agent(seed, i, purpose, disabled=noise_disabled)
-             for i in range(g.n)] for purpose in purposes]
-    agents = _agents(data, g, lambda_hat, eta, cfg, keep_losses=c_max is not None)
-    return agents, ZcdpLedger(delta_target=plan.delta_total), rngs
+    try:
+        check_lambda_hat(plan, lambda_hat)
+    except BudgetError as exc:
+        raise EngineError(str(exc)) from None
+    b1_rngs, b2_rngs, *rngs = [
+        [noise.RngHandle.for_agent(seed, i, purpose, disabled=noise_disabled)
+         for i in range(g.n)]
+        for purpose in (noise.OBJECTIVE_NOISE, noise.OUTPUT_NOISE, *purposes)]
+    agents = _agents(data, g, lambda_hat, eta, cfg)
+    d = agents.dimension
+
+    def draw_b1(i):
+        return noise.gaussian_vector(plan.sigma_i1[i], d, b1_rngs[i])
+
+    def perturb(i, theta_hat):
+        return theta_hat + noise.gaussian_vector(plan.sigma_i2[i], d, b2_rngs[i])
+
+    return agents, ZcdpLedger(delta_target=plan.delta_total), draw_b1, perturb, rngs
 
 
 def run_nonprivate(data, g: Graph, eta: float, lambda_hat: float, T: int,
@@ -218,20 +215,15 @@ def run_pp_admm(data, g: Graph, plan: BudgetPlan, eta: float, T: int,
     Every agent pays rho_i1 + rho_i2 per round; after T rounds the ledger
     equals the planned budget exactly.
     """
-    agents, ledger, (b1_rngs, b2_rngs) = _private_setup(
-        data, g, plan, None, lambda_hat, eta, cfg, seed, noise_disabled,
-        (noise.OBJECTIVE_NOISE, noise.OUTPUT_NOISE),
-    )
-    d = agents.dimension
+    agents, ledger, draw_b1, perturb, _ = _private_setup(
+        data, g, plan, None, lambda_hat, eta, cfg, seed, noise_disabled)
 
     def release(i, theta_hat, quality):
-        shared = theta_hat + noise.gaussian_vector(plan.sigma_i2[i], d, b2_rngs[i])
+        shared = perturb(i, theta_hat)
         ledger.charge_pp_iteration(i, plan)
         return shared
 
-    traces = _train(agents, eta, T, test, ledger,
-                    lambda i: noise.gaussian_vector(plan.sigma_i1[i], d, b1_rngs[i]), release)
-    return traces, ledger
+    return _train(agents, eta, T, test, ledger, draw_b1, release), ledger
 
 
 def run_ipp_admm(data, g: Graph, plan: BudgetPlan, eta: float, T: int,
@@ -245,11 +237,10 @@ def run_ipp_admm(data, g: Graph, plan: BudgetPlan, eta: float, T: int,
     implicitly reuse stale values.  Ledger: the gate's cost once per agent,
     plus rho_i1 + rho_i2 per actual broadcast, capped by the c_max counter.
     """
-    agents, ledger, (b1_rngs, b2_rngs, threshold_rngs, query_rngs) = _private_setup(
+    agents, ledger, draw_b1, perturb, (threshold_rngs, query_rngs) = _private_setup(
         data, g, plan, c_max, lambda_hat, eta, cfg, seed, noise_disabled,
-        (noise.OBJECTIVE_NOISE, noise.OUTPUT_NOISE, noise.SVT_THRESHOLD, noise.SVT_QUERY),
+        (noise.SVT_THRESHOLD, noise.SVT_QUERY),
     )
-    d = agents.dimension
     eps1, eps2 = plan.svt_eps
     gates = []
     for i in range(g.n):
@@ -259,14 +250,11 @@ def run_ipp_admm(data, g: Graph, plan: BudgetPlan, eta: float, T: int,
     def release(i, theta_hat, quality):
         if gates[i].check(quality, query_rngs[i]) is not Decision.ABOVE:
             return None
-        shared = theta_hat + noise.gaussian_vector(plan.sigma_i2[i], d, b2_rngs[i])
+        shared = perturb(i, theta_hat)
         ledger.charge_ipp(i, plan, "broadcast")
         return shared
 
-    traces = _train(agents, eta, T, test, ledger,
-                    lambda i: noise.gaussian_vector(plan.sigma_i1[i], d, b1_rngs[i]), release,
-                    c_loss)
-    return traces, ledger
+    return _train(agents, eta, T, test, ledger, draw_b1, release, c_loss), ledger
 
 
 def centralized_reference(pooled: Dataset, lambda_hat: float, cfg: SolverConfig):
@@ -276,9 +264,10 @@ def centralized_reference(pooled: Dataset, lambda_hat: float, cfg: SolverConfig)
     consensus problem's minimizer equals this one at lambda_hat = (total
     regularizer weight) / N.
     """
-    cfg = bounded_step_config(cfg, LocalObjectiveParams(pooled, lambda_hat, 1), eta=0.0, degree=0)
+    data_terms = DataTerms(blocks([pooled]))
+    cfg = replace(cfg, initial_step=solver_steps(data_terms, lambda_hat, 0.0, [0]))
     zeros = np.zeros((1, pooled.dimension))
-    objective = stacked_kernel(DataTerms(blocks([pooled])), lambda_hat, 1, zeros, zeros,
+    objective = stacked_kernel(data_terms, lambda_hat, 1, zeros, zeros,
                                np.zeros((1, 0), dtype=int), 0.0)
     try:
         return minimize(objective, zeros, cfg)[0]

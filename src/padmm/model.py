@@ -1,4 +1,4 @@
-"""Logistic loss, the stacked augmented objective, and the gated quality score.
+"""Logistic loss, the stacked augmented objective, solver steps and the gated quality score.
 
 The local objective of agent i is
 
@@ -14,7 +14,10 @@ The augmented form is mu-strongly convex and L-smooth with
 
     mu = lambda_hat / N + 2 eta deg_i,    L = mu + 0.25 max_n ||x_n||^2
 
-(the logistic loss has curvature at most 1/4); see curvature_bounds.
+(the logistic loss has curvature at most 1/4).  strong_convexity is the one
+home of mu, which also sets the output-noise scale (accountant.plan_budget);
+solver_steps gives every agent's step 2 / (mu + L), reading max ||x_n||^2
+from the stacked shards.
 
 Each evaluation takes one exponential per sample: with e = exp(-|z|),
 L(z) = log(1 + exp(-z)) is max(-z, 0) + log1p(e) and its derivative is
@@ -31,18 +34,15 @@ evaluator, one per run, which the reported training loss
 evaluated, so a point the loop evaluates twice in a row costs one pass over
 the shards: the shared values that a round's metrics evaluate are the next
 round's warm start, and in the non-private loop they are also the solver's
-last evaluated point.  For the gated run it also keeps that point's
-per-sample losses, from which clipped_quality scores every agent's gate
-without a pass of its own.
+last evaluated point.  It also keeps that point's per-sample losses, from
+which clipped_quality scores every agent's gate without a pass of its own.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .data import Dataset, ShardBlock
+from .data import ShardBlock
 
 
 def _loss(z: np.ndarray, e: np.ndarray) -> np.ndarray:
@@ -55,33 +55,7 @@ def _deriv(z: np.ndarray, e: np.ndarray) -> np.ndarray:
     return np.where(z >= 0, -e, -1.0) / (1.0 + e)
 
 
-def logistic_loss(z):
-    """log(1 + exp(-z)), overflow-safe; accepts scalars or arrays."""
-    z = np.asarray(z, dtype=float)
-    out = _loss(z, np.exp(-np.abs(z)))
-    return out if out.ndim else float(out)
-
-
-@dataclass(frozen=True)
-class LocalObjectiveParams:
-    """Parameters of f_i.
-
-    dataset=None leaves out the loss term; accountant.plan_budget uses that
-    form to take mu, which no data enters, from curvature_bounds.
-    """
-
-    dataset: Dataset | None
-    lambda_hat: float
-    num_agents: int
-
-
-def _margins(theta: np.ndarray, data: Dataset) -> np.ndarray:
-    if theta.shape[0] != data.dimension:
-        raise ValueError(f"theta has dimension {theta.shape[0]}, data has {data.dimension}")
-    return data.labels * (data.features @ theta)
-
-
-def block_margins(block: ShardBlock, thetas: np.ndarray) -> np.ndarray:
+def margins(block: ShardBlock, thetas: np.ndarray) -> np.ndarray:
     """(k, m) margins y theta_i.x of the block's agents, thetas one row per agent."""
     return block.labels * np.matmul(block.features, thetas[block.rows, :, None])[:, :, 0]
 
@@ -96,14 +70,13 @@ class DataTerms:
     np.array_equal to the copy.  Points equal that way differ at most in the
     sign of a zero, which no term sees.
 
-    With keep_losses, `losses` is the memo point's per-sample losses, one
-    read-only (k, m) array per block; otherwise it stays None.
+    `losses` is the memo point's per-sample losses, one read-only (k, m)
+    array per block (None before the first evaluation).
     """
 
-    def __init__(self, blocks, keep_losses: bool = False):
+    def __init__(self, blocks):
         self.blocks = blocks  # data.ShardBlock: the shards stacked by size
         self.n_agents = sum(len(block.rows) for block in blocks)
-        self.keep_losses = keep_losses
         self.losses = None
         self._point = None
         self._terms = None
@@ -115,7 +88,7 @@ class DataTerms:
         grads = np.empty(thetas.shape)
         kept = []
         for block in self.blocks:
-            z = block_margins(block, thetas)
+            z = margins(block, thetas)
             e = np.exp(-np.abs(z))
             w = _deriv(z, e) * block.labels
             n = z.shape[1]
@@ -123,13 +96,12 @@ class DataTerms:
             loss[block.rows] = losses.sum(axis=1) / n
             grads[block.rows] = (
                 np.matmul(block.features.transpose(0, 2, 1), w[:, :, None])[:, :, 0] / n)
-            if self.keep_losses:
-                losses.flags.writeable = False
-                kept.append(losses)
+            losses.flags.writeable = False
+            kept.append(losses)
         loss.flags.writeable = grads.flags.writeable = False
         self._point = np.array(thetas, dtype=float)
         self._terms = loss, grads
-        self.losses = kept if self.keep_losses else None
+        self.losses = kept
         return self._terms
 
 
@@ -171,20 +143,30 @@ def stacked_kernel(data_terms: DataTerms, lambda_hat: float, num_agents: int, du
     return objective
 
 
-def curvature_bounds(p: LocalObjectiveParams, eta: float, degree: int) -> tuple:
-    """(mu, L): strong-convexity and smoothness constants of the augmented objective.
+def strong_convexity(lambda_hat: float, num_agents: int, eta: float, degree):
+    """mu = lambda_hat / N + 2 eta degree, exact for agent i's augmented objective.
 
-    mu = lambda_hat / N + 2 eta degree is exact (the regularizer and the
-    neighbor penalties are isotropic quadratics).  L adds 0.25 times the
-    largest squared row norm of the agent's own shard, which bounds the
-    logistic Hessian X^T diag(s (1 - s)) X / n.  The dataset=None surrogate
-    has no loss term, so there L = mu.
+    The regularizer and the neighbor penalties are isotropic quadratics.
+    degree may be an int or an array of them, one per agent.
     """
-    mu = p.lambda_hat / p.num_agents + 2.0 * eta * degree
-    if p.dataset is None:
-        return mu, mu
-    x = p.dataset.features
-    return mu, mu + 0.25 * float(np.max(np.einsum("ij,ij->i", x, x)))
+    return lambda_hat / num_agents + 2.0 * eta * degree
+
+
+def solver_steps(data_terms: DataTerms, lambda_hat: float, eta: float, degrees) -> np.ndarray:
+    """Every agent's gradient step 2 / (mu_i + L_i), an (N,) array.
+
+    L_i = mu_i + 0.25 max_n ||x_n||^2 over agent i's shard bounds the
+    logistic Hessian X^T diag(s (1 - s)) X / n.  degrees lists each agent's
+    neighbor count.  The squared row norms are taken block by block with
+    one einsum, which gives each row's bits of the one-shard einsum.
+    """
+    max_sq = np.empty(data_terms.n_agents)
+    for block in data_terms.blocks:
+        x = block.features
+        max_sq[block.rows] = np.einsum("kmd,kmd->km", x, x).max(axis=1)
+    mu = strong_convexity(lambda_hat, data_terms.n_agents, eta, np.asarray(degrees))
+    lipschitz = mu + 0.25 * max_sq
+    return 2.0 / (mu + lipschitz)
 
 
 def clipped_quality(data_terms: DataTerms, losses_prev: list, theta_prev: np.ndarray,
@@ -192,13 +174,13 @@ def clipped_quality(data_terms: DataTerms, losses_prev: list, theta_prev: np.nda
     """Every agent's f_i(theta_prev) - f_i(theta_hat) with per-sample losses capped at c_loss.
 
     Returns an (N,) array, one score per row of theta_prev and theta_hat.
-    data_terms must keep losses; losses_prev is its `losses` while
-    theta_prev was its point, and theta_hat's losses are read from it (no
-    pass when theta_hat is its last point).  Capping bounds each score's
-    sensitivity to any single sample swap by 2 * c_loss.  The regularizer
-    enters uncapped (it is data-independent).  Each row takes the one-agent
-    form's operations in its order (tests/reference.py keeps that form), so
-    the scores match it bit for bit.
+    losses_prev is data_terms' `losses` while theta_prev was its point, and
+    theta_hat's losses are read from it (no pass when theta_hat is its last
+    point).  Capping bounds each score's sensitivity to any single sample
+    swap by 2 * c_loss.  The regularizer enters uncapped (it is
+    data-independent).  Each row takes the one-agent form's operations in its
+    order (tests/reference.py keeps that form), so the scores match it bit
+    for bit.
     """
     if c_loss <= 0:
         raise ValueError("c_loss must be positive")

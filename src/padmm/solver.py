@@ -1,9 +1,9 @@
 """First-order inner solver: run until the gradient norm drops below beta.
 
 Gradient descent that tries `initial_step` at every iteration and halves it
-only while the Armijo test fails.  The engine sets `initial_step` to
-2 / (mu + L) from each subproblem's strong-convexity and smoothness bounds
-(model.curvature_bounds); at that step gradient descent contracts by
+only while the Armijo test fails.  The engine sets `initial_step` to every
+row's 2 / (mu + L) from its subproblem's strong-convexity and smoothness
+bounds (model.solver_steps); at that step gradient descent contracts by
 (L - mu) / (L + mu) per iteration, and the Armijo test holds whenever
 mu / (mu + L) >= ARMIJO_C, so the backtracking is only a guard.  The stopping
 rule is unchanged: the gradient norm at the returned iterate is <= beta.

@@ -2,12 +2,14 @@
 
 The engine evaluates every agent's subproblem at once with
 padmm.model.stacked_kernel.  These functions compute one agent's objective
-and gradient the plain way; model tests require the stacked rows to equal
-augmented_kernel bit for bit, and augmented_kernel to equal the
-augmented_objective / augmented_gradient pair bit for bit.  clipped_quality
-is one agent's gate score, which padmm.model.clipped_quality's rows must
-equal bit for bit.  error_rate is the boolean-matrix form of
-padmm.metrics.error_rate.  as_rows lifts a
+and gradient the plain way, from the agent's LocalObjectiveParams; model
+tests require the stacked rows to equal augmented_kernel bit for bit, and
+augmented_kernel to equal the augmented_objective / augmented_gradient pair
+bit for bit.  curvature_bounds and solver_step are one agent's (mu, L) and
+gradient step 2 / (mu + L), which padmm.model.solver_steps' rows must equal
+bit for bit.  clipped_quality is one agent's gate score, which
+padmm.model.clipped_quality's rows must equal bit for bit.  error_rate is
+the boolean-matrix form of padmm.metrics.error_rate.  as_rows lifts a
 one-theta objective to the row form padmm.solver.minimize takes;
 serial_compose is zCDP's additive composition rule, which no run uses.
 """
@@ -19,7 +21,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from padmm.data import Dataset
-from padmm.model import LocalObjectiveParams, _deriv, _loss, _margins, logistic_loss
+from padmm.model import _deriv, _loss
+
+
+def logistic_loss(z):
+    """log(1 + exp(-z)), overflow-safe; accepts scalars or arrays."""
+    z = np.asarray(z, dtype=float)
+    out = _loss(z, np.exp(-np.abs(z)))
+    return out if out.ndim else float(out)
 
 
 def logistic_loss_deriv(z):
@@ -27,6 +36,15 @@ def logistic_loss_deriv(z):
     z = np.asarray(z, dtype=float)
     out = _deriv(z, np.exp(-np.abs(z)))
     return out if out.ndim else float(out)
+
+
+@dataclass(frozen=True)
+class LocalObjectiveParams:
+    """Parameters of f_i; dataset=None leaves out the loss term."""
+
+    dataset: Dataset | None
+    lambda_hat: float
+    num_agents: int
 
 
 @dataclass(frozen=True)
@@ -38,6 +56,12 @@ class AugmentedParams:
     neighbor_prev: list = field(default_factory=list)
     eta: float = 0.5
     noise_b1: np.ndarray | None = None
+
+
+def _margins(theta: np.ndarray, data: Dataset) -> np.ndarray:
+    if theta.shape[0] != data.dimension:
+        raise ValueError(f"theta has dimension {theta.shape[0]}, data has {data.dimension}")
+    return data.labels * (data.features @ theta)
 
 
 def mean_logistic_loss(theta: np.ndarray, data: Dataset) -> float:
@@ -121,6 +145,28 @@ def augmented_kernel(p: LocalObjectiveParams, a: AugmentedParams):
 def augmented_value_and_grad(theta: np.ndarray, p: LocalObjectiveParams, a: AugmentedParams):
     """(augmented_objective, augmented_gradient), bit for bit, at one margin pass."""
     return augmented_kernel(p, a)(theta)
+
+
+def curvature_bounds(p: LocalObjectiveParams, eta: float, degree: int) -> tuple:
+    """(mu, L): strong-convexity and smoothness constants of the augmented objective.
+
+    mu = lambda_hat / N + 2 eta degree is exact (the regularizer and the
+    neighbor penalties are isotropic quadratics).  L adds 0.25 times the
+    largest squared row norm of the agent's own shard, which bounds the
+    logistic Hessian X^T diag(s (1 - s)) X / n.  The dataset=None surrogate
+    has no loss term, so there L = mu.
+    """
+    mu = p.lambda_hat / p.num_agents + 2.0 * eta * degree
+    if p.dataset is None:
+        return mu, mu
+    x = p.dataset.features
+    return mu, mu + 0.25 * float(np.max(np.einsum("ij,ij->i", x, x)))
+
+
+def solver_step(p: LocalObjectiveParams, eta: float, degree: int) -> float:
+    """One agent's gradient step 2 / (mu + L)."""
+    mu, lipschitz = curvature_bounds(p, eta, degree)
+    return 2.0 / (mu + lipschitz)
 
 
 def clipped_quality(theta_prev: np.ndarray, theta_hat: np.ndarray, p: LocalObjectiveParams,

@@ -8,12 +8,13 @@ import pytest
 
 from padmm import data, engine, metrics
 from padmm.accountant import plan_budget, zcdp_sufficient_epsilon
-from padmm.model import DataTerms, LocalObjectiveParams
+from padmm.model import DataTerms
 from padmm.noise import RngHandle, gaussian_vector, laplace_scalar
 from padmm.solver import SolverConfig
 from padmm.svt import Decision, SvtGate, svt_split_ratio
 from padmm.topology import ring
-from reference import AugmentedParams, augmented_gradient, augmented_objective, clipped_quality
+from reference import (AugmentedParams, LocalObjectiveParams, augmented_gradient,
+                       augmented_objective, clipped_quality)
 
 BETA = 10.0**-3.5
 DELTA = 1e-4

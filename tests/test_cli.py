@@ -321,7 +321,10 @@ class TestMain:
         ("--eta", "0", "eta must be > 0, got 0"),
         ("--eta", "-1", "eta must be > 0, got -1"),
         ("--lambda-hat", "-1", "lambda_hat must be >= 0, got -1"),
-    ], ids=["eta=0", "eta=-1", "lambda_hat=-1"])
+        ("--beta", "0", "beta must be > 0, got 0"),
+        ("--beta", "-0.001", "beta must be > 0, got -0.001"),
+        ("--max-iterations", "0", "max_iterations must be >= 1, got 0"),
+    ], ids=["eta=0", "eta=-1", "lambda_hat=-1", "beta=0", "beta<0", "max_iterations=0"])
     @pytest.mark.parametrize("algorithm", ["nonprivate", "pp_admm", "ipp_admm"])
     @pytest.mark.parametrize("command", ["run", "plan", "validate"])
     def test_bad_penalty_or_regularizer_rejected(self, capsys, command, algorithm, flag, value,
@@ -332,6 +335,40 @@ class TestMain:
         assert code == 1
         assert captured.out == ""
         assert captured.err == f"padmm: error: {message}\n"
+
+    @pytest.mark.parametrize("value", ["0", "-2"])
+    @pytest.mark.parametrize("command", ["run", "plan", "validate"])
+    def test_gated_run_rejects_a_loss_cap_that_is_not_positive(self, capsys, command, value):
+        code = cli.main([command, "--algorithm", "ipp_admm", "--synthetic-n", "120",
+                         "--n-agents", "3", "--T", "2", "--c-loss", value])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == f"padmm: error: c_loss must be > 0, got {value}\n"
+
+    def test_loss_cap_is_checked_only_where_it_is_used(self, capsys):
+        code = cli.main(["validate", "--algorithm", "pp_admm", "--synthetic-n", "120",
+                         "--n-agents", "3", "--T", "2", "--c-loss", "0"])
+        assert (code, capsys.readouterr().err) == (0, "")
+
+    @pytest.mark.parametrize("algorithm", ["pp_admm", "ipp_admm"])
+    @pytest.mark.parametrize("command", ["run", "plan", "validate"])
+    def test_lambda_hat_below_the_floor_rejected(self, capsys, command, algorithm):
+        code = cli.main([command, "--algorithm", algorithm, "--synthetic-n", "120",
+                         "--n-agents", "3", "--T", "2", "--lambda-hat", "0.001"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("padmm: error: lambda_hat 0.001 below the planned floor ")
+
+    @pytest.mark.parametrize("algorithm", ["pp_admm", "ipp_admm"])
+    def test_lambda_hat_floor_tolerance(self, capsys, algorithm):
+        argv = ["--algorithm", algorithm, "--synthetic-n", "120", "--n-agents", "3", "--T", "2"]
+        assert cli.main(["plan"] + argv) == 0
+        floor = json.loads(capsys.readouterr().out)["lambda_hat_floor"]
+        for scale, code in ((1.0, 0), (1 - 1e-13, 0), (1 - 1e-11, 1)):
+            assert cli.main(["validate"] + argv + ["--lambda-hat", repr(floor * scale)]) == code
+        assert capsys.readouterr().err.count("below the planned floor") == 1
 
     def test_zero_regularizer_runs_nonprivate(self, capsys):
         code = cli.main(["run", "--synthetic-n", "120", "--n-agents", "3", "--T", "2",

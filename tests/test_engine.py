@@ -4,11 +4,11 @@ import pytest
 from padmm import cli, data, engine, metrics, model
 from padmm.accountant import plan_budget, zcdp_sufficient_epsilon
 from padmm.engine import EngineError, dual_update
-from padmm.model import DataTerms, LocalObjectiveParams, curvature_bounds
+from padmm.model import DataTerms
 from padmm.solver import SolverConfig, minimize
 from padmm.svt import svt_split_ratio
 from padmm.topology import ring
-from reference import clipped_quality
+from reference import LocalObjectiveParams, clipped_quality, curvature_bounds
 
 BETA = 10.0**-3.5
 
@@ -118,7 +118,7 @@ class TestDataPasses:
     def count(monkeypatch, run):
         """[evaluations, passes] per round, each round's training-loss pass included."""
         rounds = []
-        block_margins, solve = model.block_margins, engine.minimize
+        block_margins, solve = model.margins, engine.minimize
 
         def counted_margins(block, thetas):
             rounds[-1][1] += 1
@@ -133,7 +133,7 @@ class TestDataPasses:
 
             return solve(counted, start, cfg)
 
-        monkeypatch.setattr(model, "block_margins", counted_margins)
+        monkeypatch.setattr(model, "margins", counted_margins)
         monkeypatch.setattr(engine, "minimize", counted_minimize)
         run()
         return rounds
@@ -282,14 +282,6 @@ class TestGateQuality:
         return engine.run_ipp_admm(parts, g, plan, 0.5, T, 1e-3, 3, 2.0,
                                    SolverConfig(beta=BETA), seed=0, **kwargs)
 
-    def test_no_per_agent_shard_pass(self, monkeypatch):
-        def per_agent_pass(theta, dataset):
-            raise AssertionError("the gate read an agent's shard on its own")
-
-        monkeypatch.setattr(model, "_margins", per_agent_pass)
-        traces, _ = self.run_ipp(make_parts(n=301))
-        assert len(traces) == 8
-
     def test_one_call_per_round_equal_to_the_one_agent_scores(self, monkeypatch):
         parts = make_parts(n=301)  # shards of 101, 100 and 100: two blocks
         calls, stacked = [], engine.clipped_quality
@@ -310,21 +302,6 @@ class TestGateQuality:
         # each round scores from its snapshot: the last round's shared values, zero at first
         for theta_prev, before in zip(calls, [np.zeros((3, 3))] + [t.thetas for t in traces]):
             assert np.array_equal(theta_prev, before)
-
-    def test_only_the_gated_run_keeps_losses(self, monkeypatch):
-        made = []
-
-        class Recorded(DataTerms):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                made.append(self)
-
-        monkeypatch.setattr(engine, "DataTerms", Recorded)
-        parts, g, cfg = make_parts(), ring(3), SolverConfig(beta=BETA)
-        engine.run_nonprivate(parts, g, 0.5, 1.0, 2, cfg)
-        engine.run_pp_admm(parts, g, make_plan(parts, g, T=2), 0.5, 2, cfg, seed=0)
-        self.run_ipp(parts, T=2)
-        assert [terms.losses is None for terms in made] == [True, True, False]
 
 
 class TestSharedLoop:
@@ -404,12 +381,13 @@ class TestCurvatureStep:
     """The inner solver's step 2 / (mu + L) on the documented default config."""
 
     def test_step_from_agent_bounds(self):
-        ds = data.synthetic_blobs(50, 3, 2.0, 0)
-        params = LocalObjectiveParams(ds, 0.7, 4)
-        cfg = engine.bounded_step_config(SolverConfig(beta=BETA, max_iterations=50), params,
-                                         0.5, 2)
-        mu, lipschitz = curvature_bounds(params, 0.5, 2)
-        assert cfg.initial_step == 2.0 / (mu + lipschitz)
+        parts = make_parts(n=301, n_agents=4)  # shards of 76, 75, 75 and 75
+        g = ring(4)
+        agents = engine._agents(parts, g, 0.7, 0.5, SolverConfig(beta=BETA, max_iterations=50))
+        cfg = agents.cfg
+        for i, part in enumerate(parts):
+            mu, lipschitz = curvature_bounds(LocalObjectiveParams(part, 0.7, 4), 0.5, 2)
+            assert cfg.initial_step[i] == 2.0 / (mu + lipschitz)
         assert (cfg.beta, cfg.max_iterations) == (BETA, 50)
 
     def test_default_ipp_admm_completes_every_seed(self):

@@ -1,28 +1,29 @@
+import itertools
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from padmm import cli, data, engine, metrics, model, noise
-from padmm.model import (
-    DataTerms,
-    LocalObjectiveParams,
-    curvature_bounds,
-    logistic_loss,
-    stacked_kernel,
-)
+from padmm import cli, data, metrics, model, noise
+from padmm.model import DataTerms, solver_steps, stacked_kernel
 from padmm.solver import SolverConfig, minimize
 from reference import (
     AugmentedParams,
+    LocalObjectiveParams,
     as_rows,
     augmented_gradient,
     augmented_kernel,
     augmented_objective,
     augmented_value_and_grad,
     clipped_quality,
+    curvature_bounds,
     local_objective,
     local_value_and_grad,
+    logistic_loss,
     logistic_loss_deriv,
     mean_logistic_loss,
+    solver_step,
 )
 
 finite_z = st.floats(min_value=-500, max_value=500, allow_nan=False)
@@ -286,7 +287,7 @@ def default_subproblems(algorithm):
         for degree in (1, 2, 3):
             a = AugmentedParams(rng.normal(size=d) * 0.05, rng.normal(size=d),
                                 [rng.normal(size=d) for _ in range(degree)], cfg.eta, b1)
-            yield p, a, engine.bounded_step_config(solver_cfg, p, cfg.eta, degree)
+            yield p, a, replace(solver_cfg, initial_step=solver_step(p, cfg.eta, degree))
 
 
 def random_round(rng, n_agents, max_degree, with_b1, shuffled):
@@ -357,13 +358,13 @@ class TestDataTerms:
     def evaluator(monkeypatch=None, passes=None):
         parts = data.partition(toy_dataset(n=31), 3, 0)  # shards of 11, 10 and 10: two blocks
         if monkeypatch is not None:
-            block_margins = model.block_margins
+            block_margins = model.margins
 
             def counted(block, thetas):
                 passes.append(len(block.rows))
                 return block_margins(block, thetas)
 
-            monkeypatch.setattr(model, "block_margins", counted)
+            monkeypatch.setattr(model, "margins", counted)
         return DataTerms(data.blocks(parts)), parts
 
     def test_rows_are_each_shards_mean_loss_and_gradient(self):
@@ -429,22 +430,17 @@ class TestDataTerms:
         with pytest.raises(ValueError):
             grads += 1.0
 
-    def test_keeps_no_losses_unless_asked(self):
-        terms, _ = self.evaluator()
-        terms(np.ones((3, 3)))
-        assert terms.losses is None
-
     def test_kept_losses_are_the_memo_points_per_sample_losses(self, monkeypatch):
         passes = []
         parts = data.partition(toy_dataset(n=31), 3, 0)
-        terms = DataTerms(data.blocks(parts), keep_losses=True)
+        terms = DataTerms(data.blocks(parts))
         rng = np.random.default_rng(7)
         a, b = rng.normal(size=(3, 3)), rng.normal(size=(3, 3))
         terms(a)
         kept_a = terms.losses
         terms(b)
-        block_margins = model.block_margins
-        monkeypatch.setattr(model, "block_margins",
+        block_margins = model.margins
+        monkeypatch.setattr(model, "margins",
                             lambda block, thetas: passes.append(1) or block_margins(block, thetas))
         terms(b.copy())  # a memo hit keeps the point's losses
         assert passes == []
@@ -548,6 +544,37 @@ class TestCurvatureBounds:
         assert curvature_bounds(surrogate(1.5), 0.25, 2) == (2.5, 2.5)
 
 
+class TestSolverSteps:
+    """model.solver_steps' rows against the one-agent 2 / (mu + L), bit for bit."""
+
+    @pytest.mark.parametrize("lambda_hat", [0.0, 0.7])
+    def test_rows_equal_the_one_agent_step(self, lambda_hat):
+        parts = data.partition(data.synthetic_blobs(301, 3, 2.0, 0), 3, 0)  # 101, 100, 100
+        terms = DataTerms(data.blocks(parts))
+        for degrees in itertools.product(range(4), repeat=3):
+            steps = solver_steps(terms, lambda_hat, 0.5, degrees)
+            assert steps.shape == (3,)
+            for i, part in enumerate(parts):
+                mu, lipschitz = curvature_bounds(LocalObjectiveParams(part, lambda_hat, 3), 0.5,
+                                                 degrees[i])
+                assert float(steps[i]).hex() == (2.0 / (mu + lipschitz)).hex()
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_agents=st.integers(1, 6),
+           per_agent=st.integers(1, 40), d=st.integers(1, 25),
+           lambda_hat=st.floats(0.0, 5.0), eta=st.floats(0.0, 2.0))
+    def test_random_shards(self, seed, n_agents, per_agent, d, lambda_hat, eta):
+        rng = np.random.default_rng(seed)
+        n = n_agents * per_agent + int(rng.integers(0, n_agents))  # one or two shard sizes
+        ds = data.Dataset(rng.normal(size=(n, d)), rng.choice([-1, 1], size=n))
+        parts = data.partition(ds, n_agents, seed % 5)
+        degrees = rng.integers(0, 6, size=n_agents)
+        steps = solver_steps(DataTerms(data.blocks(parts)), lambda_hat, eta, degrees)
+        for i, part in enumerate(parts):
+            p = LocalObjectiveParams(part, lambda_hat, n_agents)
+            assert float(steps[i]).hex() == solver_step(p, eta, int(degrees[i])).hex()
+
+
 def zero_rows(thetas, signs):
     """thetas with row i set to +0.0 (signs[i] == 1) or -0.0 (signs[i] == -1)."""
     zeros = np.copysign(np.zeros_like(thetas), np.asarray(signs, dtype=float)[:, None])
@@ -576,7 +603,7 @@ class TestStackedClippedQuality:
                                           zero_signs[::-1][:n_agents]),
                       "zero": np.zeros((n_agents, 3)),  # round 0's start
                       "same": theta_hat.copy()}[start]
-        terms = DataTerms(data.blocks(parts), keep_losses=True)
+        terms = DataTerms(data.blocks(parts))
         terms(theta_prev)
         losses_prev = terms.losses
         terms(theta_hat)
@@ -595,7 +622,7 @@ class TestStackedClippedQuality:
 
     def test_rejects_a_cap_that_is_not_positive(self):
         parts = data.partition(toy_dataset(n=20), 2, 0)
-        terms = DataTerms(data.blocks(parts), keep_losses=True)
+        terms = DataTerms(data.blocks(parts))
         zeros = np.zeros((2, 3))
         terms(zeros)
         with pytest.raises(ValueError, match="c_loss must be positive"):

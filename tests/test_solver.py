@@ -34,8 +34,8 @@ class TestMinimize:
 
     def test_gradient_norm_postcondition(self):
         from padmm import data
-        from padmm.model import LocalObjectiveParams
-        from reference import AugmentedParams, augmented_gradient, augmented_objective
+        from reference import (AugmentedParams, LocalObjectiveParams, augmented_gradient,
+                               augmented_objective)
 
         ds = data.synthetic_blobs(100, 2, 5.0, 0)
         p = LocalObjectiveParams(ds, 0.5, 2)
