@@ -1,4 +1,4 @@
-"""Dataset loading, normalization, and partitioning across agents."""
+"""Dataset loading, normalization, and partitioning across agents into stacked shards."""
 
 from __future__ import annotations
 
@@ -116,20 +116,6 @@ def preprocess(raw: Dataset, scales: np.ndarray | None = None) -> Dataset:
     return Dataset(x, raw.labels.copy())
 
 
-def partition(data: Dataset, n_agents: int, seed: int) -> list[Dataset]:
-    """Randomly split samples into n_agents near-equal disjoint shards, one per agent.
-
-    Disjointness across agents is what makes parallel composition of
-    per-agent privacy costs valid.  Shards differ in size by at most one
-    sample, the larger ones first.
-    """
-    n = data.n_samples
-    if n_agents < 1 or n_agents > n:
-        raise DataError(f"cannot split {n} samples across {n_agents} agents")
-    perm = np.random.default_rng(seed).permutation(n)
-    return [data.subset(np.sort(s)) for s in np.array_split(perm, n_agents)]
-
-
 @dataclass(frozen=True)
 class ShardBlock:
     """The equal-size shards of agents `rows`: features (k, m, d), labels (k, m)."""
@@ -138,15 +124,29 @@ class ShardBlock:
     features: np.ndarray
     labels: np.ndarray
 
+    @property
+    def n_samples(self) -> int:  # k * m
+        return self.labels.size
 
-def blocks(parts: list[Dataset]) -> list[ShardBlock]:
-    """The agents' shards grouped by size, each group stacked, in agent order."""
-    by_size = {}
-    for i, part in enumerate(parts):
-        by_size.setdefault(part.n_samples, []).append(i)
-    return [ShardBlock(np.array(rows), np.stack([parts[i].features for i in rows]),
-                       np.stack([parts[i].labels for i in rows]))
-            for rows in by_size.values()]
+
+def partition(data: Dataset, n_agents: int, seed: int) -> list[ShardBlock]:
+    """Randomly split samples into n_agents near-equal disjoint shards, stacked by size.
+
+    Disjointness across agents is what makes parallel composition of
+    per-agent privacy costs valid.  The first n % n_agents agents take one
+    sample more; each size is one ShardBlock, the larger first, and each
+    shard keeps its samples in their order in `data`.
+    """
+    n = data.n_samples
+    if n_agents < 1 or n_agents > n:
+        raise DataError(f"cannot split {n} samples across {n_agents} agents")
+    perm = np.random.default_rng(seed).permutation(n)
+    m, r = divmod(n, n_agents)
+    cut = r * (m + 1)
+    shards = [(np.arange(r), np.sort(perm[:cut].reshape(r, m + 1))),
+              (np.arange(r, n_agents), np.sort(perm[cut:].reshape(n_agents - r, m)))]
+    return [ShardBlock(rows, data.features[idx], data.labels[idx])
+            for rows, idx in shards if len(rows)]
 
 
 def synthetic_blobs(n: int, d: int, separation: float, seed: int) -> Dataset:

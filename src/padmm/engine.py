@@ -11,10 +11,10 @@ otherwise.  With the noise disabled the private runs reproduce the
 non-private run bit for bit.
 
 The agents' solves within a round are independent, so the loop runs them
-as one row-wise solve over the shards stacked by size
-(model.stacked_kernel) and updates every dual in one call.  Each agent's
-iterates, noise draws, gate decisions and charges are those of solving and
-releasing one agent at a time.
+as one row-wise solve (model.stacked_kernel) over the shards as
+data.partition stacks them by size, read in place, and updates every dual
+in one call.  Each agent's iterates, noise draws, gate decisions and
+charges are those of solving and releasing one agent at a time.
 
 The solver's objective and the reported training loss read the shards
 through one model.DataTerms per run, which remembers the last point it
@@ -23,9 +23,10 @@ are the next round's warm start, so the solve's first evaluation reuses
 that pass; in the non-private loop the shared values are the solver's last
 evaluated point, so the training loss costs no pass of its own.  The gated
 loop scores every agent's quality once per round (model.clipped_quality)
-from the per-sample losses of the solve's first and last evaluated points,
-which are the warm start and the solution, so the gate costs no pass
-either.
+from the per-sample losses at the warm start, which the previous round's
+training loss left in DataTerms (at round 0's zero start every loss is
+log(1 + e^0)), and at the solution, the solve's last evaluated point, so
+the gate costs no pass either.
 """
 
 from __future__ import annotations
@@ -36,8 +37,8 @@ import numpy as np
 
 from . import metrics, noise
 from .accountant import BudgetError, BudgetPlan, ZcdpLedger, check_lambda_hat
-from .data import Dataset, blocks
-from .model import DataTerms, clipped_quality, solver_steps, stacked_kernel
+from .data import Dataset, ShardBlock
+from .model import DataTerms, _loss, clipped_quality, solver_steps, stacked_kernel
 from .solver import NonConvergence, SolverConfig, minimize
 from .svt import Decision, SvtGate
 from .topology import Graph
@@ -81,21 +82,22 @@ class _Agents:
     cfg: SolverConfig  # initial_step: each agent's 2 / (mu + L)
 
 
-def _agents(data, g: Graph, lambda_hat: float, eta: float, cfg: SolverConfig) -> _Agents:
-    d = _check_inputs(data, g)
+def _agents(blocks, g: Graph, lambda_hat: float, eta: float, cfg: SolverConfig) -> _Agents:
+    d = _check_inputs(blocks, g)
     nbrs = [sorted(g.neighbors(i)) for i in range(g.n)]
     slots = np.tile(np.arange(g.n)[:, None], max(map(len, nbrs), default=0))
     for i, js in enumerate(nbrs):
         slots[i, :len(js)] = js
-    data_terms = DataTerms(blocks(data))
+    data_terms = DataTerms(blocks)
     steps = solver_steps(data_terms, lambda_hat, eta, [len(js) for js in nbrs])
     return _Agents(d, lambda_hat, data_terms, slots, replace(cfg, initial_step=steps))
 
 
-def _check_inputs(data, g: Graph):
-    if len(data) != g.n:
-        raise EngineError(f"{len(data)} agent datasets but graph has {g.n} nodes")
-    dims = {d.dimension for d in data}
+def _check_inputs(blocks, g: Graph):
+    rows = sorted(i for block in blocks for i in block.rows.tolist())
+    if rows != list(range(g.n)):
+        raise EngineError(f"{len(rows)} agent datasets but graph has {g.n} nodes")
+    dims = {block.features.shape[2] for block in blocks}
     if len(dims) != 1:
         raise EngineError(f"inconsistent feature dimensions across agents: {sorted(dims)}")
     return dims.pop()
@@ -123,14 +125,18 @@ def _train(agents: _Agents, eta, T, test, ledger, draw_b1, release, c_loss=None)
         objective = stacked_kernel(data_terms, lambda_hat, n, duals, snapshot,
                                    agents.slots, eta, b1)
         if c_loss is not None:
-            objective, start_losses = _keeping_first_losses(objective, data_terms)
+            # the snapshot's per-sample losses: the last round's training loss was taken
+            # there, and round 0 starts at zero, where every margin is 0
+            losses_prev = data_terms.losses if t else [
+                _loss(np.zeros(b.labels.shape), np.ones(b.labels.shape))
+                for b in data_terms.blocks]
         try:
             theta_hat = minimize(objective, snapshot, agents.cfg)
         except NonConvergence as exc:
             raise EngineError(
                 f"round {t}, agent {exc.row}: solver did not converge: {exc}") from exc
         quality = [None] * n if c_loss is None else clipped_quality(
-            data_terms, start_losses[0], snapshot, theta_hat, lambda_hat, c_loss)
+            data_terms, losses_prev, snapshot, theta_hat, lambda_hat, c_loss)
         shared = [release(i, theta_hat[i], quality[i]) for i in range(n)]
         thetas = np.array([snapshot[i] if s is None else s for i, s in enumerate(shared)])
         duals = dual_update(duals, thetas, thetas[agents.slots.T], eta)
@@ -146,24 +152,7 @@ def _train(agents: _Agents, eta, T, test, ledger, draw_b1, release, c_loss=None)
     return traces
 
 
-def _keeping_first_losses(objective, data_terms: DataTerms):
-    """objective, and a list that its first call fills with data_terms.losses.
-
-    minimize evaluates its start first, so the list then holds the
-    per-sample losses at the solve's start, read from the memo.
-    """
-    first = []
-
-    def keeping(thetas):
-        out = objective(thetas)
-        if not first:
-            first.append(data_terms.losses)
-        return out
-
-    return keeping, first
-
-
-def _private_setup(data, g, plan, c_max, lambda_hat, eta, cfg, seed, noise_disabled,
+def _private_setup(blocks, g, plan, c_max, lambda_hat, eta, cfg, seed, noise_disabled,
                    purposes=()):
     """Checks and state shared by the private loops.
 
@@ -188,7 +177,7 @@ def _private_setup(data, g, plan, c_max, lambda_hat, eta, cfg, seed, noise_disab
         [noise.RngHandle.for_agent(seed, i, purpose, disabled=noise_disabled)
          for i in range(g.n)]
         for purpose in (noise.OBJECTIVE_NOISE, noise.OUTPUT_NOISE, *purposes)]
-    agents = _agents(data, g, lambda_hat, eta, cfg)
+    agents = _agents(blocks, g, lambda_hat, eta, cfg)
     d = agents.dimension
 
     def draw_b1(i):
@@ -200,14 +189,14 @@ def _private_setup(data, g, plan, c_max, lambda_hat, eta, cfg, seed, noise_disab
     return agents, ZcdpLedger(delta_target=plan.delta_total), draw_b1, perturb, rngs
 
 
-def run_nonprivate(data, g: Graph, eta: float, lambda_hat: float, T: int,
+def run_nonprivate(blocks, g: Graph, eta: float, lambda_hat: float, T: int,
                    cfg: SolverConfig, test: Dataset | None = None):
     """Noise-free consensus ADMM; returns the per-round trace."""
-    return _train(_agents(data, g, lambda_hat, eta, cfg), eta, T, test, None,
+    return _train(_agents(blocks, g, lambda_hat, eta, cfg), eta, T, test, None,
                   draw_b1=None, release=lambda i, theta_hat, quality: theta_hat)
 
 
-def run_pp_admm(data, g: Graph, plan: BudgetPlan, eta: float, T: int,
+def run_pp_admm(blocks, g: Graph, plan: BudgetPlan, eta: float, T: int,
                 cfg: SolverConfig, seed: int, lambda_hat: float | None = None,
                 test: Dataset | None = None, noise_disabled: bool = False):
     """Private full-broadcast ADMM: perturbed objective plus perturbed output.
@@ -216,7 +205,7 @@ def run_pp_admm(data, g: Graph, plan: BudgetPlan, eta: float, T: int,
     equals the planned budget exactly.
     """
     agents, ledger, draw_b1, perturb, _ = _private_setup(
-        data, g, plan, None, lambda_hat, eta, cfg, seed, noise_disabled)
+        blocks, g, plan, None, lambda_hat, eta, cfg, seed, noise_disabled)
 
     def release(i, theta_hat, quality):
         shared = perturb(i, theta_hat)
@@ -226,7 +215,7 @@ def run_pp_admm(data, g: Graph, plan: BudgetPlan, eta: float, T: int,
     return _train(agents, eta, T, test, ledger, draw_b1, release), ledger
 
 
-def run_ipp_admm(data, g: Graph, plan: BudgetPlan, eta: float, T: int,
+def run_ipp_admm(blocks, g: Graph, plan: BudgetPlan, eta: float, T: int,
                  alpha: float, c_max: int, c_loss: float, cfg: SolverConfig,
                  seed: int, lambda_hat: float | None = None,
                  test: Dataset | None = None, noise_disabled: bool = False):
@@ -238,7 +227,7 @@ def run_ipp_admm(data, g: Graph, plan: BudgetPlan, eta: float, T: int,
     plus rho_i1 + rho_i2 per actual broadcast, capped by the c_max counter.
     """
     agents, ledger, draw_b1, perturb, (threshold_rngs, query_rngs) = _private_setup(
-        data, g, plan, c_max, lambda_hat, eta, cfg, seed, noise_disabled,
+        blocks, g, plan, c_max, lambda_hat, eta, cfg, seed, noise_disabled,
         (noise.SVT_THRESHOLD, noise.SVT_QUERY),
     )
     eps1, eps2 = plan.svt_eps
@@ -260,11 +249,14 @@ def run_ipp_admm(data, g: Graph, plan: BudgetPlan, eta: float, T: int,
 def centralized_reference(pooled: Dataset, lambda_hat: float, cfg: SolverConfig):
     """Minimize mean pooled loss + lambda_hat * 0.5 ||theta||^2 directly.
 
+    pooled is read in place as the one shard of one agent.
+
     Test oracle for the decentralized loops: with equal agent shares, the
     consensus problem's minimizer equals this one at lambda_hat = (total
     regularizer weight) / N.
     """
-    data_terms = DataTerms(blocks([pooled]))
+    data_terms = DataTerms([ShardBlock(np.zeros(1, dtype=int), pooled.features[None],
+                                       pooled.labels[None])])
     cfg = replace(cfg, initial_step=solver_steps(data_terms, lambda_hat, 0.0, [0]))
     zeros = np.zeros((1, pooled.dimension))
     objective = stacked_kernel(data_terms, lambda_hat, 1, zeros, zeros,

@@ -23,7 +23,7 @@ Each evaluation takes one exponential per sample: with e = exp(-|z|),
 L(z) = log(1 + exp(-z)) is max(-z, 0) + log1p(e) and its derivative is
 -e / (1 + e) for z >= 0 and -1 / (1 + e) for z < 0.  stacked_kernel
 evaluates every agent's subproblem of a round at once, one row per agent,
-on the shards stacked by size (data.blocks).  Its rows are bit-identical to
+on the shards stacked by size (data.partition's ShardBlocks).  Its rows are bit-identical to
 the one-agent loop form, which tests/reference.py keeps as the oracle; that
 rests on NumPy's stacked matmul and vecdot calling the same BLAS gemv and
 dot per row as the 2-D and 1-D products.

@@ -12,6 +12,9 @@ padmm.model.clipped_quality's rows must equal bit for bit.  error_rate is
 the boolean-matrix form of padmm.metrics.error_rate.  as_rows lifts a
 one-theta objective to the row form padmm.solver.minimize takes;
 serial_compose is zCDP's additive composition rule, which no run uses.
+blocks is the old two-step form of padmm.data.partition: per-agent
+shards, then grouped by size and stacked; agent_shards unstacks blocks
+back into per-agent Datasets.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from padmm.data import Dataset
+from padmm.data import Dataset, ShardBlock
 from padmm.model import _deriv, _loss
 
 
@@ -210,3 +213,20 @@ def as_rows(objective):
 def serial_compose(costs) -> float:
     """Mechanisms on the same data compose additively."""
     return float(sum(costs))
+
+
+def blocks(parts: list[Dataset]) -> list[ShardBlock]:
+    """The agents' shards grouped by size, each group stacked, in agent order."""
+    by_size = {}
+    for i, part in enumerate(parts):
+        by_size.setdefault(part.n_samples, []).append(i)
+    return [ShardBlock(np.array(rows), np.stack([parts[i].features for i in rows]),
+                       np.stack([parts[i].labels for i in rows]))
+            for rows in by_size.values()]
+
+
+def agent_shards(shard_blocks: list[ShardBlock]) -> list[Dataset]:
+    """Each agent's shard as a Dataset (views of the blocks), in agent order."""
+    shards = {int(i): Dataset(block.features[j], block.labels[j])
+              for block in shard_blocks for j, i in enumerate(block.rows)}
+    return [shards[i] for i in sorted(shards)]

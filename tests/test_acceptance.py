@@ -13,7 +13,7 @@ from padmm.noise import RngHandle, gaussian_vector, laplace_scalar
 from padmm.solver import SolverConfig
 from padmm.svt import Decision, SvtGate, svt_split_ratio
 from padmm.topology import ring
-from reference import (AugmentedParams, LocalObjectiveParams, augmented_gradient,
+from reference import (AugmentedParams, LocalObjectiveParams, agent_shards, augmented_gradient,
                        augmented_objective, clipped_quality)
 
 BETA = 10.0**-3.5
@@ -26,7 +26,7 @@ def report(name, ok, detail=""):
 
 
 def five_agent_plan(parts, graph, epsilon=1.0, T=30):
-    sizes = {i: p.n_samples for i, p in enumerate(parts)}
+    sizes = {i: p.n_samples for i, p in enumerate(agent_shards(parts))}
     return plan_budget(
         epsilon=epsilon, delta=DELTA, T=T, splits=0.001, dataset_sizes=sizes,
         n_agents=graph.n, eta=0.5, degrees=graph.degrees(), beta=BETA,
@@ -54,7 +54,7 @@ def test_1_accounting_exactness():
     start = time.time()
     ds = data.synthetic_blobs(35000, 5, 5.0, 0)
     parts = data.partition(ds, 5, 0)
-    assert all(p.n_samples == 7000 for p in parts)
+    assert all(p.n_samples == 7000 for p in agent_shards(parts))
     g = ring(5)
     _, ledger = engine.run_pp_admm(parts, g, plan, 0.5, 30, SolverConfig(beta=BETA), seed=0)
     run_elapsed = time.time() - start
@@ -92,11 +92,12 @@ def test_3_consensus_oracle():
     traces = engine.run_nonprivate(parts, ring(3), 0.5, lam, 50, cfg)
     residual = traces[-1].consensus_residual
     pooled = data.Dataset(
-        np.vstack([p.features for p in parts]), np.concatenate([p.labels for p in parts])
+        np.vstack([p.features for p in agent_shards(parts)]),
+        np.concatenate([p.labels for p in agent_shards(parts)])
     )
     # consensus problem == pooled mean loss + (lam/N) * 0.5 ||theta||^2
     ref = engine.centralized_reference(pooled, lam / 3, cfg)
-    loss_gap = abs(traces[-1].average_loss - metrics.average_loss([ref] * 3, DataTerms(data.blocks(parts))))
+    loss_gap = abs(traces[-1].average_loss - metrics.average_loss([ref] * 3, DataTerms(parts)))
     elapsed = time.time() - start
     ok = residual < 1e-5 and loss_gap < 1e-3 and elapsed < 60
     report("3-consensus-oracle", ok,
@@ -139,7 +140,7 @@ def test_5_svt_behavior():
     ds = data.synthetic_blobs(300, 3, 2.0, 0)
     parts = data.partition(ds, 3, 0)
     g = ring(3)
-    sizes = {i: p.n_samples for i, p in enumerate(parts)}
+    sizes = {i: p.n_samples for i, p in enumerate(agent_shards(parts))}
     c_max = 4
     rho_total = 0.0271434051
     eps_pair = svt_split_ratio(c_max, math.sqrt(2 * 0.1 * rho_total))

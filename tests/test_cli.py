@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import reference
-from padmm import cli
+from padmm import cli, engine
 from padmm.cli import (
     ConfigError,
     ExperimentConfig,
@@ -13,7 +13,7 @@ from padmm.cli import (
     parse_config_text,
     run_experiment,
 )
-from padmm.data import Dataset, blocks
+from padmm.data import Dataset
 from padmm.metrics import average_loss, error_rate
 from padmm.model import DataTerms
 
@@ -89,13 +89,13 @@ class TestMetrics:
 
     def test_average_loss_at_zero(self):
         parts = [Dataset(np.ones((4, 1)), np.array([1, 1, -1, -1]))]
-        assert average_loss([np.zeros(1)], DataTerms(blocks(parts))) == pytest.approx(np.log(2))
+        assert average_loss([np.zeros(1)], DataTerms(reference.blocks(parts))) == pytest.approx(np.log(2))
 
     def test_average_loss_single_agent_is_local_mean(self):
         ds = Dataset(np.array([[1.0], [0.5]]), np.array([1, -1]))
         theta = np.array([2.0])
         expected = np.mean(np.log1p(np.exp(-ds.labels * (ds.features @ theta))))
-        assert average_loss([theta], DataTerms(blocks([ds]))) == pytest.approx(expected)
+        assert average_loss([theta], DataTerms(reference.blocks([ds]))) == pytest.approx(expected)
 
 
 class TestConfigParsing:
@@ -231,6 +231,24 @@ class TestRunExperiment:
                 assert report.summary[f"mean_{field}"][t] == float(np.mean(values))
                 assert report.summary[f"std_{field}"][t] == float(np.std(values))
 
+    @pytest.mark.parametrize("algorithm", ["nonprivate", "pp_admm", "ipp_admm"])
+    def test_engine_reads_the_built_shards_in_place(self, monkeypatch, algorithm):
+        # the training rows are held once: the engine's data terms read build_experiment's shards
+        built, read = [], []
+        build_experiment, data_terms = cli.build_experiment, engine.DataTerms
+        monkeypatch.setattr(cli, "build_experiment",
+                            lambda cfg: built.append(build_experiment(cfg)) or built[-1])
+        monkeypatch.setattr(engine, "DataTerms",
+                            lambda blocks: read.append(data_terms(blocks)) or read[-1])
+        run_experiment(small_cfg(algorithm=algorithm, synthetic_n=121, epsilon=2.0,
+                                 lambda_hat=None, T=2, seeds=(0, 1)))
+        (_, shards, _, _), = built
+        assert len(shards) == 2 and len(read) == 2  # two shard sizes; one evaluator per seed
+        for terms in read:
+            for block, shard in zip(terms.blocks, shards, strict=True):
+                assert np.shares_memory(block.features, shard.features)
+                assert np.shares_memory(block.labels, shard.labels)
+
     def test_output_file_ndjson(self, tmp_path):
         out = tmp_path / "report.ndjson"
         run_experiment(small_cfg(output=str(out)))
@@ -324,7 +342,12 @@ class TestMain:
         ("--beta", "0", "beta must be > 0, got 0"),
         ("--beta", "-0.001", "beta must be > 0, got -0.001"),
         ("--max-iterations", "0", "max_iterations must be >= 1, got 0"),
-    ], ids=["eta=0", "eta=-1", "lambda_hat=-1", "beta=0", "beta<0", "max_iterations=0"])
+        ("--seeds", "[-1]", "seeds must be >= 0, got -1"),
+        ("--seeds", "[2, -3]", "seeds must be >= 0, got -3"),
+        ("--split-seed", "-1", "split_seed must be >= 0, got -1"),
+        ("--topology-seed", "-1", "topology_seed must be >= 0, got -1"),
+    ], ids=["eta=0", "eta=-1", "lambda_hat=-1", "beta=0", "beta<0", "max_iterations=0",
+            "seeds<0", "one_seed<0", "split_seed<0", "topology_seed<0"])
     @pytest.mark.parametrize("algorithm", ["nonprivate", "pp_admm", "ipp_admm"])
     @pytest.mark.parametrize("command", ["run", "plan", "validate"])
     def test_bad_penalty_or_regularizer_rejected(self, capsys, command, algorithm, flag, value,
@@ -335,6 +358,15 @@ class TestMain:
         assert code == 1
         assert captured.out == ""
         assert captured.err == f"padmm: error: {message}\n"
+
+    @pytest.mark.parametrize("command", ["run", "plan", "validate"])
+    def test_topology_seed_is_checked_for_every_topology(self, capsys, command):
+        code = cli.main([command, "--algorithm", "pp_admm", "--synthetic-n", "120",
+                         "--n-agents", "3", "--T", "2", "--topology", "ring",
+                         "--topology-seed", "-1"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "")
+        assert captured.err == "padmm: error: topology_seed must be >= 0, got -1\n"
 
     @pytest.mark.parametrize("value", ["0", "-2"])
     @pytest.mark.parametrize("command", ["run", "plan", "validate"])

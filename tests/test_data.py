@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from padmm import data
+from reference import agent_shards, blocks
 
 
 def write_csv(tmp_path, text, name="d.csv"):
@@ -97,25 +98,25 @@ def reference_shards(ds, n_agents, seed):
 class TestPartition:
     def test_equal_blocks(self):
         ds = data.synthetic_blobs(35000, 3, 2.0, 0)
-        parts = data.partition(ds, 5, 0)
+        parts = agent_shards(data.partition(ds, 5, 0))
         assert all(p.n_samples == 7000 for p in parts)
 
     def test_near_equal_blocks(self):
         ds = data.synthetic_blobs(10, 2, 1.0, 0)
-        parts = data.partition(ds, 3, 0)
+        parts = agent_shards(data.partition(ds, 3, 0))
         sizes = sorted(p.n_samples for p in parts)
         assert sizes == [3, 3, 4]
 
     def test_disjoint_cover(self):
         ds = indexed_dataset(100)
-        parts = data.partition(ds, 7, 3)
+        parts = agent_shards(data.partition(ds, 7, 3))
         all_idx = np.concatenate([p.features[:, 0] for p in parts])
         assert sorted(all_idx) == list(range(100))
 
     def test_deterministic(self):
         ds = data.synthetic_blobs(100, 2, 1.0, 0)
-        a = data.partition(ds, 4, 9)
-        b = data.partition(ds, 4, 9)
+        a = agent_shards(data.partition(ds, 4, 9))
+        b = agent_shards(data.partition(ds, 4, 9))
         assert all(np.array_equal(p.features, q.features) for p, q in zip(a, b))
 
     @pytest.mark.parametrize(
@@ -124,12 +125,31 @@ class TestPartition:
     def test_matches_assignment_reference(self, n, n_agents, seed):
         # Same shards, sizes (first n % n_agents one larger) and in-shard order.
         ds = indexed_dataset(n)
-        parts = data.partition(ds, n_agents, seed)
+        parts = agent_shards(data.partition(ds, n_agents, seed))
         expected = reference_shards(ds, n_agents, seed)
         assert len(parts) == n_agents
         for p, e in zip(parts, expected):
             assert np.array_equal(p.features, e.features)
             assert np.array_equal(p.labels, e.labels)
+
+    @pytest.mark.parametrize(
+        "n, n_agents, seed",
+        [(100, 7, 3), (10, 3, 0), (35, 5, 1), (9, 9, 2), (5, 1, 4), (1003, 7, 1)],
+    )
+    def test_blocks_equal_the_reference_shards_stacked(self, n, n_agents, seed):
+        # bit for bit the old two-step form: per-agent shards, then stacked by size
+        ds = indexed_dataset(n)
+        got = data.partition(ds, n_agents, seed)
+        expected = blocks(reference_shards(ds, n_agents, seed))
+        assert len(got) == len(expected) == (1 if n % n_agents == 0 else 2)
+        for g, e in zip(got, expected, strict=True):
+            assert g.rows.tolist() == e.rows.tolist()
+            for name in ("features", "labels"):
+                a, b = getattr(g, name), getattr(e, name)
+                assert a.dtype == b.dtype and a.shape == b.shape
+                assert a.tobytes() == b.tobytes()
+                assert a.flags.c_contiguous
+            assert g.n_samples == g.labels.shape[0] * g.labels.shape[1]
 
     def test_too_many_agents(self):
         ds = data.synthetic_blobs(4, 2, 1.0, 0)
@@ -140,10 +160,10 @@ class TestPartition:
 class TestBlocks:
     def test_partition_shards_stack_by_size(self):
         ds = data.synthetic_blobs(1003, 3, 2.0, 0)
-        parts = data.partition(ds, 7, 1)  # sizes 144 x 2, then 143 x 5
-        blocks = data.blocks(parts)
-        assert [list(b.rows) for b in blocks] == [[0, 1], [2, 3, 4, 5, 6]]
-        for b in blocks:
+        parts = reference_shards(ds, 7, 1)  # sizes 144 x 2, then 143 x 5
+        shard_blocks = data.partition(ds, 7, 1)
+        assert [list(b.rows) for b in shard_blocks] == [[0, 1], [2, 3, 4, 5, 6]]
+        for b in shard_blocks:
             assert b.features.shape == (len(b.rows), parts[b.rows[0]].n_samples, 3)
             for j, i in enumerate(b.rows):
                 assert np.array_equal(b.features[j], parts[i].features)
@@ -154,13 +174,13 @@ class TestBlocks:
         ds = indexed_dataset(30)
         parts = [ds.subset(range(0, 4)), ds.subset(range(4, 10)), ds.subset(range(10, 14)),
                  ds.subset(range(14, 17)), ds.subset(range(0, 4))]
-        blocks = data.blocks(parts)
-        assert [list(b.rows) for b in blocks] == [[0, 2, 4], [1], [3]]
-        for b in blocks:
+        stacked = blocks(parts)
+        assert [list(b.rows) for b in stacked] == [[0, 2, 4], [1], [3]]
+        for b in stacked:
             for j, i in enumerate(b.rows):
                 assert np.array_equal(b.features[j], parts[i].features)
                 assert np.array_equal(b.labels[j], parts[i].labels)
-        assert not np.shares_memory(blocks[0].features, parts[0].features)
+        assert not np.shares_memory(stacked[0].features, parts[0].features)
 
     def test_labels_are_float(self):
         ds = data.Dataset(np.zeros((3, 1)), np.array([1, -1, 1]))

@@ -8,7 +8,8 @@ from padmm.model import DataTerms
 from padmm.solver import SolverConfig, minimize
 from padmm.svt import svt_split_ratio
 from padmm.topology import ring
-from reference import LocalObjectiveParams, clipped_quality, curvature_bounds
+from reference import (LocalObjectiveParams, agent_shards, blocks, clipped_quality,
+                       curvature_bounds)
 
 BETA = 10.0**-3.5
 
@@ -19,7 +20,7 @@ def make_parts(n=300, d=3, n_agents=3, seed=0, separation=2.0):
 
 
 def make_plan(parts, graph, epsilon=1.0, T=10, gated=False, c_max=None):
-    sizes = {i: p.n_samples for i, p in enumerate(parts)}
+    sizes = {i: p.n_samples for i, p in enumerate(agent_shards(parts))}
     kwargs = dict(
         epsilon=epsilon, delta=1e-4, T=T, splits=0.001, dataset_sizes=sizes,
         n_agents=graph.n, eta=0.5, degrees=graph.degrees(), beta=BETA,
@@ -71,11 +72,11 @@ class TestNonprivate:
         traces = engine.run_nonprivate(parts, ring(3), 0.5, 1.0, 40, cfg)
         assert traces[-1].consensus_residual < 1e-5
         pooled = data.Dataset(
-            np.vstack([p.features for p in parts]),
-            np.concatenate([p.labels for p in parts]),
+            np.vstack([p.features for p in agent_shards(parts)]),
+            np.concatenate([p.labels for p in agent_shards(parts)]),
         )
         ref = engine.centralized_reference(pooled, 1.0 / 3, cfg)
-        ref_loss = metrics.average_loss([ref] * 3, DataTerms(data.blocks(parts)))
+        ref_loss = metrics.average_loss([ref] * 3, DataTerms(parts))
         assert abs(traces[-1].average_loss - ref_loss) < 1e-3
 
     def test_rounds_numbered(self):
@@ -277,7 +278,7 @@ class TestGateQuality:
 
     @staticmethod
     def run_ipp(parts, T=8, **kwargs):
-        g = ring(len(parts))
+        g = ring(len(agent_shards(parts)))
         plan = make_plan(parts, g, T=T, gated=True, c_max=3)
         return engine.run_ipp_admm(parts, g, plan, 0.5, T, 1e-3, 3, 2.0,
                                    SolverConfig(beta=BETA), seed=0, **kwargs)
@@ -289,8 +290,8 @@ class TestGateQuality:
         def checked(data_terms, losses_prev, theta_prev, theta_hat, lambda_hat, c_loss):
             quality = stacked(data_terms, losses_prev, theta_prev, theta_hat, lambda_hat, c_loss)
             calls.append(theta_prev)
-            for i, part in enumerate(parts):
-                p = LocalObjectiveParams(part, lambda_hat, len(parts))
+            for i, part in enumerate(agent_shards(parts)):
+                p = LocalObjectiveParams(part, lambda_hat, len(agent_shards(parts)))
                 expected = clipped_quality(theta_prev[i], theta_hat[i], p, c_loss)
                 assert float(quality[i]).hex() == expected.hex()
             return quality
@@ -357,7 +358,7 @@ class TestCentralizedReference:
         cfg = SolverConfig(beta=1e-7)
         # a 2-node graph where one agent holds an identical dataset copy:
         # both agree with the centralized fit on the pooled (duplicated) data
-        parts = [ds, ds]
+        parts = blocks([ds, ds])
         from padmm.topology import Graph
 
         traces = engine.run_nonprivate(parts, Graph(2, [(0, 1)]), 0.5, 1.0, 40, cfg)
@@ -385,7 +386,7 @@ class TestCurvatureStep:
         g = ring(4)
         agents = engine._agents(parts, g, 0.7, 0.5, SolverConfig(beta=BETA, max_iterations=50))
         cfg = agents.cfg
-        for i, part in enumerate(parts):
+        for i, part in enumerate(agent_shards(parts)):
             mu, lipschitz = curvature_bounds(LocalObjectiveParams(part, 0.7, 4), 0.5, 2)
             assert cfg.initial_step[i] == 2.0 / (mu + lipschitz)
         assert (cfg.beta, cfg.max_iterations) == (BETA, 50)

@@ -11,11 +11,13 @@ from padmm.solver import SolverConfig, minimize
 from reference import (
     AugmentedParams,
     LocalObjectiveParams,
+    agent_shards,
     as_rows,
     augmented_gradient,
     augmented_kernel,
     augmented_objective,
     augmented_value_and_grad,
+    blocks,
     clipped_quality,
     curvature_bounds,
     local_objective,
@@ -222,7 +224,7 @@ class TestOneExpLoss:
         for _ in range(10):
             theta = rng.normal(size=4) * 3
             value, _ = local_value_and_grad(theta, LocalObjectiveParams(ds, 0.0, 1))
-            assert metrics.average_loss([theta], DataTerms(data.blocks([ds]))) == value
+            assert metrics.average_loss([theta], DataTerms(blocks([ds]))) == value
             assert local_objective(theta, LocalObjectiveParams(ds, 0.0, 1)) == value
 
 
@@ -281,7 +283,7 @@ def default_subproblems(algorithm):
     rng = np.random.default_rng(12)
     d = cfg.synthetic_d
     for i in range(cfg.n_agents):
-        p = LocalObjectiveParams(parts[i], plan.lambda_hat_floor, cfg.n_agents)
+        p = LocalObjectiveParams(agent_shards(parts)[i], plan.lambda_hat_floor, cfg.n_agents)
         b1_rng = noise.RngHandle.for_agent(0, i, noise.OBJECTIVE_NOISE)
         b1 = noise.gaussian_vector(plan.sigma_i1[i], d, b1_rng)
         for degree in (1, 2, 3):
@@ -295,7 +297,8 @@ def random_round(rng, n_agents, max_degree, with_b1, shuffled):
     d = int(rng.integers(1, 6))
     extra = int(rng.integers(1, n_agents)) if n_agents > 1 else 0  # shards one sample larger
     n = n_agents * int(rng.integers(2, 30)) + extra
-    parts = data.partition(toy_dataset(seed=int(rng.integers(100)), n=n, d=d), n_agents, 0)
+    parts = agent_shards(
+        data.partition(toy_dataset(seed=int(rng.integers(100)), n=n, d=d), n_agents, 0))
     if shuffled:  # size groups no longer contiguous: blocks() copies them
         parts = [parts[i] for i in rng.permutation(n_agents)]
     nbrs = [sorted(rng.choice([j for j in range(n_agents) if j != i],
@@ -308,7 +311,7 @@ def random_round(rng, n_agents, max_degree, with_b1, shuffled):
     lam, eta = float(rng.uniform(0.2, 2)), float(rng.uniform(0.1, 2))
     dual, prev = rng.normal(size=(n_agents, d)), rng.normal(size=(n_agents, d))
     b1 = rng.normal(size=(n_agents, d)) if with_b1 else None
-    kernel = stacked_kernel(DataTerms(data.blocks(parts)), lam, n_agents, dual, prev, slots, eta, b1)
+    kernel = stacked_kernel(DataTerms(blocks(parts)), lam, n_agents, dual, prev, slots, eta, b1)
     references = [
         augmented_kernel(LocalObjectiveParams(parts[i], lam, n_agents),
                          AugmentedParams(dual[i], prev[i], [prev[j] for j in nbrs[i]], eta,
@@ -340,7 +343,7 @@ class TestStackedKernel:
         dual, prev, b1 = (rng.normal(size=(3, 3)) for _ in range(3))
         slots = np.array([[1, 2], [0, 1], [2, 2]])
         before = [a.copy() for a in (dual, prev, b1, slots)]
-        kernel = stacked_kernel(DataTerms(data.blocks(parts)), 1.0, 3, dual, prev, slots, 0.5, b1)
+        kernel = stacked_kernel(DataTerms(parts), 1.0, 3, dual, prev, slots, 0.5, b1)
         thetas = rng.normal(size=(3, 3))
         kept = thetas.copy()
         for _ in range(3):
@@ -365,7 +368,7 @@ class TestDataTerms:
                 return block_margins(block, thetas)
 
             monkeypatch.setattr(model, "margins", counted)
-        return DataTerms(data.blocks(parts)), parts
+        return DataTerms(parts), agent_shards(parts)
 
     def test_rows_are_each_shards_mean_loss_and_gradient(self):
         terms, parts = self.evaluator()
@@ -432,8 +435,8 @@ class TestDataTerms:
 
     def test_kept_losses_are_the_memo_points_per_sample_losses(self, monkeypatch):
         passes = []
-        parts = data.partition(toy_dataset(n=31), 3, 0)
-        terms = DataTerms(data.blocks(parts))
+        terms = DataTerms(data.partition(toy_dataset(n=31), 3, 0))
+        parts = agent_shards(terms.blocks)
         rng = np.random.default_rng(7)
         a, b = rng.normal(size=(3, 3)), rng.normal(size=(3, 3))
         terms(a)
@@ -463,13 +466,13 @@ class TestAverageLoss:
         for _ in range(5):
             thetas = rng.normal(size=(5, 3)) * 3
             expected = float(np.mean([mean_logistic_loss(t, p) for t, p in zip(thetas, parts)]))
-            assert metrics.average_loss(thetas, DataTerms(data.blocks(parts))) == expected
-            assert metrics.average_loss(list(thetas), DataTerms(data.blocks(parts))) == expected
+            assert metrics.average_loss(thetas, DataTerms(blocks(parts))) == expected
+            assert metrics.average_loss(list(thetas), DataTerms(blocks(parts))) == expected
 
     def test_one_theta_per_agent(self):
         parts = data.partition(toy_dataset(n=20), 2, 0)
         with pytest.raises(ValueError, match="one theta per agent"):
-            metrics.average_loss(np.zeros((3, 3)), DataTerms(data.blocks(parts)))
+            metrics.average_loss(np.zeros((3, 3)), DataTerms(parts))
 
 
 class TestKernelSolves:
@@ -549,8 +552,9 @@ class TestSolverSteps:
 
     @pytest.mark.parametrize("lambda_hat", [0.0, 0.7])
     def test_rows_equal_the_one_agent_step(self, lambda_hat):
-        parts = data.partition(data.synthetic_blobs(301, 3, 2.0, 0), 3, 0)  # 101, 100, 100
-        terms = DataTerms(data.blocks(parts))
+        # shards of 101, 100 and 100
+        terms = DataTerms(data.partition(data.synthetic_blobs(301, 3, 2.0, 0), 3, 0))
+        parts = agent_shards(terms.blocks)
         for degrees in itertools.product(range(4), repeat=3):
             steps = solver_steps(terms, lambda_hat, 0.5, degrees)
             assert steps.shape == (3,)
@@ -569,8 +573,8 @@ class TestSolverSteps:
         ds = data.Dataset(rng.normal(size=(n, d)), rng.choice([-1, 1], size=n))
         parts = data.partition(ds, n_agents, seed % 5)
         degrees = rng.integers(0, 6, size=n_agents)
-        steps = solver_steps(DataTerms(data.blocks(parts)), lambda_hat, eta, degrees)
-        for i, part in enumerate(parts):
+        steps = solver_steps(DataTerms(parts), lambda_hat, eta, degrees)
+        for i, part in enumerate(agent_shards(parts)):
             p = LocalObjectiveParams(part, lambda_hat, n_agents)
             assert float(steps[i]).hex() == solver_step(p, eta, int(degrees[i])).hex()
 
@@ -594,8 +598,8 @@ class TestStackedClippedQuality:
                                            zero_signs):
         rng = np.random.default_rng(seed)
         # one agent more than the rest gets per_agent + 1 samples: two shard sizes
-        parts = data.partition(toy_dataset(seed=seed % 7, n=n_agents * per_agent + 1),
-                               n_agents, seed % 5)
+        parts = agent_shards(data.partition(
+            toy_dataset(seed=seed % 7, n=n_agents * per_agent + 1), n_agents, seed % 5))
         assert len({part.n_samples for part in parts}) == 2
         lam = rng.uniform(0.0, 3.0)
         theta_hat = zero_rows(rng.normal(size=(n_agents, 3)) * 4, zero_signs[:n_agents])
@@ -603,7 +607,7 @@ class TestStackedClippedQuality:
                                           zero_signs[::-1][:n_agents]),
                       "zero": np.zeros((n_agents, 3)),  # round 0's start
                       "same": theta_hat.copy()}[start]
-        terms = DataTerms(data.blocks(parts))
+        terms = DataTerms(blocks(parts))
         terms(theta_prev)
         losses_prev = terms.losses
         terms(theta_hat)
@@ -622,7 +626,7 @@ class TestStackedClippedQuality:
 
     def test_rejects_a_cap_that_is_not_positive(self):
         parts = data.partition(toy_dataset(n=20), 2, 0)
-        terms = DataTerms(data.blocks(parts))
+        terms = DataTerms(parts)
         zeros = np.zeros((2, 3))
         terms(zeros)
         with pytest.raises(ValueError, match="c_loss must be positive"):
