@@ -166,11 +166,12 @@ def build_graph(cfg: ExperimentConfig) -> topology.Graph:
 
 
 def prepare_data(cfg: ExperimentConfig):
-    """Load or generate, normalize with training maxima, split and partition.
+    """Load or generate, split, partition, and normalize with the training maxima.
 
     Returns (train shards as data.partition stacks them, test Dataset).  The
-    raw samples are released once split and the raw splits once normalized:
-    of the orders measured, this one gave the lowest peak memory on pp_large.
+    shards and the test set are gathered straight from the loaded or
+    generated samples and normalized in place; the bits are those of
+    normalizing the training split and partitioning it afterwards.
     """
     if cfg.dataset_csv is not None:
         if cfg.label_column is None or cfg.positive_value is None:
@@ -180,22 +181,23 @@ def prepare_data(cfg: ExperimentConfig):
         raw = data_mod.synthetic_blobs(
             cfg.synthetic_n, cfg.synthetic_d, cfg.synthetic_separation, cfg.split_seed
         )
-    if not 0 < cfg.test_fraction < 1:
-        raise ConfigError("test_fraction must be in (0, 1)")
     n = raw.n_samples
     n_test = max(1, int(round(n * cfg.test_fraction)))
     if n - n_test < cfg.n_agents:
         raise ConfigError("not enough training samples for the agent count")
     perm = np.random.default_rng(cfg.split_seed).permutation(n)
-    raw_train = raw.subset(perm[n_test:])
-    raw_test = raw.subset(perm[:n_test])
+    train = data_mod.partition(raw, cfg.n_agents, cfg.split_seed, samples=perm[n_test:])
+    test_features = raw.features.take(perm[:n_test], axis=0)
+    test_labels = raw.labels.take(perm[:n_test])
     del raw
     # Held-out data is normalized with the training columns' maxima.
-    scales = data_mod.column_scales(raw_train)
-    train = data_mod.preprocess(raw_train, scales)
-    test = data_mod.preprocess(raw_test, scales)
-    del raw_train, raw_test
-    return data_mod.partition(train, cfg.n_agents, cfg.split_seed), test
+    scales = data_mod.column_scales(block.features for block in train)
+    for block in train:
+        data_mod.normalize(block.features, scales)
+        if not np.isfinite(block.features).all():
+            raise data_mod.DataError("normalized training features must be finite")
+    data_mod.normalize(test_features, scales)
+    return train, data_mod.Dataset(test_features, test_labels)
 
 
 def build_plan(cfg: ExperimentConfig, train_parts, graph) -> accountant.BudgetPlan | None:
@@ -248,6 +250,13 @@ def build_experiment(cfg: ExperimentConfig):
         raise ConfigError(f"max_iterations must be >= 1, got {cfg.max_iterations}")
     if cfg.algorithm == "ipp_admm" and not cfg.c_loss > 0:
         raise ConfigError(f"c_loss must be > 0, got {cfg.c_loss}")
+    if not 0 < cfg.test_fraction < 1:
+        raise ConfigError(f"test_fraction must be in (0, 1), got {cfg.test_fraction}")
+    if cfg.dataset_csv is None:
+        if cfg.synthetic_n < 2:
+            raise ConfigError(f"synthetic_n must be >= 2, got {cfg.synthetic_n}")
+        if cfg.synthetic_d < 1:
+            raise ConfigError(f"synthetic_d must be >= 1, got {cfg.synthetic_d}")
     graph = build_graph(cfg)
     train_parts, test = prepare_data(cfg)
     plan = build_plan(cfg, train_parts, graph)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -52,7 +53,7 @@ def load_csv(path, label_column: str, positive_value: str) -> Dataset:
     """Load a numeric-feature CSV with a two-valued label column.
 
     Labels equal to `positive_value` map to +1, the other value to -1.
-    No normalization is applied; see preprocess().
+    No normalization is applied; see normalize().
     """
     path = Path(path)
     if not path.exists():
@@ -97,23 +98,55 @@ def load_csv(path, label_column: str, positive_value: str) -> Dataset:
     return Dataset(np.asarray(rows, dtype=float), labels)
 
 
-def column_scales(data: Dataset) -> np.ndarray:
-    """Per-column max-abs values used by preprocess; all-zero columns give 1."""
-    scales = np.abs(data.features).max(axis=0)
+_FOLD = 64  # rows per wide row in column_max_abs
+_CHUNK = 8192  # rows per squared-norm scratch array in normalize
+
+
+def _rows(x: np.ndarray) -> np.ndarray:
+    """(..., d) x as (samples, d); a view when x is C-contiguous (d may be 0)."""
+    return x.reshape(math.prod(x.shape[:-1]), x.shape[-1])
+
+
+def column_max_abs(x: np.ndarray) -> np.ndarray:
+    """np.abs(x) maximized over all samples of a (..., d) array, without an |x| copy.
+
+    The max and the min reduce over rows _FOLD at a time, so their inner loops
+    run over _FOLD * d entries rather than d; a column's max and min are exact
+    in any order, and its max-abs is the larger of |max| and |min|.  x holds
+    at least one sample.
+    """
+    rows = _rows(x)
+    n, d = rows.shape
+    k = n - n % _FOLD
+    parts = [rows[k:]]
+    if k:
+        wide = rows[:k].reshape(k // _FOLD, _FOLD * d)
+        parts += [wide.max(axis=0).reshape(_FOLD, d), wide.min(axis=0).reshape(_FOLD, d)]
+    return np.abs(np.concatenate(parts)).max(axis=0)
+
+
+def column_scales(arrays) -> np.ndarray:
+    """Per-column max-abs over (..., d) arrays, used by normalize; all-zero columns give 1."""
+    scales = np.max([column_max_abs(x) for x in arrays], axis=0)
     return np.where(scales > 0, scales, 1.0)
 
 
-def preprocess(raw: Dataset, scales: np.ndarray | None = None) -> Dataset:
-    """Scale each attribute to max-abs 1, then cap each sample's L2 norm at 1.
+def normalize(x: np.ndarray, scales: np.ndarray) -> None:
+    """Divide each attribute by scales, then cap each sample's L2 norm at 1, in place.
 
-    Pass `scales` (from column_scales on training data) to normalize held-out
-    data with the training maxima.
+    x is a C-contiguous (..., d) array.  Pass the training maxima
+    (column_scales) to normalize held-out data the same way.  Each sample's
+    entries are divided, squared and summed on their own, as np.linalg.norm
+    does, so the bits do not depend on how the samples are stacked or chunked.
     """
-    if scales is None:
-        scales = column_scales(raw)
-    x = raw.features / scales
-    x /= np.maximum(np.linalg.norm(x, axis=1), 1.0)[:, np.newaxis]  # dividing by 1.0 is exact
-    return Dataset(x, raw.labels.copy())
+    if not x.flags.c_contiguous:
+        raise DataError("normalize works in place on a C-contiguous array")
+    rows = _rows(x)
+    for start in range(0, rows.shape[0], _CHUNK):
+        chunk = rows[start:start + _CHUNK]
+        chunk /= scales
+        norms = np.sqrt(np.add.reduce(chunk * chunk, axis=-1))
+        chunk /= np.maximum(norms, 1.0)[:, np.newaxis]  # dividing by 1.0 is exact
 
 
 @dataclass(frozen=True)
@@ -129,15 +162,17 @@ class ShardBlock:
         return self.labels.size
 
 
-def partition(data: Dataset, n_agents: int, seed: int) -> list[ShardBlock]:
+def partition(data: Dataset, n_agents: int, seed: int, samples=None) -> list[ShardBlock]:
     """Randomly split samples into n_agents near-equal disjoint shards, stacked by size.
 
     Disjointness across agents is what makes parallel composition of
     per-agent privacy costs valid.  The first n % n_agents agents take one
     sample more; each size is one ShardBlock, the larger first, and each
-    shard keeps its samples in their order in `data`.
+    shard keeps its samples in their order in `data`.  `samples` (an index
+    array; default every sample) splits data.subset(samples) instead,
+    gathering each shard from `data` directly.
     """
-    n = data.n_samples
+    n = data.n_samples if samples is None else len(samples)
     if n_agents < 1 or n_agents > n:
         raise DataError(f"cannot split {n} samples across {n_agents} agents")
     perm = np.random.default_rng(seed).permutation(n)
@@ -145,12 +180,14 @@ def partition(data: Dataset, n_agents: int, seed: int) -> list[ShardBlock]:
     cut = r * (m + 1)
     shards = [(np.arange(r), np.sort(perm[:cut].reshape(r, m + 1))),
               (np.arange(r, n_agents), np.sort(perm[cut:].reshape(n_agents - r, m)))]
-    return [ShardBlock(rows, data.features[idx], data.labels[idx])
+    if samples is not None:
+        shards = [(rows, samples[idx]) for rows, idx in shards]
+    return [ShardBlock(rows, data.features.take(idx, axis=0), data.labels.take(idx))
             for rows, idx in shards if len(rows)]
 
 
 def synthetic_blobs(n: int, d: int, separation: float, seed: int) -> Dataset:
-    """Two Gaussian clusters labeled +1/-1, normalized via preprocess.
+    """Two Gaussian clusters labeled +1/-1, normalized in place with their own maxima.
 
     Cluster centers are `separation` apart; unit-variance isotropic noise.
     """
@@ -162,5 +199,6 @@ def synthetic_blobs(n: int, d: int, separation: float, seed: int) -> Dataset:
     features = rng.normal(size=(n, d))  # the same stream as one draw per cluster
     features[:n_pos] += offset
     features[n_pos:] -= offset
-    labels = np.concatenate([np.ones(n_pos, dtype=int), -np.ones(n - n_pos, dtype=int)])
-    return preprocess(Dataset(features, labels))
+    normalize(features, column_scales([features]))
+    labels = np.concatenate([np.ones(n_pos), -np.ones(n - n_pos)])
+    return Dataset(features, labels)

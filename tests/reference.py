@@ -14,7 +14,11 @@ one-theta objective to the row form padmm.solver.minimize takes;
 serial_compose is zCDP's additive composition rule, which no run uses.
 blocks is the old two-step form of padmm.data.partition: per-agent
 shards, then grouped by size and stacked; agent_shards unstacks blocks
-back into per-agent Datasets.
+back into per-agent Datasets.  prepare_data is the old setup that
+padmm.cli.prepare_data must match bit for bit: copies of the train and test
+splits, column_scales from the train copy, preprocess on each split (both
+whole-array forms), then data.partition of the normalized train split;
+synthetic_blobs is padmm.data.synthetic_blobs normalized by preprocess.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from padmm.data import Dataset, ShardBlock
+from padmm.data import Dataset, ShardBlock, load_csv, partition
 from padmm.model import _deriv, _loss
 
 
@@ -230,3 +234,47 @@ def agent_shards(shard_blocks: list[ShardBlock]) -> list[Dataset]:
     shards = {int(i): Dataset(block.features[j], block.labels[j])
               for block in shard_blocks for j, i in enumerate(block.rows)}
     return [shards[i] for i in sorted(shards)]
+
+
+def column_scales(data: Dataset) -> np.ndarray:
+    """Per-column max-abs values used by preprocess; all-zero columns give 1."""
+    scales = np.abs(data.features).max(axis=0)
+    return np.where(scales > 0, scales, 1.0)
+
+
+def preprocess(raw: Dataset, scales: np.ndarray | None = None) -> Dataset:
+    """Scale each attribute to max-abs 1 (or by `scales`), then cap each sample's L2 norm at 1."""
+    if scales is None:
+        scales = column_scales(raw)
+    x = raw.features / scales
+    x /= np.maximum(np.linalg.norm(x, axis=1), 1.0)[:, np.newaxis]
+    return Dataset(x, raw.labels.copy())
+
+
+def synthetic_blobs(n: int, d: int, separation: float, seed: int) -> Dataset:
+    """Two Gaussian clusters labeled +1/-1, normalized via preprocess."""
+    rng = np.random.default_rng(seed)
+    n_pos = n // 2
+    offset = np.full(d, separation / (2.0 * np.sqrt(d)))
+    features = rng.normal(size=(n, d))
+    features[:n_pos] += offset
+    features[n_pos:] -= offset
+    labels = np.concatenate([np.ones(n_pos, dtype=int), -np.ones(n - n_pos, dtype=int)])
+    return preprocess(Dataset(features, labels))
+
+
+def prepare_data(cfg) -> tuple[list[ShardBlock], Dataset]:
+    """Split copies, training maxima, both splits preprocessed, train split partitioned."""
+    if cfg.dataset_csv is not None:
+        raw = load_csv(cfg.dataset_csv, cfg.label_column, cfg.positive_value)
+    else:
+        raw = synthetic_blobs(cfg.synthetic_n, cfg.synthetic_d, cfg.synthetic_separation,
+                              cfg.split_seed)
+    n = raw.n_samples
+    n_test = max(1, int(round(n * cfg.test_fraction)))
+    perm = np.random.default_rng(cfg.split_seed).permutation(n)
+    raw_train = raw.subset(perm[n_test:])
+    raw_test = raw.subset(perm[:n_test])
+    scales = column_scales(raw_train)
+    train = preprocess(raw_train, scales)
+    return partition(train, cfg.n_agents, cfg.split_seed), preprocess(raw_test, scales)

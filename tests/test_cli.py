@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import reference
-from padmm import cli, engine
+from padmm import cli, data, engine
 from padmm.cli import (
     ConfigError,
     ExperimentConfig,
@@ -185,6 +185,82 @@ class TestConfigParsing:
         assert rebuilt == cfg
 
 
+def assert_same_setup(got, expected):
+    """Shards and test set equal in rows, bytes, dtype, shape and C order."""
+    (parts, test), (ref_parts, ref_test) = got, expected
+    assert len(parts) == len(ref_parts)
+    pairs = [(test.features, ref_test.features), (test.labels, ref_test.labels)]
+    for block, ref in zip(parts, ref_parts, strict=True):
+        assert block.rows.tolist() == ref.rows.tolist()
+        pairs += [(block.features, ref.features), (block.labels, ref.labels)]
+    for a, b in pairs:
+        assert (a.dtype, a.shape) == (b.dtype, b.shape)
+        assert a.tobytes() == b.tobytes()
+        assert a.flags.c_contiguous
+
+
+class TestPrepareData:
+    @pytest.mark.parametrize("n, d, n_agents, split_seed", [
+        (2000, 1, 5, 0), (2011, 5, 6, 3), (1003, 20, 7, 1), (20000, 5, 100, 0),
+        (4037, 20, 100, 2),
+    ], ids=["one_size-d1", "two_sizes-d5", "two_sizes-d20", "100_agents", "100_agents-two_sizes"])
+    def test_synthetic_matches_the_old_setup_bit_for_bit(self, n, d, n_agents, split_seed):
+        cfg = small_cfg(synthetic_n=n, synthetic_d=d, n_agents=n_agents, split_seed=split_seed)
+        got = cli.prepare_data(cfg)
+        assert len(got[0]) == (1 if (n - round(0.2 * n)) % n_agents == 0 else 2)
+        assert_same_setup(got, reference.prepare_data(cfg))
+
+    def test_csv_matches_the_old_setup_bit_for_bit(self, tmp_path):
+        # column z is all zero; column c's largest magnitude is in a test sample only
+        n, split_seed = 203, 4
+        rng = np.random.default_rng(0)
+        x = rng.normal(size=(n, 3)) * [1.0, 5.0, 0.0]
+        x[:, 2] = 0.0
+        c = rng.uniform(-1, 1, size=n)
+        first_test = np.random.default_rng(split_seed).permutation(n)[0]
+        c[first_test] = -40.0
+        rows = "".join(f"{a!r},{b!r},{z!r},{'yes' if i % 3 else 'no'},{ci!r}\n"
+                       for i, (a, b, z, ci) in enumerate(zip(*x.T.tolist(), c.tolist())))
+        csv = tmp_path / "d.csv"
+        csv.write_text("a,b,z,y,c\n" + rows)
+        cfg = small_cfg(dataset_csv=str(csv), label_column="y", positive_value="yes",
+                        n_agents=7, split_seed=split_seed)
+        got = cli.prepare_data(cfg)
+        assert_same_setup(got, reference.prepare_data(cfg))
+        parts, test = got
+        assert all(np.all(block.features[..., 2] == 0) for block in parts)
+        # c was scaled by its training maximum (below 1), not by the test sample's 40
+        assert test.features[0, 3] < -0.99 and np.abs(test.features[1:, 3]).max() > 0.5
+
+    def test_csv_without_feature_columns_matches_the_old_setup(self, tmp_path):
+        csv = tmp_path / "d.csv"
+        csv.write_text("label\n" + "".join(f"{i % 2}\n" for i in range(40)))
+        cfg = small_cfg(dataset_csv=str(csv), label_column="label", positive_value="1",
+                        n_agents=3)
+        got = cli.prepare_data(cfg)
+        assert got[1].dimension == 0
+        assert_same_setup(got, reference.prepare_data(cfg))
+
+    def test_peak_memory_is_two_copies_of_the_features(self):
+        # the draw, and the shards and test set gathered from it, are alive together; the
+        # whole-array form held a third copy (a normalized train split, or x * x)
+        import tracemalloc
+
+        n, d = 40000, 20
+        cfg = small_cfg(synthetic_n=n, synthetic_d=d, n_agents=10)
+        cli.prepare_data(cfg)
+        tracemalloc.start()
+        try:
+            cli.prepare_data(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        features = n * d * 8
+        labels_and_indices = 4 * n * 8  # raw and gathered labels, split permutation, slack
+        scratch = data._CHUNK * d * 8  # normalize's squared chunk
+        assert peak <= 2 * features + labels_and_indices + scratch
+
+
 class TestRunExperiment:
     def test_nonprivate_report_shape(self):
         report = run_experiment(small_cfg())
@@ -358,6 +434,32 @@ class TestMain:
         assert code == 1
         assert captured.out == ""
         assert captured.err == f"padmm: error: {message}\n"
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--test-fraction", "0", "test_fraction must be in (0, 1), got 0"),
+        ("--test-fraction", "1.0", "test_fraction must be in (0, 1), got 1.0"),
+        ("--synthetic-n", "1", "synthetic_n must be >= 2, got 1"),
+        ("--synthetic-d", "0", "synthetic_d must be >= 1, got 0"),
+    ], ids=["test_fraction=0", "test_fraction=1", "synthetic_n=1", "synthetic_d=0"])
+    @pytest.mark.parametrize("algorithm", ["nonprivate", "pp_admm", "ipp_admm"])
+    @pytest.mark.parametrize("command", ["run", "plan", "validate"])
+    def test_bad_data_settings_rejected_before_any_data(self, monkeypatch, capsys, command,
+                                                         algorithm, flag, value, message):
+        monkeypatch.setattr(cli, "prepare_data", None)  # never reached
+        code = cli.main([command, "--algorithm", algorithm, "--n-agents", "3", "--T", "2",
+                         flag, value])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "")
+        assert captured.err == f"padmm: error: {message}\n"
+
+    def test_synthetic_sizes_are_not_checked_for_csv_input(self, tmp_path, capsys):
+        rows = "".join(f"{i % 5},{i % 2}\n" for i in range(40))
+        csv = tmp_path / "d.csv"
+        csv.write_text("a,label\n" + rows)
+        code = cli.main(["validate", "--dataset-csv", str(csv), "--label-column", "label",
+                         "--positive-value", "1", "--n-agents", "2", "--synthetic-n", "1",
+                         "--synthetic-d", "0"])
+        assert (code, capsys.readouterr().err) == (0, "")
 
     @pytest.mark.parametrize("command", ["run", "plan", "validate"])
     def test_topology_seed_is_checked_for_every_topology(self, capsys, command):

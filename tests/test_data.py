@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
+import reference
 from padmm import data
 from reference import agent_shards, blocks
 
@@ -44,35 +47,90 @@ class TestLoadCsv:
             data.load_csv(p, "y", "x")
 
 
+def preprocess(ds):
+    """ds's features normalized in place with their own maxima, as synthetic_blobs does."""
+    x = ds.features.copy()
+    data.normalize(x, data.column_scales([x]))
+    return x
+
+
 class TestPreprocess:
     def test_column_max_scaling(self):
         ds = data.Dataset(np.array([[2.0], [4.0]]), np.array([1, -1]))
-        out = data.preprocess(ds)
-        assert np.allclose(out.features[:, 0], [0.5, 1.0])
+        out = preprocess(ds)
+        assert np.allclose(out[:, 0], [0.5, 1.0])
 
     def test_l2_projection(self):
         # post-column-scaling norm 2 -> scaled to norm 1
         ds = data.Dataset(np.array([[1.0, 1.0, 1.0, 1.0]]) , np.array([1]))
-        out = data.preprocess(ds)
-        assert np.linalg.norm(out.features[0]) == pytest.approx(1.0)
+        out = preprocess(ds)
+        assert np.linalg.norm(out[0]) == pytest.approx(1.0)
 
     def test_inside_ball_unchanged(self):
         ds = data.Dataset(np.array([[3.0, 0.0], [0.3, 0.0]]), np.array([1, -1]))
-        out = data.preprocess(ds)
-        assert out.features[1, 0] == pytest.approx(0.1)
+        out = preprocess(ds)
+        assert out[1, 0] == pytest.approx(0.1)
 
     def test_zero_column_untouched(self):
         ds = data.Dataset(np.array([[0.0, 2.0], [0.0, 1.0]]), np.array([1, -1]))
-        out = data.preprocess(ds)
-        assert np.all(out.features[:, 0] == 0)
+        out = preprocess(ds)
+        assert np.all(out[:, 0] == 0)
 
     def test_invariants_on_random_data(self):
         rng = np.random.default_rng(0)
         ds = data.Dataset(rng.normal(size=(50, 7)) * 10, np.where(rng.random(50) < 0.5, 1, -1))
-        out = data.preprocess(ds)
-        assert np.abs(out.features).max() <= 1 + 1e-9
-        assert np.linalg.norm(out.features, axis=1).max() <= 1 + 1e-9
-        assert np.array_equal(out.labels, ds.labels)
+        out = preprocess(ds)
+        assert np.abs(out).max() <= 1 + 1e-9
+        assert np.linalg.norm(out, axis=1).max() <= 1 + 1e-9
+
+    @pytest.mark.parametrize("n, d", [(1, 1), (7, 3), (2 * data._CHUNK + 5, 3), (3000, 20)])
+    def test_equals_the_whole_array_form_bit_for_bit(self, n, d):
+        # chunked, in place and on stacked (k, m, d) shapes: the bits of reference.preprocess
+        rng = np.random.default_rng(n)
+        ds = data.Dataset(rng.normal(size=(n, d)) * rng.uniform(0.1, 10, size=d),
+                          np.ones(n))
+        scales = reference.column_scales(ds)
+        expected = reference.preprocess(ds, scales / 2)  # held-out form: norms above 1 capped
+        assert data.column_scales([ds.features]).tobytes() == scales.tobytes()
+        x = ds.features.copy()
+        data.normalize(x, scales / 2)
+        assert x.tobytes() == expected.features.tobytes()
+        if n % 3 == 0:
+            stacked = ds.features.reshape(3, n // 3, d).copy()
+            data.normalize(stacked, scales / 2)
+            assert stacked.tobytes() == expected.features.tobytes()
+
+    def test_scales_from_several_arrays(self):
+        a = np.array([[1.0, -4.0], [2.0, 0.0]])
+        b = np.array([[[-3.0, 1.0]], [[0.5, 0.0]]])
+        assert data.column_scales([a, b]).tolist() == [3.0, 4.0]
+        assert data.column_scales([np.zeros((2, 1)), -np.zeros((1, 1, 1))]).tolist() == [1.0]
+
+    def test_rejects_an_array_it_cannot_write_in_place(self):
+        x = np.ones((4, 6))[:, ::2]
+        with pytest.raises(data.DataError, match="C-contiguous"):
+            data.normalize(x, np.ones(3))
+
+
+finite_or_signed_zero = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                                  st.sampled_from([0.0, -0.0]))
+
+
+class TestColumnMaxAbs:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 3 * data._FOLD + 5).flatmap(lambda n: st.integers(0, 6).flatmap(
+        lambda d: hnp.arrays(np.float64, (n, d), elements=finite_or_signed_zero))))
+    @example(np.array([[-0.0]]))
+    @example(np.array([[-0.0, 2.0, -3.0]]))
+    @example(np.full((data._FOLD + 3, 2), -0.0))
+    @example(np.arange(-2.0 * data._FOLD - 1, 1.0).reshape(-1, 1))
+    def test_equals_max_of_abs(self, x):
+        got = data.column_max_abs(x)
+        assert got.tobytes() == np.abs(x).max(axis=0).tobytes()
+
+    def test_stacked_blocks_fold_over_every_sample(self):
+        x = np.random.default_rng(0).normal(size=(3, 50, 4))
+        assert data.column_max_abs(x).tobytes() == np.abs(x).max(axis=(0, 1)).tobytes()
 
 
 def indexed_dataset(n):
@@ -151,6 +209,20 @@ class TestPartition:
                 assert a.flags.c_contiguous
             assert g.n_samples == g.labels.shape[0] * g.labels.shape[1]
 
+    @pytest.mark.parametrize("n_agents", [4, 7])
+    def test_samples_partition_their_subset(self, n_agents):
+        # gathered straight from the full dataset, bit for bit the shards of its subset
+        ds = data.synthetic_blobs(103, 3, 2.0, 0)
+        samples = np.random.default_rng(1).permutation(103)[20:]
+        got = data.partition(ds, n_agents, 5, samples=samples)
+        expected = data.partition(ds.subset(samples), n_agents, 5)
+        assert len(got) == len(expected)
+        for g, e in zip(got, expected, strict=True):
+            assert g.rows.tolist() == e.rows.tolist()
+            assert g.features.tobytes() == e.features.tobytes()
+            assert g.labels.tobytes() == e.labels.tobytes()
+            assert g.features.flags.c_contiguous and g.labels.flags.c_contiguous
+
     def test_too_many_agents(self):
         ds = data.synthetic_blobs(4, 2, 1.0, 0)
         with pytest.raises(data.DataError):
@@ -213,6 +285,13 @@ class TestSyntheticBlobs:
         ds = data.synthetic_blobs(100, 2, 5.0, 0)
         theta = centralized_reference(ds, 0.01, SolverConfig(beta=1e-5))
         assert error_rate([theta], ds) < 0.05
+
+    @pytest.mark.parametrize("n, d", [(2, 1), (2000, 5), (1001, 20)])
+    def test_equals_the_preprocess_form_bit_for_bit(self, n, d):
+        got = data.synthetic_blobs(n, d, 5.0, 3)
+        expected = reference.synthetic_blobs(n, d, 5.0, 3)
+        assert got.features.tobytes() == expected.features.tobytes()
+        assert got.labels.tobytes() == expected.labels.tobytes()
 
     def test_normalized(self):
         ds = data.synthetic_blobs(200, 4, 3.0, 1)
