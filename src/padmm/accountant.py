@@ -9,6 +9,9 @@ regularizer floor the training loops need:
                      = (rho_total - rho_svt) / c            (gated mode, after the
                                                              one-time SVT charge
                                                              rho_svt = (e1+e2)^2/2)
+  e1 + e2 = sqrt(2 f rho_total),  e1 : e2 = 1 : (2c)^(2/3)  (the SVT split, with f the gate's
+                                                             share svt_budget_fraction, so
+                                                             rho_svt = f rho_total)
   rho_i2 = splits * budget,  rho_i1 = (1 - splits) * budget
   eps_i1 = rho_i1 + 2 sqrt(rho_i1 ln(1/delta_i1)),  eps_i3 = 0.99 eps_i1,  delta_i1 = delta
   lambda_hat >= max_i 2.8 N c1 / ((eps_i1 - eps_i3) |D_i|),  c1 = C1
@@ -87,6 +90,15 @@ def svt_open_cost(eps1: float, eps2: float) -> float:
     return 0.5 * (eps1 + eps2) ** 2
 
 
+def svt_split_ratio(c_max: int, eps_total: float) -> tuple[float, float]:
+    """Split a gate budget as eps1 : eps2 = 1 : (2 c)^(2/3)."""
+    if c_max < 1 or eps_total <= 0:
+        raise ValueError("need c_max >= 1 and eps_total > 0")
+    ratio = (2.0 * c_max) ** (2.0 / 3.0)
+    eps1 = eps_total / (1.0 + ratio)
+    return eps1, eps_total - eps1
+
+
 @dataclass(frozen=True)
 class BudgetPlan:
     """Derived privacy parameters for one run."""
@@ -124,19 +136,19 @@ def plan_budget(
     T: int,
     splits: float,
     dataset_sizes: dict,
-    n_agents: int,
     eta: float,
     degrees: dict,
     beta: float,
     c_broadcasts: int | None = None,
-    eps_ratio_svt: tuple | None = None,
+    svt_budget_fraction: float | None = None,
 ) -> BudgetPlan:
     """Derive all noise scales and the regularizer floor from an (eps, delta) target.
 
-    With c_broadcasts None, the whole budget is spread over T releases.  With
-    c_broadcasts set (gated mode), the SVT gate's one-time cost (given by
-    eps_ratio_svt = (eps1, eps2)) is subtracted first and the remainder is
-    spread over c_broadcasts releases.
+    dataset_sizes and degrees are keyed by agent.  With c_broadcasts None,
+    the whole budget is spread over T releases.  With c_broadcasts set (gated
+    mode), the SVT gate gets the share svt_budget_fraction of the budget,
+    split into its (eps1, eps2) pair; its one-time cost is subtracted first
+    and the remainder is spread over c_broadcasts releases.
     """
     if not 0 < splits < 1:
         raise BudgetError("splits must be in (0, 1)")
@@ -144,8 +156,9 @@ def plan_budget(
         raise BudgetError(f"delta must be in (0, 1) for the Gaussian mechanisms, got {delta!r}")
     if T < 1:
         raise BudgetError("T must be >= 1")
-    if set(dataset_sizes) != set(degrees) or len(dataset_sizes) != n_agents:
-        raise BudgetError("dataset_sizes and degrees must cover exactly the n_agents agents")
+    if set(dataset_sizes) != set(degrees):
+        raise BudgetError("dataset_sizes and degrees must cover the same agents")
+    n_agents = len(dataset_sizes)
     delta_i1 = delta
 
     rho_total = dp_to_zcdp(epsilon, delta)
@@ -153,9 +166,11 @@ def plan_budget(
     if c_broadcasts is not None:
         if c_broadcasts < 1:
             raise BudgetError("c_broadcasts must be >= 1")
-        if eps_ratio_svt is None:
-            raise BudgetError("gated mode requires the (eps1, eps2) SVT pair")
-        svt_eps = (float(eps_ratio_svt[0]), float(eps_ratio_svt[1]))
+        if svt_budget_fraction is None or not 0 < svt_budget_fraction < 1:
+            raise BudgetError("svt_budget_fraction must be in (0, 1) in gated mode, "
+                              f"got {svt_budget_fraction!r}")
+        svt_eps = svt_split_ratio(c_broadcasts,
+                                  math.sqrt(2.0 * svt_budget_fraction * rho_total))
         rho_svt = svt_open_cost(*svt_eps)
         if rho_svt >= rho_total:
             raise BudgetError(
@@ -163,8 +178,6 @@ def plan_budget(
             )
         per_release = (rho_total - rho_svt) / c_broadcasts
     else:
-        if eps_ratio_svt is not None:
-            raise BudgetError("eps_ratio_svt given but c_broadcasts is None")
         per_release = rho_total / T
 
     rho_i2 = splits * per_release

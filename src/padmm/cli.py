@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import accountant, data as data_mod, engine, svt, topology
+from . import accountant, data as data_mod, engine, topology
 from .solver import SolverConfig
 
 
@@ -151,10 +151,6 @@ def load_config(path: str | None, overrides: dict) -> ExperimentConfig:
         raise ConfigError(str(exc)) from None
 
 
-def config_echo(cfg: ExperimentConfig) -> dict:
-    return dataclasses.asdict(cfg)
-
-
 def build_graph(cfg: ExperimentConfig) -> topology.Graph:
     if cfg.topology == "ring":
         return topology.ring(cfg.n_agents)
@@ -211,7 +207,6 @@ def build_plan(cfg: ExperimentConfig, train_parts, graph) -> accountant.BudgetPl
         T=cfg.T,
         splits=cfg.splits,
         dataset_sizes=sizes,
-        n_agents=cfg.n_agents,
         eta=cfg.eta,
         degrees=graph.degrees(),
         beta=cfg.beta,
@@ -219,14 +214,8 @@ def build_plan(cfg: ExperimentConfig, train_parts, graph) -> accountant.BudgetPl
     if cfg.algorithm == "pp_admm":
         return accountant.plan_budget(**common)
     if cfg.algorithm == "ipp_admm":
-        rho_total = accountant.dp_to_zcdp(cfg.epsilon, cfg.delta)
-        if not 0 < cfg.svt_budget_fraction < 1:
-            raise ConfigError("svt_budget_fraction must be in (0, 1)")
-        eps_svt_total = math.sqrt(2.0 * cfg.svt_budget_fraction * rho_total)
-        eps_pair = svt.svt_split_ratio(cfg.c_max, eps_svt_total)
         return accountant.plan_budget(
-            **common, c_broadcasts=cfg.c_max, eps_ratio_svt=eps_pair
-        )
+            **common, c_broadcasts=cfg.c_max, svt_budget_fraction=cfg.svt_budget_fraction)
     raise ConfigError(f"unknown algorithm {cfg.algorithm!r}")
 
 
@@ -298,15 +287,14 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
             ledger = None
         elif cfg.algorithm == "pp_admm":
             traces, ledger = engine.run_pp_admm(
-                train_parts, graph, plan, cfg.eta, cfg.T, solver_cfg, seed,
+                train_parts, graph, plan, cfg.eta, solver_cfg, seed,
                 lambda_hat=cfg.lambda_hat, test=test,
                 noise_disabled=cfg.insecure_no_noise,
             )
         else:
             traces, ledger = engine.run_ipp_admm(
-                train_parts, graph, plan, cfg.eta, cfg.T, cfg.alpha, cfg.c_max,
-                cfg.c_loss, solver_cfg, seed, lambda_hat=cfg.lambda_hat,
-                test=test, noise_disabled=cfg.insecure_no_noise,
+                train_parts, graph, plan, cfg.eta, cfg.alpha, cfg.c_loss, solver_cfg, seed,
+                lambda_hat=cfg.lambda_hat, test=test, noise_disabled=cfg.insecure_no_noise,
             )
         runs.append((seed, traces))
         if ledger is not None:
@@ -315,7 +303,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
                 ledger_report["epsilon_sufficient"] = "inf"
 
     report = RunReport(
-        config=config_echo(cfg),
+        config=dataclasses.asdict(cfg),
         rounds=[_round_record(seed, trace) for seed, traces in runs for trace in traces],
         summary=_summarize(runs, ledger_report, graph),
     )

@@ -77,6 +77,7 @@ class _Agents:
 
     dimension: int
     lambda_hat: float
+    eta: float
     data_terms: DataTerms  # the shards stacked by size, with this run's one-point memo
     slots: np.ndarray  # (N, max degree) sorted neighbors, padded with the agent itself
     cfg: SolverConfig  # initial_step: each agent's 2 / (mu + L)
@@ -90,7 +91,7 @@ def _agents(blocks, g: Graph, lambda_hat: float, eta: float, cfg: SolverConfig) 
         slots[i, :len(js)] = js
     data_terms = DataTerms(blocks)
     steps = solver_steps(data_terms, lambda_hat, eta, [len(js) for js in nbrs])
-    return _Agents(d, lambda_hat, data_terms, slots, replace(cfg, initial_step=steps))
+    return _Agents(d, lambda_hat, eta, data_terms, slots, replace(cfg, initial_step=steps))
 
 
 def _check_inputs(blocks, g: Graph):
@@ -103,7 +104,7 @@ def _check_inputs(blocks, g: Graph):
     return dims.pop()
 
 
-def _train(agents: _Agents, eta, T, test, ledger, draw_b1, release, c_loss=None):
+def _train(agents: _Agents, T, test, ledger, draw_b1, release, c_loss=None):
     """The ADMM loop shared by all three algorithms; returns the per-round trace.
 
     Every agent i draws its objective noise with draw_b1(i) (draw_b1 is None
@@ -114,7 +115,7 @@ def _train(agents: _Agents, eta, T, test, ledger, draw_b1, release, c_loss=None)
     score at loss cap c_loss, or None when c_loss is None.
     """
     n, d = len(agents.slots), agents.dimension
-    lambda_hat = agents.lambda_hat
+    lambda_hat, eta = agents.lambda_hat, agents.eta
     data_terms = agents.data_terms
     thetas = np.zeros((n, d))
     duals = np.zeros((n, d))
@@ -122,8 +123,7 @@ def _train(agents: _Agents, eta, T, test, ledger, draw_b1, release, c_loss=None)
     for t in range(T):
         snapshot = thetas
         b1 = None if draw_b1 is None else np.array([draw_b1(i) for i in range(n)])
-        objective = stacked_kernel(data_terms, lambda_hat, n, duals, snapshot,
-                                   agents.slots, eta, b1)
+        objective = stacked_kernel(data_terms, lambda_hat, duals, snapshot, agents.slots, eta, b1)
         if c_loss is not None:
             # the snapshot's per-sample losses: the last round's training loss was taken
             # there, and round 0 starts at zero, where every margin is 0
@@ -152,18 +152,17 @@ def _train(agents: _Agents, eta, T, test, ledger, draw_b1, release, c_loss=None)
     return traces
 
 
-def _private_setup(blocks, g, plan, c_max, lambda_hat, eta, cfg, seed, noise_disabled,
-                   purposes=()):
+def _private_setup(blocks, g, plan, lambda_hat, eta, cfg, seed, noise_disabled, gated):
     """Checks and state shared by the private loops.
 
-    c_max is None for a full-broadcast plan.  Returns the agents at the
-    effective lambda_hat, an empty ledger, draw_b1(i) (agent i's objective
-    noise), perturb(i, theta_hat) (theta_hat plus agent i's output noise)
-    and one RngHandle list per further purpose.
+    Returns the agents at the effective lambda_hat, an empty ledger,
+    draw_b1(i) (agent i's objective noise), perturb(i, theta_hat) (theta_hat
+    plus agent i's output noise) and, when gated, the SVT threshold and query
+    RngHandle lists.
     """
-    if plan.c_broadcasts != c_max or (plan.svt_eps is None) != (c_max is None):
-        raise EngineError("budget plan was not made for gated mode with this c_max"
-                          if c_max is not None else
+    if (plan.c_broadcasts is not None) != gated:
+        raise EngineError("budget plan was made for full broadcast; gated mode needs its own plan"
+                          if gated else
                           "budget plan was made for gated mode; full broadcast needs its own plan")
     if set(plan.sigma_i1) != set(range(g.n)):
         raise EngineError("budget plan does not cover this graph's agents")
@@ -176,7 +175,8 @@ def _private_setup(blocks, g, plan, c_max, lambda_hat, eta, cfg, seed, noise_dis
     b1_rngs, b2_rngs, *rngs = [
         [noise.RngHandle.for_agent(seed, i, purpose, disabled=noise_disabled)
          for i in range(g.n)]
-        for purpose in (noise.OBJECTIVE_NOISE, noise.OUTPUT_NOISE, *purposes)]
+        for purpose in (noise.OBJECTIVE_NOISE, noise.OUTPUT_NOISE,
+                        *((noise.SVT_THRESHOLD, noise.SVT_QUERY) if gated else ()))]
     agents = _agents(blocks, g, lambda_hat, eta, cfg)
     d = agents.dimension
 
@@ -192,48 +192,47 @@ def _private_setup(blocks, g, plan, c_max, lambda_hat, eta, cfg, seed, noise_dis
 def run_nonprivate(blocks, g: Graph, eta: float, lambda_hat: float, T: int,
                    cfg: SolverConfig, test: Dataset | None = None):
     """Noise-free consensus ADMM; returns the per-round trace."""
-    return _train(_agents(blocks, g, lambda_hat, eta, cfg), eta, T, test, None,
+    return _train(_agents(blocks, g, lambda_hat, eta, cfg), T, test, None,
                   draw_b1=None, release=lambda i, theta_hat, quality: theta_hat)
 
 
-def run_pp_admm(blocks, g: Graph, plan: BudgetPlan, eta: float, T: int,
+def run_pp_admm(blocks, g: Graph, plan: BudgetPlan, eta: float,
                 cfg: SolverConfig, seed: int, lambda_hat: float | None = None,
                 test: Dataset | None = None, noise_disabled: bool = False):
     """Private full-broadcast ADMM: perturbed objective plus perturbed output.
 
-    Every agent pays rho_i1 + rho_i2 per round; after T rounds the ledger
-    equals the planned budget exactly.
+    Runs the plan's T rounds.  Every agent pays rho_i1 + rho_i2 per round,
+    so the ledger ends at the planned budget exactly.
     """
     agents, ledger, draw_b1, perturb, _ = _private_setup(
-        blocks, g, plan, None, lambda_hat, eta, cfg, seed, noise_disabled)
+        blocks, g, plan, lambda_hat, eta, cfg, seed, noise_disabled, gated=False)
 
     def release(i, theta_hat, quality):
         shared = perturb(i, theta_hat)
         ledger.charge_pp_iteration(i, plan)
         return shared
 
-    return _train(agents, eta, T, test, ledger, draw_b1, release), ledger
+    return _train(agents, plan.T, test, ledger, draw_b1, release), ledger
 
 
-def run_ipp_admm(blocks, g: Graph, plan: BudgetPlan, eta: float, T: int,
-                 alpha: float, c_max: int, c_loss: float, cfg: SolverConfig,
+def run_ipp_admm(blocks, g: Graph, plan: BudgetPlan, eta: float,
+                 alpha: float, c_loss: float, cfg: SolverConfig,
                  seed: int, lambda_hat: float | None = None,
                  test: Dataset | None = None, noise_disabled: bool = False):
     """Gated private ADMM: broadcast only when the SVT gate fires.
 
-    A rejected solution is discarded (the agent keeps its previous value),
-    so an agent's state always equals its last shared value and neighbors
-    implicitly reuse stale values.  Ledger: the gate's cost once per agent,
-    plus rho_i1 + rho_i2 per actual broadcast, capped by the c_max counter.
+    Runs the plan's T rounds.  A rejected solution is discarded (the agent
+    keeps its previous value), so an agent's state always equals its last
+    shared value and neighbors implicitly reuse stale values.  Ledger: the
+    gate's cost once per agent, plus rho_i1 + rho_i2 per actual broadcast,
+    capped at the plan's c_broadcasts.
     """
     agents, ledger, draw_b1, perturb, (threshold_rngs, query_rngs) = _private_setup(
-        blocks, g, plan, c_max, lambda_hat, eta, cfg, seed, noise_disabled,
-        (noise.SVT_THRESHOLD, noise.SVT_QUERY),
-    )
+        blocks, g, plan, lambda_hat, eta, cfg, seed, noise_disabled, gated=True)
     eps1, eps2 = plan.svt_eps
     gates = []
     for i in range(g.n):
-        gates.append(SvtGate(alpha, c_max, eps1, eps2, c_loss, threshold_rngs[i]))
+        gates.append(SvtGate(alpha, plan.c_broadcasts, eps1, eps2, c_loss, threshold_rngs[i]))
         ledger.charge_ipp(i, plan, "svt_open")
 
     def release(i, theta_hat, quality):
@@ -243,7 +242,7 @@ def run_ipp_admm(blocks, g: Graph, plan: BudgetPlan, eta: float, T: int,
         ledger.charge_ipp(i, plan, "broadcast")
         return shared
 
-    return _train(agents, eta, T, test, ledger, draw_b1, release, c_loss), ledger
+    return _train(agents, plan.T, test, ledger, draw_b1, release, c_loss), ledger
 
 
 def centralized_reference(pooled: Dataset, lambda_hat: float, cfg: SolverConfig):
@@ -259,7 +258,7 @@ def centralized_reference(pooled: Dataset, lambda_hat: float, cfg: SolverConfig)
                                        pooled.labels[None])])
     cfg = replace(cfg, initial_step=solver_steps(data_terms, lambda_hat, 0.0, [0]))
     zeros = np.zeros((1, pooled.dimension))
-    objective = stacked_kernel(data_terms, lambda_hat, 1, zeros, zeros,
+    objective = stacked_kernel(data_terms, lambda_hat, zeros, zeros,
                                np.zeros((1, 0), dtype=int), 0.0)
     try:
         return minimize(objective, zeros, cfg)[0]

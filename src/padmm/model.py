@@ -105,7 +105,7 @@ class DataTerms:
         return self._terms
 
 
-def stacked_kernel(data_terms: DataTerms, lambda_hat: float, num_agents: int, dual: np.ndarray,
+def stacked_kernel(data_terms: DataTerms, lambda_hat: float, dual: np.ndarray,
                    self_prev: np.ndarray, slots: np.ndarray, eta: float,
                    noise_b1: np.ndarray | None = None):
     """objective(thetas) -> (values (N,), grads (N, d)) of every agent's subproblem.
@@ -121,7 +121,7 @@ def stacked_kernel(data_terms: DataTerms, lambda_hat: float, num_agents: int, du
     matmul, vecdot and sums, so it matches a one-agent evaluation bit for
     bit.
     """
-    scale = lambda_hat / num_agents
+    scale = lambda_hat / data_terms.n_agents
     two_dual = 2.0 * dual
     b1 = noise_b1 if noise_b1 is not None else 0.0
     linear = two_dual + b1

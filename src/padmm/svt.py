@@ -49,11 +49,3 @@ class SvtGate:
             return Decision.ABOVE
         return Decision.BELOW
 
-
-def svt_split_ratio(c_max: int, eps_total: float) -> tuple[float, float]:
-    """Split a gate budget as eps1 : eps2 = 1 : (2 c)^(2/3)."""
-    if c_max < 1 or eps_total <= 0:
-        raise ValueError("need c_max >= 1 and eps_total > 0")
-    ratio = (2.0 * c_max) ** (2.0 / 3.0)
-    eps1 = eps_total / (1.0 + ratio)
-    return eps1, eps_total - eps1

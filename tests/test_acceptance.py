@@ -1,6 +1,5 @@
 """Acceptance gate: one test per criterion, each printing a pass/fail line."""
 
-import math
 import time
 
 import numpy as np
@@ -11,7 +10,7 @@ from padmm.accountant import plan_budget, zcdp_sufficient_epsilon
 from padmm.model import DataTerms
 from padmm.noise import RngHandle, gaussian_vector, laplace_scalar
 from padmm.solver import SolverConfig
-from padmm.svt import Decision, SvtGate, svt_split_ratio
+from padmm.svt import Decision, SvtGate
 from padmm.topology import ring
 from reference import (AugmentedParams, LocalObjectiveParams, agent_shards, augmented_gradient,
                        augmented_objective, clipped_quality)
@@ -29,7 +28,7 @@ def five_agent_plan(parts, graph, epsilon=1.0, T=30):
     sizes = {i: p.n_samples for i, p in enumerate(agent_shards(parts))}
     return plan_budget(
         epsilon=epsilon, delta=DELTA, T=T, splits=0.001, dataset_sizes=sizes,
-        n_agents=graph.n, eta=0.5, degrees=graph.degrees(), beta=BETA,
+        eta=0.5, degrees=graph.degrees(), beta=BETA,
     )
 
 
@@ -39,7 +38,7 @@ def test_1_accounting_exactness():
     degrees = {i: 2 for i in range(5)}
     plan = plan_budget(
         epsilon=1.0, delta=DELTA, T=30, splits=0.001, dataset_sizes=sizes,
-        n_agents=5, eta=0.5, degrees=degrees, beta=BETA,
+        eta=0.5, degrees=degrees, beta=BETA,
     )
     plan_elapsed = time.time() - start
     expected = {  # independent closed-form chain, frozen in test_accountant.py too
@@ -56,7 +55,7 @@ def test_1_accounting_exactness():
     parts = data.partition(ds, 5, 0)
     assert all(p.n_samples == 7000 for p in agent_shards(parts))
     g = ring(5)
-    _, ledger = engine.run_pp_admm(parts, g, plan, 0.5, 30, SolverConfig(beta=BETA), seed=0)
+    _, ledger = engine.run_pp_admm(parts, g, plan, 0.5, SolverConfig(beta=BETA), seed=0)
     run_elapsed = time.time() - start
     eps_back = zcdp_sufficient_epsilon(ledger.total_rho(), DELTA)
     ok = abs(eps_back - 1.0) <= 1e-6 and plan_elapsed < 1 and run_elapsed < 60
@@ -71,7 +70,7 @@ def test_2_reduction_identity():
     g = ring(5)
     plan = five_agent_plan(parts, g)
     cfg = SolverConfig(beta=BETA)
-    private, _ = engine.run_pp_admm(parts, g, plan, 0.5, 30, cfg, seed=0, noise_disabled=True)
+    private, _ = engine.run_pp_admm(parts, g, plan, 0.5, cfg, seed=0, noise_disabled=True)
     plain = engine.run_nonprivate(parts, g, 0.5, plan.lambda_hat_floor, 30, cfg)
     identical = all(
         np.array_equal(a.thetas, b.thetas)
@@ -142,15 +141,13 @@ def test_5_svt_behavior():
     g = ring(3)
     sizes = {i: p.n_samples for i, p in enumerate(agent_shards(parts))}
     c_max = 4
-    rho_total = 0.0271434051
-    eps_pair = svt_split_ratio(c_max, math.sqrt(2 * 0.1 * rho_total))
     plan = plan_budget(
         epsilon=1.0, delta=DELTA, T=10, splits=0.001, dataset_sizes=sizes,
-        n_agents=3, eta=0.5, degrees=g.degrees(), beta=BETA,
-        c_broadcasts=c_max, eps_ratio_svt=eps_pair,
+        eta=0.5, degrees=g.degrees(), beta=BETA,
+        c_broadcasts=c_max, svt_budget_fraction=0.1,
     )
     traces, ledger = engine.run_ipp_admm(
-        parts, g, plan, 0.5, 10, alpha=1e-3, c_max=c_max, c_loss=2.0,
+        parts, g, plan, 0.5, alpha=1e-3, c_loss=2.0,
         cfg=SolverConfig(beta=BETA), seed=3,
     )
     cap_ok, ledger_ok = True, True
@@ -192,8 +189,8 @@ def test_7_privacy_utility_trend():
     plan_hi = five_agent_plan(parts, g, epsilon=10.0)
     finals_lo, finals_hi = [], []
     for seed in range(10):
-        t_lo, _ = engine.run_pp_admm(parts, g, plan_lo, 0.5, 30, cfg, seed=seed)
-        t_hi, _ = engine.run_pp_admm(parts, g, plan_hi, 0.5, 30, cfg, seed=seed)
+        t_lo, _ = engine.run_pp_admm(parts, g, plan_lo, 0.5, cfg, seed=seed)
+        t_hi, _ = engine.run_pp_admm(parts, g, plan_hi, 0.5, cfg, seed=seed)
         finals_lo.append(t_lo[-1].average_loss)
         finals_hi.append(t_hi[-1].average_loss)
     nonp = engine.run_nonprivate(parts, g, 0.5, plan_hi.lambda_hat_floor, 30, cfg)

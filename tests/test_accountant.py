@@ -11,6 +11,7 @@ from padmm.accountant import (
     parallel_compose,
     plan_budget,
     svt_open_cost,
+    svt_split_ratio,
     zcdp_sufficient_epsilon,
     zcdp_to_dp,
 )
@@ -38,7 +39,6 @@ def reference_plan(**overrides):
         T=30,
         splits=0.001,
         dataset_sizes={i: 7000 for i in range(5)},
-        n_agents=5,
         eta=0.5,
         degrees={i: 2 for i in range(5)},
         beta=10.0**-3.5,
@@ -174,13 +174,14 @@ class TestPlanBudget:
         )
 
     def test_gated_mode_subtracts_svt_cost(self):
-        plan = reference_plan(c_broadcasts=15, eps_ratio_svt=(0.01, 0.09))
-        gate = svt_open_cost(0.01, 0.09)
-        assert gate == pytest.approx(0.005)
+        plan = reference_plan(c_broadcasts=15, svt_budget_fraction=0.2)
+        assert plan.svt_eps == svt_split_ratio(15, math.sqrt(2.0 * 0.2 * plan.rho_total))
+        gate = svt_open_cost(*plan.svt_eps)
+        assert gate == pytest.approx(0.2 * plan.rho_total, rel=1e-12)
         assert plan.per_release_rho == pytest.approx((plan.rho_total - gate) / 15, rel=1e-12)
 
     def test_gated_mode_requires_pair(self):
-        with pytest.raises(BudgetError, match="eps1, eps2"):
+        with pytest.raises(BudgetError, match="svt_budget_fraction"):
             reference_plan(c_broadcasts=15)
 
     def test_infinite_epsilon_rejected(self):
@@ -194,8 +195,12 @@ class TestPlanBudget:
             reference_plan(delta=0.0)
 
     def test_svt_cost_exceeding_budget(self):
-        with pytest.raises(BudgetError, match="budget"):
-            reference_plan(c_broadcasts=15, eps_ratio_svt=(0.1, 0.5))
+        with pytest.raises(BudgetError, match=r"^svt_budget_fraction must be in \(0, 1\)"):
+            reference_plan(c_broadcasts=15, svt_budget_fraction=1.0)
+        # a fraction just below 1 whose gate cost rounds up to the whole budget
+        with pytest.raises(BudgetError, match="consumes the whole budget"):
+            reference_plan(epsilon=2.3, c_broadcasts=15,
+                           svt_budget_fraction=math.nextafter(1.0, 0.0))
 
 
 class TestLedger:
@@ -218,16 +223,17 @@ class TestLedger:
         assert zcdp_sufficient_epsilon(ledger.total_rho(), 1e-4) == pytest.approx(1.0, abs=1e-9)
 
     def test_ipp_events(self):
-        plan = reference_plan(c_broadcasts=15, eps_ratio_svt=(0.1, 0.1))
+        plan = reference_plan(c_broadcasts=15, svt_budget_fraction=0.5)
+        gate = 0.5 * plan.rho_total
         ledger = ZcdpLedger(delta_target=1e-4)
         ledger.charge_ipp(0, plan, "svt_open")
-        assert ledger.per_agent[0] == pytest.approx(0.02)
+        assert ledger.per_agent[0] == pytest.approx(gate)
         for _ in range(15):
             ledger.charge_ipp(0, plan, "broadcast")
-        assert ledger.per_agent[0] == pytest.approx(0.02 + 15 * plan.per_release_rho, rel=1e-12)
+        assert ledger.per_agent[0] == pytest.approx(gate + 15 * plan.per_release_rho, rel=1e-12)
 
     def test_double_svt_open_rejected(self):
-        plan = reference_plan(c_broadcasts=15, eps_ratio_svt=(0.1, 0.1))
+        plan = reference_plan(c_broadcasts=15, svt_budget_fraction=0.5)
         ledger = ZcdpLedger(delta_target=1e-4)
         ledger.charge_ipp(0, plan, "svt_open")
         with pytest.raises(BudgetError, match="already"):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -180,7 +181,7 @@ class TestConfigParsing:
 
     def test_echo_round_trips(self):
         cfg = small_cfg()
-        echo = cli.config_echo(cfg)
+        echo = dataclasses.asdict(cfg)
         rebuilt = ExperimentConfig(**{k: cli._coerce(k, v) for k, v in echo.items()})
         assert rebuilt == cfg
 
@@ -479,6 +480,16 @@ class TestMain:
         assert code == 1
         assert captured.out == ""
         assert captured.err == f"padmm: error: c_loss must be > 0, got {value}\n"
+
+    @pytest.mark.parametrize("value", ["0", "1", "-0.5"])
+    @pytest.mark.parametrize("command", ["run", "plan", "validate"])
+    def test_gated_run_rejects_an_svt_budget_fraction_outside_0_1(self, capsys, command, value):
+        code = cli.main([command, "--algorithm", "ipp_admm", "--synthetic-n", "120",
+                         "--n-agents", "3", "--T", "2", "--svt-budget-fraction", value])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "")
+        assert captured.err == ("padmm: error: svt_budget_fraction must be in (0, 1) in gated "
+                                f"mode, got {value}\n")
 
     def test_loss_cap_is_checked_only_where_it_is_used(self, capsys):
         code = cli.main(["validate", "--algorithm", "pp_admm", "--synthetic-n", "120",

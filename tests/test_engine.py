@@ -2,11 +2,10 @@ import numpy as np
 import pytest
 
 from padmm import cli, data, engine, metrics, model
-from padmm.accountant import plan_budget, zcdp_sufficient_epsilon
+from padmm.accountant import plan_budget
 from padmm.engine import EngineError, dual_update
 from padmm.model import DataTerms
 from padmm.solver import SolverConfig, minimize
-from padmm.svt import svt_split_ratio
 from padmm.topology import ring
 from reference import (LocalObjectiveParams, agent_shards, blocks, clipped_quality,
                        curvature_bounds)
@@ -23,12 +22,10 @@ def make_plan(parts, graph, epsilon=1.0, T=10, gated=False, c_max=None):
     sizes = {i: p.n_samples for i, p in enumerate(agent_shards(parts))}
     kwargs = dict(
         epsilon=epsilon, delta=1e-4, T=T, splits=0.001, dataset_sizes=sizes,
-        n_agents=graph.n, eta=0.5, degrees=graph.degrees(), beta=BETA,
+        eta=0.5, degrees=graph.degrees(), beta=BETA,
     )
     if gated:
-        rho_total = 0.0271434
-        eps_pair = svt_split_ratio(c_max, np.sqrt(2 * 0.1 * rho_total))
-        kwargs.update(c_broadcasts=c_max, eps_ratio_svt=eps_pair)
+        kwargs.update(c_broadcasts=c_max, svt_budget_fraction=0.1)
     return plan_budget(**kwargs)
 
 
@@ -157,10 +154,10 @@ class TestDataPasses:
         cfg = SolverConfig(beta=BETA)
         if gated:
             def run():
-                engine.run_ipp_admm(parts, g, plan, 0.5, T, 1e-3, 3, 2.0, cfg, seed=0)
+                engine.run_ipp_admm(parts, g, plan, 0.5, 1e-3, 2.0, cfg, seed=0)
         else:
             def run():
-                engine.run_pp_admm(parts, g, plan, 0.5, T, cfg, seed=0)
+                engine.run_pp_admm(parts, g, plan, 0.5, cfg, seed=0)
         rounds = self.count(monkeypatch, run)
         assert len(rounds) == T
         for t, (evals, passes) in enumerate(rounds):
@@ -176,7 +173,7 @@ class TestPpAdmm:
         plan = make_plan(parts, g, T=8)
         cfg = SolverConfig(beta=BETA)
         private, _ = engine.run_pp_admm(
-            parts, g, plan, 0.5, 8, cfg, seed=0, noise_disabled=True
+            parts, g, plan, 0.5, cfg, seed=0, noise_disabled=True
         )
         plain = engine.run_nonprivate(parts, g, 0.5, plan.lambda_hat_floor, 8, cfg)
         for a, b in zip(private, plain, strict=True):
@@ -187,21 +184,22 @@ class TestPpAdmm:
         parts = make_parts()
         g = ring(3)
         plan = make_plan(parts, g, T=10)
-        _, ledger = engine.run_pp_admm(parts, g, plan, 0.5, 8, SolverConfig(beta=BETA), seed=1)
+        traces, ledger = engine.run_pp_admm(parts, g, plan, 0.5, SolverConfig(beta=BETA), seed=1)
+        # the run spends exactly its plan: the plan's rounds, each charged in full
+        assert len(traces) == plan.T
         for agent in range(3):
             assert ledger.per_agent[agent] == pytest.approx(
-                8 * plan.per_release_rho, rel=1e-12
+                plan.T * plan.per_release_rho, rel=1e-12
             )
-        assert zcdp_sufficient_epsilon(ledger.total_rho(), 1e-4) == pytest.approx(
-            plan.epsilon_total * np.sqrt(8 / 10), rel=1e-9
-        )  # plan made for T=10 but run 8 rounds
+        assert ledger.report()["epsilon_sufficient"] == pytest.approx(
+            plan.epsilon_total, rel=1e-9)
 
     def test_deterministic_given_seed(self):
         parts = make_parts()
         g = ring(3)
         plan = make_plan(parts, g, T=4)
-        a, _ = engine.run_pp_admm(parts, g, plan, 0.5, 4, SolverConfig(beta=BETA), seed=5)
-        b, _ = engine.run_pp_admm(parts, g, plan, 0.5, 4, SolverConfig(beta=BETA), seed=5)
+        a, _ = engine.run_pp_admm(parts, g, plan, 0.5, SolverConfig(beta=BETA), seed=5)
+        b, _ = engine.run_pp_admm(parts, g, plan, 0.5, SolverConfig(beta=BETA), seed=5)
         assert np.array_equal(a[-1].thetas, b[-1].thetas)
 
     def test_lambda_below_floor_rejected(self):
@@ -210,7 +208,7 @@ class TestPpAdmm:
         plan = make_plan(parts, g)
         with pytest.raises(EngineError, match="floor"):
             engine.run_pp_admm(
-                parts, g, plan, 0.5, 2, SolverConfig(beta=BETA), seed=0,
+                parts, g, plan, 0.5, SolverConfig(beta=BETA), seed=0,
                 lambda_hat=plan.lambda_hat_floor / 2,
             )
 
@@ -220,9 +218,9 @@ class TestIppAdmm:
         parts = make_parts()
         g = ring(3)
         c_max = 3
-        plan = make_plan(parts, g, gated=True, c_max=c_max)
+        plan = make_plan(parts, g, T=8, gated=True, c_max=c_max)
         traces, ledger = engine.run_ipp_admm(
-            parts, g, plan, 0.5, 8, alpha=-1e9, c_max=c_max, c_loss=2.0,
+            parts, g, plan, 0.5, alpha=-1e9, c_loss=2.0,
             cfg=SolverConfig(beta=BETA), seed=0, noise_disabled=True,
         )
         counts = {i: sum(t.broadcasts[i] for t in traces) for i in range(3)}
@@ -237,9 +235,9 @@ class TestIppAdmm:
     def test_very_high_threshold_never_broadcasts(self):
         parts = make_parts()
         g = ring(3)
-        plan = make_plan(parts, g, gated=True, c_max=5)
+        plan = make_plan(parts, g, T=6, gated=True, c_max=5)
         traces, ledger = engine.run_ipp_admm(
-            parts, g, plan, 0.5, 6, alpha=1e9, c_max=5, c_loss=2.0,
+            parts, g, plan, 0.5, alpha=1e9, c_loss=2.0,
             cfg=SolverConfig(beta=BETA), seed=0, noise_disabled=True,
         )
         assert all(not any(t.broadcasts.values()) for t in traces)
@@ -250,9 +248,9 @@ class TestIppAdmm:
     def test_broadcast_cap_with_noise(self):
         parts = make_parts()
         g = ring(3)
-        plan = make_plan(parts, g, gated=True, c_max=4)
+        plan = make_plan(parts, g, T=10, gated=True, c_max=4)
         traces, ledger = engine.run_ipp_admm(
-            parts, g, plan, 0.5, 10, alpha=1e-3, c_max=4, c_loss=2.0,
+            parts, g, plan, 0.5, alpha=1e-3, c_loss=2.0,
             cfg=SolverConfig(beta=BETA), seed=2,
         )
         for agent in range(3):
@@ -268,7 +266,7 @@ class TestIppAdmm:
         plan = make_plan(parts, g)  # full-broadcast plan
         with pytest.raises(EngineError, match="gated"):
             engine.run_ipp_admm(
-                parts, g, plan, 0.5, 2, alpha=0.0, c_max=3, c_loss=2.0,
+                parts, g, plan, 0.5, alpha=0.0, c_loss=2.0,
                 cfg=SolverConfig(beta=BETA), seed=0,
             )
 
@@ -280,7 +278,7 @@ class TestGateQuality:
     def run_ipp(parts, T=8, **kwargs):
         g = ring(len(agent_shards(parts)))
         plan = make_plan(parts, g, T=T, gated=True, c_max=3)
-        return engine.run_ipp_admm(parts, g, plan, 0.5, T, 1e-3, 3, 2.0,
+        return engine.run_ipp_admm(parts, g, plan, 0.5, 1e-3, 2.0,
                                    SolverConfig(beta=BETA), seed=0, **kwargs)
 
     def test_one_call_per_round_equal_to_the_one_agent_scores(self, monkeypatch):
@@ -313,7 +311,7 @@ class TestSharedLoop:
         g = ring(3)
         plan = make_plan(parts, g, gated=True, c_max=3)
         with pytest.raises(EngineError, match="gated"):
-            engine.run_pp_admm(parts, g, plan, 0.5, 8, SolverConfig(beta=BETA), seed=0)
+            engine.run_pp_admm(parts, g, plan, 0.5, SolverConfig(beta=BETA), seed=0)
 
     @pytest.mark.parametrize("algorithm", ["pp_admm", "ipp_admm"])
     def test_plan_for_another_graph_rejected(self, algorithm):
@@ -323,10 +321,9 @@ class TestSharedLoop:
         cfg = SolverConfig(beta=BETA)
         with pytest.raises(EngineError, match="does not cover this graph's agents"):
             if algorithm == "pp_admm":
-                engine.run_pp_admm(parts, g4, plan, 0.5, 2, cfg, seed=0)
+                engine.run_pp_admm(parts, g4, plan, 0.5, cfg, seed=0)
             else:
-                engine.run_ipp_admm(parts, g4, plan, 0.5, 2, alpha=0.0, c_max=3, c_loss=2.0,
-                                    cfg=cfg, seed=0)
+                engine.run_ipp_admm(parts, g4, plan, 0.5, alpha=0.0, c_loss=2.0, cfg=cfg, seed=0)
 
     def test_private_policies_reduce_to_nonprivate(self):
         # with no noise and a gate that always fires, every policy shares the
@@ -339,11 +336,10 @@ class TestSharedLoop:
         ipp_plan = make_plan(parts, g, T=T, gated=True, c_max=T)
         lam = 1.5 * max(pp_plan.lambda_hat_floor, ipp_plan.lambda_hat_floor)
         plain = engine.run_nonprivate(parts, g, 0.5, lam, T, cfg)
-        pp, _ = engine.run_pp_admm(parts, g, pp_plan, 0.5, T, cfg, seed=3, lambda_hat=lam,
+        pp, _ = engine.run_pp_admm(parts, g, pp_plan, 0.5, cfg, seed=3, lambda_hat=lam,
                                    noise_disabled=True)
-        ipp, _ = engine.run_ipp_admm(parts, g, ipp_plan, 0.5, T, alpha=-1e9, c_max=T,
-                                     c_loss=2.0, cfg=cfg, seed=3, lambda_hat=lam,
-                                     noise_disabled=True)
+        ipp, _ = engine.run_ipp_admm(parts, g, ipp_plan, 0.5, alpha=-1e9, c_loss=2.0, cfg=cfg,
+                                     seed=3, lambda_hat=lam, noise_disabled=True)
         assert len(plain) == T
         for a, b, c in zip(plain, pp, ipp, strict=True):
             assert np.array_equal(a.thetas, b.thetas)

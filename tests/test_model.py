@@ -3,11 +3,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from padmm import cli, data, metrics, model, noise
 from padmm.model import DataTerms, solver_steps, stacked_kernel
-from padmm.solver import SolverConfig, minimize
+from padmm.solver import NonConvergence, SolverConfig, minimize
 from reference import (
     AugmentedParams,
     LocalObjectiveParams,
@@ -311,7 +311,7 @@ def random_round(rng, n_agents, max_degree, with_b1, shuffled):
     lam, eta = float(rng.uniform(0.2, 2)), float(rng.uniform(0.1, 2))
     dual, prev = rng.normal(size=(n_agents, d)), rng.normal(size=(n_agents, d))
     b1 = rng.normal(size=(n_agents, d)) if with_b1 else None
-    kernel = stacked_kernel(DataTerms(blocks(parts)), lam, n_agents, dual, prev, slots, eta, b1)
+    kernel = stacked_kernel(DataTerms(blocks(parts)), lam, dual, prev, slots, eta, b1)
     references = [
         augmented_kernel(LocalObjectiveParams(parts[i], lam, n_agents),
                          AugmentedParams(dual[i], prev[i], [prev[j] for j in nbrs[i]], eta,
@@ -343,7 +343,7 @@ class TestStackedKernel:
         dual, prev, b1 = (rng.normal(size=(3, 3)) for _ in range(3))
         slots = np.array([[1, 2], [0, 1], [2, 2]])
         before = [a.copy() for a in (dual, prev, b1, slots)]
-        kernel = stacked_kernel(DataTerms(parts), 1.0, 3, dual, prev, slots, 0.5, b1)
+        kernel = stacked_kernel(DataTerms(parts), 1.0, dual, prev, slots, 0.5, b1)
         thetas = rng.normal(size=(3, 3))
         kept = thetas.copy()
         for _ in range(3):
@@ -486,17 +486,35 @@ class TestKernelSolves:
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n_agents=st.integers(1, 7),
            max_degree=st.integers(0, 3), with_b1=st.booleans())
+    # row 5 stops at the iteration cap, in the one-agent solve and the stacked one
+    @example(seed=6168, n_agents=7, max_degree=3, with_b1=True)
     def test_stacked_solve_equals_one_agent_solves(self, seed, n_agents, max_degree, with_b1):
         rng = np.random.default_rng(seed)
         d, kernel, references = random_round(rng, n_agents, max_degree, with_b1, False)
         # steps up to 1.5 exceed 2 / L on some rows, so their Armijo guard backtracks
         steps = rng.uniform(0.3, 1.5, size=n_agents)
         start = rng.normal(size=(n_agents, d))
-        out = minimize(kernel, start, SolverConfig(beta=1e-4, initial_step=steps))
+        expected, failures = [], []
         for i, reference in enumerate(references):
-            expected = minimize(as_rows(reference), start[i:i + 1],
-                                SolverConfig(beta=1e-4, initial_step=steps[i]))
-            assert np.array_equal(out[i], expected[0])
+            try:
+                expected.append(minimize(as_rows(reference), start[i:i + 1],
+                                         SolverConfig(beta=1e-4, initial_step=steps[i]))[0])
+            except NonConvergence as exc:
+                failures.append((i, exc))
+        cfg = SolverConfig(beta=1e-4, initial_step=steps)
+        if not failures:
+            out = minimize(kernel, start, cfg)
+            for i, theta in enumerate(expected):
+                assert np.array_equal(out[i], theta)
+            return
+        # the stacked solve names the lowest failing row, as that row's own solve fails
+        row, want = failures[0]
+        with pytest.raises(NonConvergence) as info:
+            minimize(kernel, start, cfg)
+        got = info.value
+        assert (got.row, str(got), got.gradient_norm) == (row, str(want), want.gradient_norm)
+        assert got.last_iterate.shape == want.last_iterate.shape
+        assert got.last_iterate.tobytes() == want.last_iterate.tobytes()
 
 
 def exact_hessian(theta, p, eta, degree):

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from padmm.accountant import svt_split_ratio
 from padmm.noise import RngHandle
-from padmm.svt import Decision, SvtGate, svt_split_ratio
+from padmm.svt import Decision, SvtGate
 
 
 def disabled_rng():
