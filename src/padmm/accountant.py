@@ -17,6 +17,13 @@ regularizer floor the training loops need:
   lambda_hat >= max_i 2.8 N c1 / ((eps_i1 - eps_i3) |D_i|),  c1 = C1
   sigma_i1 = 2 sqrt(2 ln(1.25/delta_i1)) / (|D_i| eps_i3)
   sigma_i2 = beta / (sqrt(2 rho_i2) (lambda_hat/N + 2 eta deg_i))
+
+The ledger (ZcdpLedger) is a per-agent sum that each release step charges
+with the rho it spends: a pp round charges rho_i1 + rho_i2, and an ipp
+agent charges rho_svt once when its gate is built and rho_i1 + rho_i2 per
+broadcast.  One agent's charges add up (serial composition); agents hold
+disjoint data, so the network-wide cost is the largest agent's (parallel
+composition).
 """
 
 from __future__ import annotations
@@ -75,14 +82,6 @@ def zcdp_sufficient_epsilon(rho: float, delta: float) -> float:
     if rho < 0 or not 0 < delta < 1:
         raise BudgetError("need rho >= 0 and delta in (0, 1)")
     return 2.0 * math.sqrt(rho * math.log(1.0 / delta))
-
-
-def parallel_compose(costs) -> float:
-    """Mechanisms on disjoint data partitions cost the maximum."""
-    costs = list(costs)
-    if not costs:
-        raise BudgetError("parallel composition of an empty list")
-    return float(max(costs))
 
 
 def svt_open_cost(eps1: float, eps2: float) -> float:
@@ -233,27 +232,16 @@ class ZcdpLedger:
 
     delta_target: float
     per_agent: dict = field(default_factory=dict)
-    _svt_opened: set = field(default_factory=set)
 
-    def charge_pp_iteration(self, agent, plan: BudgetPlan) -> None:
-        """One full-broadcast release: rho_i1 + rho_i2."""
-        self.per_agent[agent] = self.per_agent.get(agent, 0.0) + plan.per_release_rho
+    def charge_pp_iteration(self, agent, rho: float) -> None:
+        """Add rho to agent's spend."""
+        self.per_agent[agent] = self.per_agent.get(agent, 0.0) + rho
 
-    def charge_ipp(self, agent, plan: BudgetPlan, event: str) -> None:
-        """Gated-mode events: 'svt_open' once per agent, 'broadcast' per release."""
-        if event == "svt_open":
-            if agent in self._svt_opened:
-                raise BudgetError(f"agent {agent}: SVT gate already charged")
-            self._svt_opened.add(agent)
-            self.per_agent[agent] = self.per_agent.get(agent, 0.0) + plan.rho_svt
-        elif event == "broadcast":
-            self.per_agent[agent] = self.per_agent.get(agent, 0.0) + plan.per_release_rho
-        else:
-            raise ValueError(f"unknown event {event!r}")
+    charge_ipp = charge_pp_iteration  # the gated loop's name; bench/tracer.py wraps both
 
     def total_rho(self) -> float:
         """Network-wide cost: parallel composition over disjoint agent datasets."""
-        return parallel_compose(self.per_agent.values()) if self.per_agent else 0.0
+        return max(self.per_agent.values(), default=0.0)
 
     def report(self) -> dict:
         rho = self.total_rho()

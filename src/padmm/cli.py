@@ -145,10 +145,7 @@ def load_config(path: str | None, overrides: dict) -> ExperimentConfig:
     for key, value in overrides.items():
         if value is not None:
             values.update({key: _coerce(key, value)})
-    try:
-        return ExperimentConfig(**values)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from None
+    return ExperimentConfig(**values)
 
 
 def build_graph(cfg: ExperimentConfig) -> topology.Graph:
@@ -190,8 +187,6 @@ def prepare_data(cfg: ExperimentConfig):
     scales = data_mod.column_scales(block.features for block in train)
     for block in train:
         data_mod.normalize(block.features, scales)
-        if not np.isfinite(block.features).all():
-            raise data_mod.DataError("normalized training features must be finite")
     data_mod.normalize(test_features, scales)
     return train, data_mod.Dataset(test_features, test_labels)
 
@@ -199,24 +194,22 @@ def prepare_data(cfg: ExperimentConfig):
 def build_plan(cfg: ExperimentConfig, train_parts, graph) -> accountant.BudgetPlan | None:
     if cfg.algorithm == "nonprivate":
         return None
-    sizes = dict(sorted((int(i), block.labels.shape[1])
-                        for block in train_parts for i in block.rows))
-    common = dict(
+    if cfg.algorithm not in ("pp_admm", "ipp_admm"):
+        raise ConfigError(f"unknown algorithm {cfg.algorithm!r}")
+    gated = cfg.algorithm == "ipp_admm"
+    return accountant.plan_budget(
         epsilon=cfg.epsilon,
         delta=cfg.delta,
         T=cfg.T,
         splits=cfg.splits,
-        dataset_sizes=sizes,
+        dataset_sizes=dict(sorted((int(i), block.labels.shape[1])
+                                  for block in train_parts for i in block.rows)),
         eta=cfg.eta,
         degrees=graph.degrees(),
         beta=cfg.beta,
+        c_broadcasts=cfg.c_max if gated else None,
+        svt_budget_fraction=cfg.svt_budget_fraction if gated else None,
     )
-    if cfg.algorithm == "pp_admm":
-        return accountant.plan_budget(**common)
-    if cfg.algorithm == "ipp_admm":
-        return accountant.plan_budget(
-            **common, c_broadcasts=cfg.c_max, svt_budget_fraction=cfg.svt_budget_fraction)
-    raise ConfigError(f"unknown algorithm {cfg.algorithm!r}")
 
 
 def build_experiment(cfg: ExperimentConfig):
@@ -277,7 +270,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
         )
 
     runs = []  # (seed, traces), one trace per round
-    ledger_report = None
+    ledgers = []
     for seed in cfg.seeds:
         if cfg.algorithm == "nonprivate":
             lam = cfg.lambda_hat if cfg.lambda_hat is not None else 0.01
@@ -298,18 +291,35 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
             )
         runs.append((seed, traces))
         if ledger is not None:
-            ledger_report = ledger.report()
-            if cfg.insecure_no_noise:
-                ledger_report["epsilon_sufficient"] = "inf"
+            ledgers.append(ledger)
 
     report = RunReport(
         config=dataclasses.asdict(cfg),
         rounds=[_round_record(seed, trace) for seed, traces in runs for trace in traces],
-        summary=_summarize(runs, ledger_report, graph),
+        summary=_summarize(runs, _privacy(ledgers, cfg.insecure_no_noise), graph),
     )
     if cfg.output:
         with open(cfg.output, "w") as fh:
             fh.write(report.to_ndjson())
+    return report
+
+
+def _privacy(ledgers, insecure_no_noise: bool) -> dict | None:
+    """The privacy block: per agent, the largest spend of any one seed's run.
+
+    Runs on different seeds are separate experiments, not composed, so the
+    block is the worst single run and does not depend on the seeds' order.
+    Without noise there is no guarantee, and both epsilons read "inf".
+    """
+    if not ledgers:
+        return None
+    worst = accountant.ZcdpLedger(delta_target=ledgers[0].delta_target)
+    for ledger in ledgers:
+        for agent, rho in ledger.per_agent.items():
+            worst.per_agent[agent] = max(worst.per_agent.get(agent, 0.0), rho)
+    report = worst.report()
+    if insecure_no_noise:
+        report.update(epsilon_sufficient="inf", epsilon_conservative="inf")
     return report
 
 

@@ -37,7 +37,7 @@ import numpy as np
 
 from . import metrics, noise
 from .accountant import BudgetError, BudgetPlan, ZcdpLedger, check_lambda_hat
-from .data import Dataset, ShardBlock
+from .data import Dataset
 from .model import DataTerms, _loss, clipped_quality, solver_steps, stacked_kernel
 from .solver import NonConvergence, SolverConfig, minimize
 from .svt import Decision, SvtGate
@@ -152,18 +152,14 @@ def _train(agents: _Agents, T, test, ledger, draw_b1, release, c_loss=None):
     return traces
 
 
-def _private_setup(blocks, g, plan, lambda_hat, eta, cfg, seed, noise_disabled, gated):
+def _private_setup(blocks, g, plan, lambda_hat, eta, cfg, seed, noise_disabled):
     """Checks and state shared by the private loops.
 
     Returns the agents at the effective lambda_hat, an empty ledger,
     draw_b1(i) (agent i's objective noise), perturb(i, theta_hat) (theta_hat
-    plus agent i's output noise) and, when gated, the SVT threshold and query
-    RngHandle lists.
+    plus agent i's output noise) and, when the plan is gated, the SVT
+    threshold and query RngHandle lists.
     """
-    if (plan.c_broadcasts is not None) != gated:
-        raise EngineError("budget plan was made for full broadcast; gated mode needs its own plan"
-                          if gated else
-                          "budget plan was made for gated mode; full broadcast needs its own plan")
     if set(plan.sigma_i1) != set(range(g.n)):
         raise EngineError("budget plan does not cover this graph's agents")
     if lambda_hat is None:
@@ -176,7 +172,8 @@ def _private_setup(blocks, g, plan, lambda_hat, eta, cfg, seed, noise_disabled, 
         [noise.RngHandle.for_agent(seed, i, purpose, disabled=noise_disabled)
          for i in range(g.n)]
         for purpose in (noise.OBJECTIVE_NOISE, noise.OUTPUT_NOISE,
-                        *((noise.SVT_THRESHOLD, noise.SVT_QUERY) if gated else ()))]
+                        *((noise.SVT_THRESHOLD, noise.SVT_QUERY)
+                          if plan.c_broadcasts is not None else ()))]
     agents = _agents(blocks, g, lambda_hat, eta, cfg)
     d = agents.dimension
 
@@ -204,12 +201,14 @@ def run_pp_admm(blocks, g: Graph, plan: BudgetPlan, eta: float,
     Runs the plan's T rounds.  Every agent pays rho_i1 + rho_i2 per round,
     so the ledger ends at the planned budget exactly.
     """
+    if plan.c_broadcasts is not None:
+        raise EngineError("budget plan was made for gated mode; full broadcast needs its own plan")
     agents, ledger, draw_b1, perturb, _ = _private_setup(
-        blocks, g, plan, lambda_hat, eta, cfg, seed, noise_disabled, gated=False)
+        blocks, g, plan, lambda_hat, eta, cfg, seed, noise_disabled)
 
     def release(i, theta_hat, quality):
         shared = perturb(i, theta_hat)
-        ledger.charge_pp_iteration(i, plan)
+        ledger.charge_pp_iteration(i, plan.per_release_rho)
         return shared
 
     return _train(agents, plan.T, test, ledger, draw_b1, release), ledger
@@ -227,40 +226,21 @@ def run_ipp_admm(blocks, g: Graph, plan: BudgetPlan, eta: float,
     gate's cost once per agent, plus rho_i1 + rho_i2 per actual broadcast,
     capped at the plan's c_broadcasts.
     """
+    if plan.c_broadcasts is None:
+        raise EngineError("budget plan was made for full broadcast; gated mode needs its own plan")
     agents, ledger, draw_b1, perturb, (threshold_rngs, query_rngs) = _private_setup(
-        blocks, g, plan, lambda_hat, eta, cfg, seed, noise_disabled, gated=True)
+        blocks, g, plan, lambda_hat, eta, cfg, seed, noise_disabled)
     eps1, eps2 = plan.svt_eps
     gates = []
     for i in range(g.n):
         gates.append(SvtGate(alpha, plan.c_broadcasts, eps1, eps2, c_loss, threshold_rngs[i]))
-        ledger.charge_ipp(i, plan, "svt_open")
+        ledger.charge_ipp(i, plan.rho_svt)
 
     def release(i, theta_hat, quality):
         if gates[i].check(quality, query_rngs[i]) is not Decision.ABOVE:
             return None
         shared = perturb(i, theta_hat)
-        ledger.charge_ipp(i, plan, "broadcast")
+        ledger.charge_ipp(i, plan.per_release_rho)
         return shared
 
     return _train(agents, plan.T, test, ledger, draw_b1, release, c_loss), ledger
-
-
-def centralized_reference(pooled: Dataset, lambda_hat: float, cfg: SolverConfig):
-    """Minimize mean pooled loss + lambda_hat * 0.5 ||theta||^2 directly.
-
-    pooled is read in place as the one shard of one agent.
-
-    Test oracle for the decentralized loops: with equal agent shares, the
-    consensus problem's minimizer equals this one at lambda_hat = (total
-    regularizer weight) / N.
-    """
-    data_terms = DataTerms([ShardBlock(np.zeros(1, dtype=int), pooled.features[None],
-                                       pooled.labels[None])])
-    cfg = replace(cfg, initial_step=solver_steps(data_terms, lambda_hat, 0.0, [0]))
-    zeros = np.zeros((1, pooled.dimension))
-    objective = stacked_kernel(data_terms, lambda_hat, zeros, zeros,
-                               np.zeros((1, 0), dtype=int), 0.0)
-    try:
-        return minimize(objective, zeros, cfg)[0]
-    except NonConvergence as exc:
-        raise EngineError(f"centralized reference did not converge: {exc}") from exc

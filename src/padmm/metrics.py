@@ -29,8 +29,6 @@ def error_rate(theta_per_agent, test: data.Dataset) -> float:
     scores, packed to bits and XORed with the packed labels, so its rate is
     an exact integer count over n_test.
     """
-    if test.n_samples == 0:
-        raise ValueError("empty test set")
     scores = np.asarray(theta_per_agent) @ test.features.T  # (N, n_test)
     wrong = np.packbits(scores >= 0, axis=1) ^ np.packbits(test.labels > 0)
     counts = np.bitwise_count(wrong).sum(axis=1)

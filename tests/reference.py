@@ -11,7 +11,10 @@ bit for bit.  clipped_quality is one agent's gate score, which
 padmm.model.clipped_quality's rows must equal bit for bit.  error_rate is
 the boolean-matrix form of padmm.metrics.error_rate.  as_rows lifts a
 one-theta objective to the row form padmm.solver.minimize takes;
-serial_compose is zCDP's additive composition rule, which no run uses.
+serial_compose and parallel_compose are zCDP's composition rules (sum on
+one agent's data, maximum over disjoint data), which padmm.accountant's
+ledger applies in place.  centralized_reference minimizes the pooled
+problem directly, the oracle for the decentralized loops.
 blocks is the old two-step form of padmm.data.partition: per-agent
 shards, then grouped by size and stacked; agent_shards unstacks blocks
 back into per-agent Datasets.  prepare_data is the old setup that
@@ -23,12 +26,15 @@ synthetic_blobs is padmm.data.synthetic_blobs normalized by preprocess.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from padmm.accountant import BudgetError
 from padmm.data import Dataset, ShardBlock, load_csv, partition
-from padmm.model import _deriv, _loss
+from padmm.engine import EngineError
+from padmm.model import DataTerms, _deriv, _loss, solver_steps, stacked_kernel
+from padmm.solver import NonConvergence, SolverConfig, minimize
 
 
 def logistic_loss(z):
@@ -217,6 +223,33 @@ def as_rows(objective):
 def serial_compose(costs) -> float:
     """Mechanisms on the same data compose additively."""
     return float(sum(costs))
+
+
+def parallel_compose(costs) -> float:
+    """Mechanisms on disjoint data partitions cost the maximum."""
+    costs = list(costs)
+    if not costs:
+        raise BudgetError("parallel composition of an empty list")
+    return float(max(costs))
+
+
+def centralized_reference(pooled: Dataset, lambda_hat: float, cfg: SolverConfig):
+    """Minimize mean pooled loss + lambda_hat * 0.5 ||theta||^2 directly.
+
+    pooled is read in place as the one shard of one agent.  With equal agent
+    shares, the consensus problem's minimizer equals this one at lambda_hat =
+    (total regularizer weight) / N.
+    """
+    data_terms = DataTerms([ShardBlock(np.zeros(1, dtype=int), pooled.features[None],
+                                       pooled.labels[None])])
+    cfg = replace(cfg, initial_step=solver_steps(data_terms, lambda_hat, 0.0, [0]))
+    zeros = np.zeros((1, pooled.dimension))
+    objective = stacked_kernel(data_terms, lambda_hat, zeros, zeros,
+                               np.zeros((1, 0), dtype=int), 0.0)
+    try:
+        return minimize(objective, zeros, cfg)[0]
+    except NonConvergence as exc:
+        raise EngineError(f"centralized reference did not converge: {exc}") from exc
 
 
 def blocks(parts: list[Dataset]) -> list[ShardBlock]:

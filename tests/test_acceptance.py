@@ -13,7 +13,7 @@ from padmm.solver import SolverConfig
 from padmm.svt import Decision, SvtGate
 from padmm.topology import ring
 from reference import (AugmentedParams, LocalObjectiveParams, agent_shards, augmented_gradient,
-                       augmented_objective, clipped_quality)
+                       augmented_objective, centralized_reference, clipped_quality)
 
 BETA = 10.0**-3.5
 DELTA = 1e-4
@@ -95,7 +95,7 @@ def test_3_consensus_oracle():
         np.concatenate([p.labels for p in agent_shards(parts)])
     )
     # consensus problem == pooled mean loss + (lam/N) * 0.5 ||theta||^2
-    ref = engine.centralized_reference(pooled, lam / 3, cfg)
+    ref = centralized_reference(pooled, lam / 3, cfg)
     loss_gap = abs(traces[-1].average_loss - metrics.average_loss([ref] * 3, DataTerms(parts)))
     elapsed = time.time() - start
     ok = residual < 1e-5 and loss_gap < 1e-3 and elapsed < 60

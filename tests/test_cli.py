@@ -294,6 +294,20 @@ class TestRunExperiment:
         assert report.summary["n_seeds"] == 3
         assert len(report.rounds) == 6
 
+    def test_privacy_block_is_the_worst_single_run(self):
+        # runs on different seeds are not composed: per agent, the block holds the
+        # largest spend of any one run, whatever order the seeds come in
+        def privacy(seeds):
+            cfg = ExperimentConfig(algorithm="ipp_admm", topology="ring", seeds=seeds)
+            return run_experiment(cfg).summary["privacy"]
+
+        both = privacy((0, 1))
+        assert privacy((1, 0)) == both
+        singles = [privacy((seed,))["per_agent_rho"] for seed in (0, 1)]
+        assert singles[0] != singles[1]
+        assert both["per_agent_rho"] == {
+            agent: max(single[agent] for single in singles) for agent in singles[0]}
+
     def test_summary_reduces_each_round_over_seeds(self):
         # Nine seeds pass numpy's 8-way pairwise-sum block, where a reduction
         # in another order would show in the last bits.
@@ -559,3 +573,4 @@ class TestMain:
         assert "NO differential privacy" in capsys.readouterr().err
         summary = json.loads(out.read_text().strip().split("\n")[-1])
         assert summary["privacy"]["epsilon_sufficient"] == "inf"
+        assert summary["privacy"]["epsilon_conservative"] == "inf"

@@ -5,7 +5,7 @@ from hypothesis.extra import numpy as hnp
 
 import reference
 from padmm import data
-from reference import agent_shards, blocks
+from reference import agent_shards, blocks, centralized_reference
 
 
 def write_csv(tmp_path, text, name="d.csv"):
@@ -278,7 +278,6 @@ class TestSyntheticBlobs:
 
     def test_separable_fit(self):
         # a centralized logistic fit should separate well-spread clusters
-        from padmm.engine import centralized_reference
         from padmm.metrics import error_rate
         from padmm.solver import SolverConfig
 

@@ -7,8 +7,8 @@ from padmm.engine import EngineError, dual_update
 from padmm.model import DataTerms
 from padmm.solver import SolverConfig, minimize
 from padmm.topology import ring
-from reference import (LocalObjectiveParams, agent_shards, blocks, clipped_quality,
-                       curvature_bounds)
+from reference import (LocalObjectiveParams, agent_shards, blocks, centralized_reference,
+                       clipped_quality, curvature_bounds)
 
 BETA = 10.0**-3.5
 
@@ -72,7 +72,7 @@ class TestNonprivate:
             np.vstack([p.features for p in agent_shards(parts)]),
             np.concatenate([p.labels for p in agent_shards(parts)]),
         )
-        ref = engine.centralized_reference(pooled, 1.0 / 3, cfg)
+        ref = centralized_reference(pooled, 1.0 / 3, cfg)
         ref_loss = metrics.average_loss([ref] * 3, DataTerms(parts))
         assert abs(traces[-1].average_loss - ref_loss) < 1e-3
 
@@ -358,19 +358,19 @@ class TestCentralizedReference:
         from padmm.topology import Graph
 
         traces = engine.run_nonprivate(parts, Graph(2, [(0, 1)]), 0.5, 1.0, 40, cfg)
-        ref = engine.centralized_reference(ds, 1.0 / 2, cfg)
+        ref = centralized_reference(ds, 1.0 / 2, cfg)
         assert np.linalg.norm(traces[-1].thetas[0] - ref) < 1e-3
 
     def test_heavy_regularization_shrinks(self):
         ds = data.synthetic_blobs(50, 2, 2.0, 0)
-        theta = engine.centralized_reference(ds, 1e6, SolverConfig(beta=1e-2))
+        theta = centralized_reference(ds, 1e6, SolverConfig(beta=1e-2))
         assert np.linalg.norm(theta) < 1e-4
 
     def test_deterministic(self):
         ds = data.synthetic_blobs(60, 2, 2.0, 1)
         cfg = SolverConfig(beta=1e-6)
-        a = engine.centralized_reference(ds, 0.5, cfg)
-        b = engine.centralized_reference(ds, 0.5, cfg)
+        a = centralized_reference(ds, 0.5, cfg)
+        b = centralized_reference(ds, 0.5, cfg)
         assert np.array_equal(a, b)
 
 
