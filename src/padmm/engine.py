@@ -80,7 +80,7 @@ class _Agents:
     eta: float
     data_terms: DataTerms  # the shards stacked by size, with this run's one-point memo
     slots: np.ndarray  # (N, max degree) sorted neighbors, padded with the agent itself
-    cfg: SolverConfig  # initial_step: each agent's 2 / (mu + L)
+    cfg: SolverConfig  # step: each agent's 2 / (mu + L)
 
 
 def _agents(blocks, g: Graph, lambda_hat: float, eta: float, cfg: SolverConfig) -> _Agents:
@@ -91,7 +91,7 @@ def _agents(blocks, g: Graph, lambda_hat: float, eta: float, cfg: SolverConfig) 
         slots[i, :len(js)] = js
     data_terms = DataTerms(blocks)
     steps = solver_steps(data_terms, lambda_hat, eta, [len(js) for js in nbrs])
-    return _Agents(d, lambda_hat, eta, data_terms, slots, replace(cfg, initial_step=steps))
+    return _Agents(d, lambda_hat, eta, data_terms, slots, replace(cfg, step=steps))
 
 
 def _check_inputs(blocks, g: Graph):

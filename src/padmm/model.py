@@ -1,4 +1,4 @@
-"""Logistic loss, the stacked augmented objective, solver steps and the gated quality score.
+"""Logistic loss, the stacked augmented gradient, solver steps and the gated quality score.
 
 The local objective of agent i is
 
@@ -22,9 +22,10 @@ from the stacked shards.
 Each evaluation takes one exponential per sample: with e = exp(-|z|),
 L(z) = log(1 + exp(-z)) is max(-z, 0) + log1p(e) and its derivative is
 -e / (1 + e) for z >= 0 and -1 / (1 + e) for z < 0.  stacked_kernel
-evaluates every agent's subproblem of a round at once, one row per agent,
-on the shards stacked by size (data.partition's ShardBlocks).  Its rows are bit-identical to
-the one-agent loop form, which tests/reference.py keeps as the oracle; that
+returns the gradients (the solver reads no values) of every agent's
+subproblem of a round at once, one row per agent, on the shards stacked by
+size (data.partition's ShardBlocks).  Its rows are bit-identical to the
+one-agent loop form, which tests/reference.py keeps as the oracle; that
 rests on NumPy's stacked matmul and vecdot calling the same BLAS gemv and
 dot per row as the 2-D and 1-D products.
 
@@ -108,37 +109,32 @@ class DataTerms:
 def stacked_kernel(data_terms: DataTerms, lambda_hat: float, dual: np.ndarray,
                    self_prev: np.ndarray, slots: np.ndarray, eta: float,
                    noise_b1: np.ndarray | None = None):
-    """objective(thetas) -> (values (N,), grads (N, d)) of every agent's subproblem.
+    """objective(thetas) -> grads (N, d) of every agent's subproblem.
 
-    Row i is agent i's augmented objective and gradient at thetas[i].
-    data_terms evaluates the agents' shards (and may answer from its memo);
-    dual, self_prev and noise_b1 (None for no objective noise) have one row
-    per agent; slots[i] lists agent i's neighbors in ascending order, padded
+    Row i is agent i's augmented gradient at thetas[i].  data_terms
+    evaluates the agents' shards (and may answer from its memo); dual,
+    self_prev and noise_b1 (None for no objective noise) have one row per
+    agent; slots[i] lists agent i's neighbors in ascending order, padded
     with i itself, and the padded slots are skipped.  The round-local terms
     (2 dual, the b1 term and the neighbor midpoints 0.5 (theta_self_prev +
     theta_j)) are computed once here, for every evaluation of one solve.
-    Each row takes the per-agent form's operations in its order, as row-wise
-    matmul, vecdot and sums, so it matches a one-agent evaluation bit for
-    bit.
+    Each row takes the per-agent form's operations in its order, so it
+    matches a one-agent evaluation bit for bit.
     """
     scale = lambda_hat / data_terms.n_agents
     two_dual = 2.0 * dual
     b1 = noise_b1 if noise_b1 is not None else 0.0
-    linear = two_dual + b1
     midpoints = 0.5 * (self_prev[:, None, :] + self_prev[slots])  # (N, S, d)
     real = slots != np.arange(len(slots))[:, None]
     two_eta = 2.0 * eta
 
     def objective(thetas: np.ndarray):
-        loss, data_grads = data_terms(thetas)
-        values = loss + scale * 0.5 * np.vecdot(thetas, thetas) + np.vecdot(linear, thetas)
-        grads = data_grads + scale * thetas + two_dual + b1
+        grads = data_terms(thetas)[1] + scale * thetas + two_dual + b1
         for s in range(slots.shape[1]):
-            diff = midpoints[:, s] - thetas
-            np.add(values, eta * np.vecdot(diff, diff), out=values, where=real[:, s])
             # exactly + 2 eta (theta - midpoint)
-            np.subtract(grads, two_eta * diff, out=grads, where=real[:, s, None])
-        return values, grads
+            np.subtract(grads, two_eta * (midpoints[:, s] - thetas), out=grads,
+                        where=real[:, s, None])
+        return grads
 
     return objective
 

@@ -1,17 +1,16 @@
 """First-order inner solver: run until the gradient norm drops below beta.
 
-Gradient descent that tries `initial_step` at every iteration and halves it
-only while the Armijo test fails.  The engine sets `initial_step` to every
-row's 2 / (mu + L) from its subproblem's strong-convexity and smoothness
-bounds (model.solver_steps); at that step gradient descent contracts by
-(L - mu) / (L + mu) per iteration, and the Armijo test holds whenever
-mu / (mu + L) >= ARMIJO_C, so the backtracking is only a guard.  The stopping
-rule is unchanged: the gradient norm at the returned iterate is <= beta.
-
-`minimize` solves several independent problems at once, one per row: each
-row has its own step, Armijo guard and iteration count, and stops at its own
-first iterate with gradient norm <= beta, so every row follows the iterates
-of a one-row solve bit for bit.  Deterministic: no internal randomness.
+Plain row-wise gradient descent at the caller's steps, with no line search.
+The engine gives every row the step s = 2 / (mu + L) from its subproblem's
+strong-convexity and smoothness bounds (model.solver_steps).  By the
+descent lemma, f(theta - s g) <= f(theta) - s (1 - s L / 2) ||g||^2, so a
+step below 2 / L always lowers f, and at 2 / (mu + L) the iterates contract
+by (L - mu) / (L + mu) per step (Nesterov 2004, Thm 2.1.15).  A search
+would only retest that, and near ||g|| = 1e-10 its decrease test drowns in
+the rounding error of f.  Precondition: each row's step is at most its 2 / L;
+a longer one may diverge and end at the iteration cap.  Rows are independent:
+each stops at its own first iterate with gradient norm <= beta and follows a
+one-row solve bit for bit.  Deterministic.
 """
 
 from __future__ import annotations
@@ -20,25 +19,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-ARMIJO_C = 1e-4
-MIN_STEP = 1e-20
-
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """initial_step is one step for every row, or an array with one per row."""
+    """step is one step for every row, or an array with one per row."""
 
     beta: float
     max_iterations: int = 10_000
-    initial_step: float | np.ndarray = 1.0
+    step: float | np.ndarray = 1.0
 
     def __post_init__(self):
-        # a NaN or infinite step never falls below MIN_STEP, so minimize would not stop
-        step = np.asarray(self.initial_step)
+        # a NaN or infinite step makes every iterate NaN, so the solve could only end at the cap
+        step = np.asarray(self.step)
         finite_step = np.all((0 < step) & (step < np.inf))
         if not (self.beta > 0 and self.max_iterations >= 1 and finite_step):
-            raise ValueError("beta, max_iterations must be positive; "
-                             "initial_step finite and positive")
+            raise ValueError("beta, max_iterations must be positive; step finite and positive")
 
 
 class NonConvergence(RuntimeError):
@@ -59,41 +54,25 @@ class NonConvergence(RuntimeError):
 def minimize(objective, start: np.ndarray, cfg: SolverConfig) -> np.ndarray:
     """Minimize smooth convex objectives, row by row, to gradient norm <= cfg.beta.
 
-    For a (k, d) start, `objective(thetas)` returns (values (k,), gradients
-    (k, d)) and is evaluated at all k rows on every call; rows that have
-    stopped are evaluated at their final iterate.  If any row fails,
-    NonConvergence names the lowest failing row, after the others have
-    finished.
+    For a (k, d) start, `objective(thetas)` returns the (k, d) gradients and
+    is evaluated at all k rows on every call; rows that have stopped are
+    evaluated at their final iterate.  If rows are still above beta after
+    cfg.max_iterations steps, NonConvergence names the lowest of them.
     """
     theta = np.array(start, dtype=float)
-    initial_step = np.broadcast_to(np.asarray(cfg.initial_step, dtype=float), theta.shape[:1])
-    value, grad = objective(theta)
-    grad_norm = np.sqrt(np.vecdot(grad, grad))
-    active = ~(grad_norm <= cfg.beta)
-    step = initial_step.copy()
-    iterations = np.zeros(len(theta), dtype=int)
-    failures = {}
-    while active.any():
-        candidate = np.where(active[:, None], theta - step[:, None] * grad, theta)
-        cand_value, cand_grad = objective(candidate)
-        accept = active & (cand_value <= value - ARMIJO_C * step * grad_norm * grad_norm)
-        theta = np.where(accept[:, None], candidate, theta)
-        value = np.where(accept, cand_value, value)
-        grad = np.where(accept[:, None], cand_grad, grad)
+    step = np.broadcast_to(np.asarray(cfg.step, dtype=float), theta.shape[:1])[:, None]
+    grad = objective(theta)
+    active = ~(np.sqrt(np.vecdot(grad, grad)) <= cfg.beta)
+    for _ in range(cfg.max_iterations):
+        if not active.any():
+            return theta
+        theta = np.where(active[:, None], theta - step * grad, theta)
+        grad = objective(theta)
         grad_norm = np.sqrt(np.vecdot(grad, grad))
-        iterations += accept
-        step = np.where(accept, initial_step, 0.5 * step)
-        active &= ~(accept & (grad_norm <= cfg.beta))
-        stalled = active & ~accept & (step < MIN_STEP)
-        capped = active & (iterations == cfg.max_iterations)
-        if stalled.any() or capped.any():
-            for i in np.flatnonzero(stalled):
-                failures[i] = f"line search stalled at gradient norm {grad_norm[i]:.3e}"
-            for i in np.flatnonzero(capped):
-                failures[i] = (f"gradient norm {grad_norm[i]:.3e} > beta {cfg.beta:.3e} "
-                               f"after {cfg.max_iterations} iterations")
-            active &= ~(stalled | capped)
-    if failures:
-        row = min(failures)
-        raise NonConvergence(failures[row], theta[row], float(grad_norm[row]), int(row))
+        active &= ~(grad_norm <= cfg.beta)
+    if active.any():
+        row = int(np.flatnonzero(active)[0])
+        raise NonConvergence(f"gradient norm {grad_norm[row]:.3e} > beta {cfg.beta:.3e} "
+                             f"after {cfg.max_iterations} iterations",
+                             theta[row], float(grad_norm[row]), row)
     return theta

@@ -3,14 +3,15 @@
 The engine evaluates every agent's subproblem at once with
 padmm.model.stacked_kernel.  These functions compute one agent's objective
 and gradient the plain way, from the agent's LocalObjectiveParams; model
-tests require the stacked rows to equal augmented_kernel bit for bit, and
-augmented_kernel to equal the augmented_objective / augmented_gradient pair
-bit for bit.  curvature_bounds and solver_step are one agent's (mu, L) and
-gradient step 2 / (mu + L), which padmm.model.solver_steps' rows must equal
-bit for bit.  clipped_quality is one agent's gate score, which
-padmm.model.clipped_quality's rows must equal bit for bit.  error_rate is
-the boolean-matrix form of padmm.metrics.error_rate.  as_rows lifts a
-one-theta objective to the row form padmm.solver.minimize takes;
+tests require the stacked gradient rows to equal augmented_kernel's bit
+for bit, and augmented_kernel to equal the augmented_objective /
+augmented_gradient pair bit for bit.  curvature_bounds and solver_step
+are one agent's (mu, L) and gradient step 2 / (mu + L), which
+padmm.model.solver_steps' rows must equal bit for bit.  clipped_quality is
+one agent's gate score, which padmm.model.clipped_quality's rows must
+equal bit for bit.  error_rate is the boolean-matrix form of
+padmm.metrics.error_rate.  as_rows lifts a one-theta (value, gradient)
+objective to the gradient rows that padmm.solver.minimize takes;
 serial_compose and parallel_compose are zCDP's composition rules (sum on
 one agent's data, maximum over disjoint data), which padmm.accountant's
 ledger applies in place.  centralized_reference minimizes the pooled
@@ -210,12 +211,11 @@ def error_rate(theta_per_agent, test: Dataset) -> float:
 def as_rows(objective):
     """objective(theta) -> (value, gradient) lifted to minimize's one-row form.
 
-    The lifted objective maps a (1, d) stack to (values (1,), gradients (1, d)).
+    The lifted objective maps a (1, d) stack to its (1, d) gradients.
     """
 
     def rows(thetas):
-        value, grad = objective(thetas[0])
-        return np.array([value]), grad[None]
+        return objective(thetas[0])[1][None]
 
     return rows
 
@@ -242,7 +242,7 @@ def centralized_reference(pooled: Dataset, lambda_hat: float, cfg: SolverConfig)
     """
     data_terms = DataTerms([ShardBlock(np.zeros(1, dtype=int), pooled.features[None],
                                        pooled.labels[None])])
-    cfg = replace(cfg, initial_step=solver_steps(data_terms, lambda_hat, 0.0, [0]))
+    cfg = replace(cfg, step=solver_steps(data_terms, lambda_hat, 0.0, [0]))
     zeros = np.zeros((1, pooled.dimension))
     objective = stacked_kernel(data_terms, lambda_hat, zeros, zeros,
                                np.zeros((1, 0), dtype=int), 0.0)

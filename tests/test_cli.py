@@ -379,6 +379,13 @@ class TestMain:
         assert code == 0
         assert "config OK" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("epsilon", ["9855607.898567354", "1e100"])
+    @pytest.mark.parametrize("command", ["validate", "plan"])
+    def test_large_epsilon_accepted(self, capsys, command, epsilon):
+        # validate accepts every epsilon that plan and run accept
+        code = cli.main([command, "--algorithm", "pp_admm", "--epsilon", epsilon])
+        assert code == 0, capsys.readouterr().err
+
     def test_bad_config_nonzero_exit(self, capsys):
         code = cli.main(["run", "--algorithm", "bogus"])
         assert code == 1
@@ -571,6 +578,12 @@ class TestMain:
         ])
         assert code == 0
         assert "NO differential privacy" in capsys.readouterr().err
-        summary = json.loads(out.read_text().strip().split("\n")[-1])
+        lines = [json.loads(line) for line in out.read_text().strip().split("\n")]
+        summary = lines[-1]
         assert summary["privacy"]["epsilon_sufficient"] == "inf"
         assert summary["privacy"]["epsilon_conservative"] == "inf"
+        # nothing was released with noise, so no spend is finite either
+        assert summary["privacy"]["total_rho"] == "inf"
+        assert summary["privacy"]["per_agent_rho"] == {"0": "inf", "1": "inf"}
+        rounds = [line for line in lines if line.get("type") == "round"]
+        assert [r["cumulative_rho"] for r in rounds] == [{"0": "inf", "1": "inf"}] * 2
