@@ -222,6 +222,9 @@ def build_experiment(cfg: ExperimentConfig):
                          ("topology_seed", [cfg.topology_seed])):
         if min(values) < 0:
             raise ConfigError(f"{name} must be >= 0, got {min(values)}")
+    repeated = next((s for s in cfg.seeds if cfg.seeds.count(s) > 1), None)
+    if repeated is not None:
+        raise ConfigError(f"seeds must be distinct, got {repeated} twice")
     if not cfg.eta > 0:
         raise ConfigError(f"eta must be > 0, got {cfg.eta}")
     if cfg.lambda_hat is not None and cfg.lambda_hat < 0:

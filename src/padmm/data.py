@@ -44,10 +44,6 @@ class Dataset:
     def dimension(self) -> int:
         return self.features.shape[1]
 
-    def subset(self, indices) -> "Dataset":
-        indices = np.asarray(indices)
-        return Dataset(self.features[indices], self.labels[indices])
-
 
 def load_csv(path, label_column: str, positive_value: str) -> Dataset:
     """Load a numeric-feature CSV with a two-valued label column.
@@ -169,7 +165,7 @@ def partition(data: Dataset, n_agents: int, seed: int, samples=None) -> list[Sha
     per-agent privacy costs valid.  The first n % n_agents agents take one
     sample more; each size is one ShardBlock, the larger first, and each
     shard keeps its samples in their order in `data`.  `samples` (an index
-    array; default every sample) splits data.subset(samples) instead,
+    array; default every sample) splits only the samples at those indices,
     gathering each shard from `data` directly.
     """
     n = data.n_samples if samples is None else len(samples)

@@ -16,17 +16,17 @@ data.partition stacks them by size, read in place, and updates every dual
 in one call.  Each agent's iterates, noise draws, gate decisions and
 charges are those of solving and releasing one agent at a time.
 
-The solver's objective and the reported training loss read the shards
-through one model.DataTerms per run, which remembers the last point it
-evaluated.  A round's training loss is taken at the shared values, which
-are the next round's warm start, so the solve's first evaluation reuses
-that pass; in the non-private loop the shared values are the solver's last
-evaluated point, so the training loss costs no pass of its own.  The gated
-loop scores every agent's quality once per round (model.clipped_quality)
-from the per-sample losses at the warm start, which the previous round's
-training loss left in DataTerms (at round 0's zero start every loss is
-log(1 + e^0)), and at the solution, the solve's last evaluated point, so
-the gate costs no pass either.
+The solver's objective, the reported training loss and the gate's quality
+scores read the shards through one model.DataTerms per run, which
+remembers the last point it evaluated.  A round's training loss is taken at
+the shared values, which are the next round's warm start, so the solve's
+first evaluation reuses that pass; in the non-private loop the shared values
+are the solver's last evaluated point, so the training loss costs no pass of
+its own.  The gated loop scores every agent's quality once per round
+(model.clipped_quality) from the per-sample losses at the warm start, read
+before the solve (at round 0 that pass at zero is the solve's first
+evaluation), and at the solution, the solve's last evaluated point, so the
+gate costs no pass either.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ import numpy as np
 from . import metrics, noise
 from .accountant import BudgetError, BudgetPlan, ZcdpLedger, check_lambda_hat
 from .data import Dataset
-from .model import DataTerms, _loss, clipped_quality, solver_steps, stacked_kernel
+from .model import DataTerms, clipped_quality, solver_steps, stacked_kernel
 from .solver import NonConvergence, SolverConfig, minimize
 from .svt import Decision, SvtGate
 from .topology import Graph
@@ -125,11 +125,9 @@ def _train(agents: _Agents, T, test, ledger, draw_b1, release, c_loss=None):
         b1 = None if draw_b1 is None else np.array([draw_b1(i) for i in range(n)])
         objective = stacked_kernel(data_terms, lambda_hat, duals, snapshot, agents.slots, eta, b1)
         if c_loss is not None:
-            # the snapshot's per-sample losses: the last round's training loss was taken
-            # there, and round 0 starts at zero, where every margin is 0
-            losses_prev = data_terms.losses if t else [
-                _loss(np.zeros(b.labels.shape), np.ones(b.labels.shape))
-                for b in data_terms.blocks]
+            # a memo hit on the last round's training loss; at round 0 the pass at
+            # zero that the solve's first evaluation reuses
+            losses_prev = data_terms.losses(snapshot)
         try:
             theta_hat = minimize(objective, snapshot, agents.cfg)
         except NonConvergence as exc:

@@ -29,14 +29,13 @@ one-agent loop form, which tests/reference.py keeps as the oracle; that
 rests on NumPy's stacked matmul and vecdot calling the same BLAS gemv and
 dot per row as the 2-D and 1-D products.
 
-The data terms (the mean loss and its gradient) come from a DataTerms
-evaluator, one per run, which the reported training loss
-(metrics.average_loss) reads too.  It remembers the last point it
-evaluated, so a point the loop evaluates twice in a row costs one pass over
-the shards: the shared values that a round's metrics evaluate are the next
-round's warm start, and in the non-private loop they are also the solver's
-last evaluated point.  It also keeps that point's per-sample losses, from
-which clipped_quality scores every agent's gate without a pass of its own.
+The data gradients come from a DataTerms evaluator, one per run, which
+remembers the last point it evaluated, so a point the loop evaluates twice
+in a row costs one pass over the shards.  The solver reads gradients only;
+the per-sample losses, which the reported training loss
+(metrics.average_loss) and clipped_quality read, are formed on request from
+the margins of the point they belong to, and at the memo point cost no
+pass.
 """
 
 from __future__ import annotations
@@ -64,46 +63,44 @@ def margins(block: ShardBlock, thetas: np.ndarray) -> np.ndarray:
 class DataTerms:
     """The data part of every agent's objective, for one run's shards.
 
-    data_terms(thetas) returns, row by row, the mean logistic loss and the
-    mean loss gradient of agent i's shard at thetas[i]: (loss (N,), grads
-    (N, d)), read-only.  It keeps a one-entry memo: a copy of the last point
-    it evaluated and that point's terms, returned again while the point is
-    np.array_equal to the copy.  Points equal that way differ at most in the
-    sign of a zero, which no term sees.
-
-    `losses` is the memo point's per-sample losses, one read-only (k, m)
-    array per block (None before the first evaluation).
+    data_terms(thetas) returns the read-only (N, d) mean loss gradients, row
+    i that of agent i's shard at thetas[i].  data_terms.losses(thetas)
+    returns thetas' per-sample losses, one (k, m) array per block.  Both
+    share a one-entry memo: a copy of the last point evaluated, with its
+    gradients and each block's margins, reused while the point is
+    np.array_equal to the copy.  Points equal that way differ at most in the sign of a zero,
+    which no term sees.
     """
 
     def __init__(self, blocks):
         self.blocks = blocks  # data.ShardBlock: the shards stacked by size
         self.n_agents = sum(len(block.rows) for block in blocks)
-        self.losses = None
         self._point = None
-        self._terms = None
+        self._grads = None
+        self._margins = None  # per block, (z, exp(-|z|)) at _point
 
-    def __call__(self, thetas: np.ndarray):
+    def __call__(self, thetas: np.ndarray) -> np.ndarray:
         if self._point is not None and np.array_equal(thetas, self._point):
-            return self._terms
-        loss = np.empty(len(thetas))
+            return self._grads
         grads = np.empty(thetas.shape)
         kept = []
         for block in self.blocks:
             z = margins(block, thetas)
             e = np.exp(-np.abs(z))
             w = _deriv(z, e) * block.labels
-            n = z.shape[1]
-            losses = _loss(z, e)
-            loss[block.rows] = losses.sum(axis=1) / n
             grads[block.rows] = (
-                np.matmul(block.features.transpose(0, 2, 1), w[:, :, None])[:, :, 0] / n)
-            losses.flags.writeable = False
-            kept.append(losses)
-        loss.flags.writeable = grads.flags.writeable = False
+                np.matmul(block.features.transpose(0, 2, 1), w[:, :, None])[:, :, 0] / z.shape[1])
+            kept.append((z, e))
+        grads.flags.writeable = False
         self._point = np.array(thetas, dtype=float)
-        self._terms = loss, grads
-        self.losses = kept
-        return self._terms
+        self._grads = grads
+        self._margins = kept
+        return grads
+
+    def losses(self, thetas: np.ndarray) -> list:
+        """Per-sample losses at thetas, one (k, m) array per block."""
+        self(thetas)
+        return [_loss(z, e) for z, e in self._margins]
 
 
 def stacked_kernel(data_terms: DataTerms, lambda_hat: float, dual: np.ndarray,
@@ -129,7 +126,7 @@ def stacked_kernel(data_terms: DataTerms, lambda_hat: float, dual: np.ndarray,
     two_eta = 2.0 * eta
 
     def objective(thetas: np.ndarray):
-        grads = data_terms(thetas)[1] + scale * thetas + two_dual + b1
+        grads = data_terms(thetas) + scale * thetas + two_dual + b1
         for s in range(slots.shape[1]):
             # exactly + 2 eta (theta - midpoint)
             np.subtract(grads, two_eta * (midpoints[:, s] - thetas), out=grads,
@@ -170,17 +167,16 @@ def clipped_quality(data_terms: DataTerms, losses_prev: list, theta_prev: np.nda
     """Every agent's f_i(theta_prev) - f_i(theta_hat) with per-sample losses capped at c_loss.
 
     Returns an (N,) array, one score per row of theta_prev and theta_hat.
-    losses_prev is data_terms' `losses` while theta_prev was its point, and
-    theta_hat's losses are read from it (no pass when theta_hat is its last
-    point).  Capping bounds each score's sensitivity to any single sample
-    swap by 2 * c_loss.  The regularizer enters uncapped (it is
-    data-independent).  Each row takes the one-agent form's operations in its
-    order (tests/reference.py keeps that form), so the scores match it bit
-    for bit.
+    losses_prev is data_terms.losses(theta_prev); theta_hat's losses are
+    read from data_terms (no pass when theta_hat is its last point).
+    Capping bounds each score's sensitivity to any single sample swap by
+    2 * c_loss.  The regularizer enters uncapped (it is data-independent).
+    Each row takes the one-agent form's operations in its order
+    (tests/reference.py keeps that form), so the scores match it bit for
+    bit.
     """
     if c_loss <= 0:
         raise ValueError("c_loss must be positive")
-    data_terms(theta_hat)
     scale = lambda_hat / data_terms.n_agents
 
     def clipped_f(losses, thetas):
@@ -189,4 +185,4 @@ def clipped_quality(data_terms: DataTerms, losses_prev: list, theta_prev: np.nda
             out[block.rows] = np.minimum(block_losses, c_loss).sum(axis=1) / block_losses.shape[1]
         return out + scale * 0.5 * np.vecdot(thetas, thetas)
 
-    return clipped_f(losses_prev, theta_prev) - clipped_f(data_terms.losses, theta_hat)
+    return clipped_f(losses_prev, theta_prev) - clipped_f(data_terms.losses(theta_hat), theta_hat)

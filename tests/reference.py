@@ -18,11 +18,11 @@ ledger applies in place.  centralized_reference minimizes the pooled
 problem directly, the oracle for the decentralized loops.
 blocks is the old two-step form of padmm.data.partition: per-agent
 shards, then grouped by size and stacked; agent_shards unstacks blocks
-back into per-agent Datasets.  prepare_data is the old setup that
-padmm.cli.prepare_data must match bit for bit: copies of the train and test
-splits, column_scales from the train copy, preprocess on each split (both
-whole-array forms), then data.partition of the normalized train split;
-synthetic_blobs is padmm.data.synthetic_blobs normalized by preprocess.
+back into per-agent Datasets, and subset picks a Dataset's samples by
+index.  prepare_data is the old setup that padmm.cli.prepare_data must
+match bit for bit: copies of the train and test splits, column_scales from
+the train copy, preprocess on each split (both whole-array forms), then
+data.partition of the normalized train split; synthetic_blobs is padmm.data.synthetic_blobs normalized by preprocess.
 """
 
 from __future__ import annotations
@@ -252,6 +252,12 @@ def centralized_reference(pooled: Dataset, lambda_hat: float, cfg: SolverConfig)
         raise EngineError(f"centralized reference did not converge: {exc}") from exc
 
 
+def subset(data: Dataset, indices) -> Dataset:
+    """The samples of data at indices, in that order."""
+    indices = np.asarray(indices)
+    return Dataset(data.features[indices], data.labels[indices])
+
+
 def blocks(parts: list[Dataset]) -> list[ShardBlock]:
     """The agents' shards grouped by size, each group stacked, in agent order."""
     by_size = {}
@@ -306,8 +312,8 @@ def prepare_data(cfg) -> tuple[list[ShardBlock], Dataset]:
     n = raw.n_samples
     n_test = max(1, int(round(n * cfg.test_fraction)))
     perm = np.random.default_rng(cfg.split_seed).permutation(n)
-    raw_train = raw.subset(perm[n_test:])
-    raw_test = raw.subset(perm[:n_test])
+    raw_train = subset(raw, perm[n_test:])
+    raw_test = subset(raw, perm[:n_test])
     scales = column_scales(raw_train)
     train = preprocess(raw_train, scales)
     return partition(train, cfg.n_agents, cfg.split_seed), preprocess(raw_test, scales)

@@ -442,10 +442,14 @@ class TestMain:
         ("--max-iterations", "0", "max_iterations must be >= 1, got 0"),
         ("--seeds", "[-1]", "seeds must be >= 0, got -1"),
         ("--seeds", "[2, -3]", "seeds must be >= 0, got -3"),
+        # one experiment listed twice would count twice in the per-round statistics
+        ("--seeds", "[0,0]", "seeds must be distinct, got 0 twice"),
+        ("--seeds", "[3, 1, 2, 1, 3]", "seeds must be distinct, got 3 twice"),
         ("--split-seed", "-1", "split_seed must be >= 0, got -1"),
         ("--topology-seed", "-1", "topology_seed must be >= 0, got -1"),
     ], ids=["eta=0", "eta=-1", "lambda_hat=-1", "beta=0", "beta<0", "max_iterations=0",
-            "seeds<0", "one_seed<0", "split_seed<0", "topology_seed<0"])
+            "seeds<0", "one_seed<0", "seeds_repeated", "seeds_repeated_apart", "split_seed<0",
+            "topology_seed<0"])
     @pytest.mark.parametrize("algorithm", ["nonprivate", "pp_admm", "ipp_admm"])
     @pytest.mark.parametrize("command", ["run", "plan", "validate"])
     def test_bad_penalty_or_regularizer_rejected(self, capsys, command, algorithm, flag, value,

@@ -5,7 +5,7 @@ from hypothesis.extra import numpy as hnp
 
 import reference
 from padmm import data
-from reference import agent_shards, blocks, centralized_reference
+from reference import agent_shards, blocks, centralized_reference, subset
 
 
 def write_csv(tmp_path, text, name="d.csv"):
@@ -150,7 +150,7 @@ def reference_shards(ds, n_agents, seed):
     for agent, size in enumerate(sizes):
         assignment[perm[start : start + size]] = agent
         start += size
-    return [ds.subset(np.flatnonzero(assignment == i)) for i in range(n_agents)]
+    return [subset(ds, np.flatnonzero(assignment == i)) for i in range(n_agents)]
 
 
 class TestPartition:
@@ -215,7 +215,7 @@ class TestPartition:
         ds = data.synthetic_blobs(103, 3, 2.0, 0)
         samples = np.random.default_rng(1).permutation(103)[20:]
         got = data.partition(ds, n_agents, 5, samples=samples)
-        expected = data.partition(ds.subset(samples), n_agents, 5)
+        expected = data.partition(subset(ds, samples), n_agents, 5)
         assert len(got) == len(expected)
         for g, e in zip(got, expected, strict=True):
             assert g.rows.tolist() == e.rows.tolist()
@@ -244,8 +244,8 @@ class TestBlocks:
     def test_hand_built_list_groups_by_size(self):
         # three sizes, agents of one size not adjacent, one shard used twice
         ds = indexed_dataset(30)
-        parts = [ds.subset(range(0, 4)), ds.subset(range(4, 10)), ds.subset(range(10, 14)),
-                 ds.subset(range(14, 17)), ds.subset(range(0, 4))]
+        parts = [subset(ds, range(a, b))
+                 for a, b in ((0, 4), (4, 10), (10, 14), (14, 17), (0, 4))]
         stacked = blocks(parts)
         assert [list(b.rows) for b in stacked] == [[0, 2, 4], [1], [3]]
         for b in stacked:

@@ -117,23 +117,24 @@ class TestDataPasses:
     def count(monkeypatch, run):
         """[evaluations, passes] per round, each round's training-loss pass included."""
         rounds = []
-        block_margins, solve = model.margins, engine.minimize
+        block_margins, kernel = model.margins, engine.stacked_kernel
 
         def counted_margins(block, thetas):
             rounds[-1][1] += 1
             return block_margins(block, thetas)
 
-        def counted_minimize(objective, start, cfg):
+        def counted_kernel(*args):
             rounds.append([0, 0])
+            objective = kernel(*args)
 
             def counted(thetas):
                 rounds[-1][0] += 1
                 return objective(thetas)
 
-            return solve(counted, start, cfg)
+            return counted
 
         monkeypatch.setattr(model, "margins", counted_margins)
-        monkeypatch.setattr(engine, "minimize", counted_minimize)
+        monkeypatch.setattr(engine, "stacked_kernel", counted_kernel)
         run()
         return rounds
 
@@ -165,6 +166,38 @@ class TestDataPasses:
             # one pass per evaluation plus the training loss at the released values,
             # less the warm start that the previous round's training loss evaluated
             assert passes == 2 * (evals + 1 - (t > 0))
+
+    @pytest.mark.parametrize("algorithm, per_round", [
+        ("nonprivate", 1), ("pp_admm", 1), ("ipp_admm", 3)])
+    def test_solver_evaluations_form_no_losses(self, monkeypatch, algorithm, per_round):
+        # per block and round: the training loss, and for the gate the warm start's
+        # and the solution's losses
+        parts, g, T = make_parts(n=301), ring(3), 5
+        assert len(parts) == 2
+        calls, solving = [0, 0], [False]
+        loss, solve = model._loss, engine.minimize
+
+        def counted_loss(z, e):
+            calls[solving[0]] += 1
+            return loss(z, e)
+
+        def flagged_minimize(*args):
+            solving[0] = True
+            try:
+                return solve(*args)
+            finally:
+                solving[0] = False
+
+        monkeypatch.setattr(model, "_loss", counted_loss)
+        monkeypatch.setattr(engine, "minimize", flagged_minimize)
+        cfg = SolverConfig(beta=BETA)
+        {"nonprivate": lambda: engine.run_nonprivate(parts, g, 0.5, 1.0, T, cfg),
+         "pp_admm": lambda: engine.run_pp_admm(parts, g, make_plan(parts, g, T=T), 0.5, cfg,
+                                               seed=0),
+         "ipp_admm": lambda: engine.run_ipp_admm(
+             parts, g, make_plan(parts, g, T=T, gated=True, c_max=3), 0.5, 1e-3, 2.0, cfg,
+             seed=0)}[algorithm]()
+        assert calls == [per_round * len(parts) * T, 0]
 
 
 class TestPpAdmm:

@@ -26,6 +26,7 @@ from reference import (
     logistic_loss_deriv,
     mean_logistic_loss,
     solver_step,
+    subset,
 )
 
 finite_z = st.floats(min_value=-500, max_value=500, allow_nan=False)
@@ -378,7 +379,10 @@ class TestDataTerms:
     def test_rows_are_each_shards_mean_loss_and_gradient(self):
         terms, parts = self.evaluator()
         thetas = np.random.default_rng(1).normal(size=(3, 3)) * 3
-        loss, grads = terms(thetas)
+        grads = terms(thetas)
+        loss = np.empty(3)
+        for block, losses in zip(terms.blocks, terms.losses(thetas), strict=True):
+            loss[block.rows] = losses.sum(axis=1) / losses.shape[1]
         for i, part in enumerate(parts):
             value, grad = local_value_and_grad(thetas[i], LocalObjectiveParams(part, 0.0, 1))
             assert loss[i] == value
@@ -392,19 +396,18 @@ class TestDataTerms:
         assert len(passes) == 2  # one per block
         again = terms(thetas.copy())
         assert len(passes) == 2
-        assert all(a is b for a, b in zip(first, again, strict=True))
+        assert first is again
 
     def test_mutating_the_callers_array_never_gives_stale_terms(self, monkeypatch):
         passes = []
         terms, _ = self.evaluator(monkeypatch, passes)
         thetas = np.random.default_rng(3).normal(size=(3, 3))
-        stale = [a.copy() for a in terms(thetas)]
+        stale = terms(thetas).copy()
         thetas[1, 0] += 1.0
-        loss, grads = terms(thetas)
+        grads = terms(thetas)
         assert len(passes) == 4
-        fresh_loss, fresh_grads = self.evaluator()[0](thetas)
-        assert np.array_equal(loss, fresh_loss) and np.array_equal(grads, fresh_grads)
-        assert loss[1] != stale[0][1]
+        assert np.array_equal(grads, self.evaluator()[0](thetas))
+        assert not np.array_equal(grads[1], stale[1])
 
     def test_a_different_point_recomputes(self, monkeypatch):
         passes = []
@@ -413,10 +416,9 @@ class TestDataTerms:
         a, b = rng.normal(size=(3, 3)), rng.normal(size=(3, 3))
         for point in (a, b, a):  # the memo holds one point
             before = len(passes)
-            loss, grads = terms(point)
+            grads = terms(point)
             assert len(passes) == before + 2
-            fresh_loss, fresh_grads = self.evaluator()[0](point)
-            assert np.array_equal(loss, fresh_loss) and np.array_equal(grads, fresh_grads)
+            assert np.array_equal(grads, self.evaluator()[0](point))
 
     def test_signed_zeros_give_the_memoized_terms(self):
         # np.array_equal treats -0.0 as 0.0; the terms at both are the same bits
@@ -425,16 +427,15 @@ class TestDataTerms:
         assert np.array_equal(np.signbit(thetas) == np.signbit(flipped), thetas != 0.0)
         terms, _ = self.evaluator()
         terms(thetas)
-        loss, grads = terms(flipped)
-        fresh_loss, fresh_grads = self.evaluator()[0](flipped)
-        assert loss.tobytes() == fresh_loss.tobytes()
-        assert grads.tobytes() == fresh_grads.tobytes()
+        grads, losses = terms(flipped), terms.losses(flipped)
+        fresh = self.evaluator()[0]
+        assert grads.tobytes() == fresh(flipped).tobytes()
+        for kept, fresh_losses in zip(losses, fresh.losses(flipped), strict=True):
+            assert kept.tobytes() == fresh_losses.tobytes()
 
     def test_terms_are_read_only(self):
         terms, _ = self.evaluator()
-        loss, grads = terms(np.zeros((3, 3)))
-        with pytest.raises(ValueError):
-            loss[0] = 1.0
+        grads = terms(np.zeros((3, 3)))
         with pytest.raises(ValueError):
             grads += 1.0
 
@@ -444,29 +445,27 @@ class TestDataTerms:
         parts = agent_shards(terms.blocks)
         rng = np.random.default_rng(7)
         a, b = rng.normal(size=(3, 3)), rng.normal(size=(3, 3))
-        terms(a)
-        kept_a = terms.losses
+        losses_a = terms.losses(a)
         terms(b)
         block_margins = model.margins
         monkeypatch.setattr(model, "margins",
                             lambda block, thetas: passes.append(1) or block_margins(block, thetas))
-        terms(b.copy())  # a memo hit keeps the point's losses
+        losses_b = terms.losses(b.copy())  # the memo point's losses take no pass
         assert passes == []
-        for point, kept in ((a, kept_a), (b, terms.losses)):
-            assert len(kept) == len(terms.blocks) == 2
-            for block, losses in zip(terms.blocks, kept, strict=True):
-                assert not losses.flags.writeable
+        for point, losses in ((a, losses_a), (b, losses_b)):
+            assert len(losses) == len(terms.blocks) == 2
+            for block, block_losses in zip(terms.blocks, losses, strict=True):
                 for row, i in enumerate(block.rows):
                     z = parts[i].labels * (parts[i].features @ point[i])
-                    assert losses[row].tobytes() == logistic_loss(z).tobytes()
+                    assert block_losses[row].tobytes() == logistic_loss(z).tobytes()
 
 
 class TestAverageLoss:
     def test_stacked_pass_equals_per_agent_means(self):
         # three shard sizes, agents of one size not adjacent
         ds = toy_dataset(seed=4, n=60, d=3)
-        parts = [ds.subset(range(0, 10)), ds.subset(range(10, 17)),
-                 ds.subset(range(17, 27)), ds.subset(range(27, 31)), ds.subset(range(31, 60))]
+        parts = [subset(ds, range(a, b))
+                 for a, b in ((0, 10), (10, 17), (17, 27), (27, 31), (31, 60))]
         rng = np.random.default_rng(9)
         for _ in range(5):
             thetas = rng.normal(size=(5, 3)) * 3
@@ -640,8 +639,7 @@ class TestStackedClippedQuality:
                       "zero": np.zeros((n_agents, 3)),  # round 0's start
                       "same": theta_hat.copy()}[start]
         terms = DataTerms(blocks(parts))
-        terms(theta_prev)
-        losses_prev = terms.losses
+        losses_prev = terms.losses(theta_prev)
         terms(theta_hat)
         quality = model.clipped_quality(terms, losses_prev, theta_prev, theta_hat, lam, cap)
         assert quality.shape == (n_agents,)
@@ -660,9 +658,8 @@ class TestStackedClippedQuality:
         parts = data.partition(toy_dataset(n=20), 2, 0)
         terms = DataTerms(parts)
         zeros = np.zeros((2, 3))
-        terms(zeros)
         with pytest.raises(ValueError, match="c_loss must be positive"):
-            model.clipped_quality(terms, terms.losses, zeros, zeros, 1.0, 0.0)
+            model.clipped_quality(terms, terms.losses(zeros), zeros, zeros, 1.0, 0.0)
 
 
 class TestClippedQuality:
