@@ -202,7 +202,7 @@ def build_plan(cfg: ExperimentConfig, train_parts, graph) -> accountant.BudgetPl
         delta=cfg.delta,
         T=cfg.T,
         splits=cfg.splits,
-        dataset_sizes=dict(sorted((int(i), block.labels.shape[1])
+        dataset_sizes=dict(sorted((int(i), block.features.shape[1])
                                   for block in train_parts for i in block.rows)),
         eta=cfg.eta,
         degrees=graph.degrees(),

@@ -147,15 +147,17 @@ def normalize(x: np.ndarray, scales: np.ndarray) -> None:
 
 @dataclass(frozen=True)
 class ShardBlock:
-    """The equal-size shards of agents `rows`: features (k, m, d), labels (k, m)."""
+    """The equal-size shards of agents `rows`: features (k, m, d), each sample as y x.
+
+    model.DataTerms is the one reader of the samples.
+    """
 
     rows: np.ndarray
     features: np.ndarray
-    labels: np.ndarray
 
     @property
     def n_samples(self) -> int:  # k * m
-        return self.labels.size
+        return self.features.shape[0] * self.features.shape[1]
 
 
 def partition(data: Dataset, n_agents: int, seed: int, samples=None) -> list[ShardBlock]:
@@ -164,9 +166,10 @@ def partition(data: Dataset, n_agents: int, seed: int, samples=None) -> list[Sha
     Disjointness across agents is what makes parallel composition of
     per-agent privacy costs valid.  The first n % n_agents agents take one
     sample more; each size is one ShardBlock, the larger first, and each
-    shard keeps its samples in their order in `data`.  `samples` (an index
-    array; default every sample) splits only the samples at those indices,
-    gathering each shard from `data` directly.
+    shard keeps its samples in their order in `data`, each times its label
+    (exact for labels of +-1, and commuting with normalize and column_scales).
+    `samples` (an index array; default every sample) splits only the samples
+    at those indices, gathering each shard from `data` directly.
     """
     n = data.n_samples if samples is None else len(samples)
     if n_agents < 1 or n_agents > n:
@@ -178,8 +181,13 @@ def partition(data: Dataset, n_agents: int, seed: int, samples=None) -> list[Sha
               (np.arange(r, n_agents), np.sort(perm[cut:].reshape(n_agents - r, m)))]
     if samples is not None:
         shards = [(rows, samples[idx]) for rows, idx in shards]
-    return [ShardBlock(rows, data.features.take(idx, axis=0), data.labels.take(idx))
-            for rows, idx in shards if len(rows)]
+    blocks = []
+    for rows, idx in shards:
+        if len(rows):
+            x = data.features.take(idx, axis=0)
+            np.multiply(x, data.labels.take(idx)[..., None], out=x)
+            blocks.append(ShardBlock(rows, x))
+    return blocks
 
 
 def synthetic_blobs(n: int, d: int, separation: float, seed: int) -> Dataset:

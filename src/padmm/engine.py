@@ -16,17 +16,14 @@ data.partition stacks them by size, read in place, and updates every dual
 in one call.  Each agent's iterates, noise draws, gate decisions and
 charges are those of solving and releasing one agent at a time.
 
-The solver's objective, the reported training loss and the gate's quality
-scores read the shards through one model.DataTerms per run, which
-remembers the last point it evaluated.  A round's training loss is taken at
-the shared values, which are the next round's warm start, so the solve's
-first evaluation reuses that pass; in the non-private loop the shared values
-are the solver's last evaluated point, so the training loss costs no pass of
-its own.  The gated loop scores every agent's quality once per round
-(model.clipped_quality) from the per-sample losses at the warm start, read
-before the solve (at round 0 that pass at zero is the solve's first
-evaluation), and at the solution, the solve's last evaluated point, so the
-gate costs no pass either.
+The shards hold y x, and one model.DataTerms per run is their one reader:
+the solver's objective, the reported training loss and the gate's quality
+scores all go through it.  It remembers the last point it evaluated and
+that point's per-sample losses once formed.  A round's training loss is
+taken at the shared values, which are the next round's warm start, so the
+solve's first evaluation, and the gate's capped mean losses at the warm
+start (read before the solve), reuse that pass.  The gate's scores at the
+solution read the solve's last evaluated point.
 """
 
 from __future__ import annotations
@@ -125,16 +122,14 @@ def _train(agents: _Agents, T, test, ledger, draw_b1, release, c_loss=None):
         b1 = None if draw_b1 is None else np.array([draw_b1(i) for i in range(n)])
         objective = stacked_kernel(data_terms, lambda_hat, duals, snapshot, agents.slots, eta, b1)
         if c_loss is not None:
-            # a memo hit on the last round's training loss; at round 0 the pass at
-            # zero that the solve's first evaluation reuses
-            losses_prev = data_terms.losses(snapshot)
+            capped_prev = data_terms.mean_losses(snapshot, c_loss)
         try:
             theta_hat = minimize(objective, snapshot, agents.cfg)
         except NonConvergence as exc:
             raise EngineError(
                 f"round {t}, agent {exc.row}: solver did not converge: {exc}") from exc
         quality = [None] * n if c_loss is None else clipped_quality(
-            data_terms, losses_prev, snapshot, theta_hat, lambda_hat, c_loss)
+            data_terms, capped_prev, snapshot, theta_hat, lambda_hat, c_loss)
         shared = [release(i, theta_hat[i], quality[i]) for i in range(n)]
         thetas = np.array([snapshot[i] if s is None else s for i, s in enumerate(shared)])
         duals = dual_update(duals, thetas, thetas[agents.slots.T], eta)

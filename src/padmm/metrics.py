@@ -11,17 +11,14 @@ from .model import DataTerms
 def average_loss(theta_per_agent, data_terms: DataTerms) -> float:
     """(1/N) sum_i mean_n L(y theta_i . x); no regularizer term.
 
-    The per-sample losses come from data_terms, the run's evaluator of the
-    agents' shards (the one the solver's objective uses), so a point it has
+    The agents' mean losses come from data_terms, the run's one reader of
+    the shards (the one the solver's objective uses), so a point it has
     just evaluated costs no second pass.
     """
     thetas = np.asarray(theta_per_agent, dtype=float)
     if len(thetas) != data_terms.n_agents:
         raise ValueError("one theta per agent dataset is needed")
-    loss = np.empty(len(thetas))
-    for block, losses in zip(data_terms.blocks, data_terms.losses(thetas), strict=True):
-        loss[block.rows] = losses.sum(axis=1) / losses.shape[1]
-    return float(np.mean(loss))
+    return float(np.mean(data_terms.mean_losses(thetas)))
 
 
 def error_rate(theta_per_agent, test: data.Dataset) -> float:

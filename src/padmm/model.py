@@ -29,13 +29,13 @@ one-agent loop form, which tests/reference.py keeps as the oracle; that
 rests on NumPy's stacked matmul and vecdot calling the same BLAS gemv and
 dot per row as the 2-D and 1-D products.
 
-The data gradients come from a DataTerms evaluator, one per run, which
-remembers the last point it evaluated, so a point the loop evaluates twice
-in a row costs one pass over the shards.  The solver reads gradients only;
-the per-sample losses, which the reported training loss
-(metrics.average_loss) and clipped_quality read, are formed on request from
-the margins of the point they belong to, and at the memo point cost no
-pass.
+A sample enters f_i only through its margin y theta.x, so the shards hold
+y x.  DataTerms, one per run, is the one reader of the shards: it returns
+the data gradients to the solver and every agent's mean per-sample loss,
+optionally capped, to the training loss (metrics.average_loss) and the
+gate's score (clipped_quality).  It remembers the last point it evaluated,
+so a point the loop evaluates twice in a row costs one pass over the
+shards, and that point's per-sample losses are formed at most once.
 """
 
 from __future__ import annotations
@@ -51,33 +51,34 @@ def _loss(z: np.ndarray, e: np.ndarray) -> np.ndarray:
 
 
 def _deriv(z: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """sigma(z) - 1 given e = exp(-|z|): -e / (1 + e) for z >= 0, -1 / (1 + e) below."""
-    return np.where(z >= 0, -e, -1.0) / (1.0 + e)
+    """sigma(z) - 1 given e = exp(-|z|): -max(e, z < 0) / (1 + e), as e <= 1 for z < 0."""
+    return -np.maximum(e, z < 0) / (1.0 + e)
 
 
 def margins(block: ShardBlock, thetas: np.ndarray) -> np.ndarray:
-    """(k, m) margins y theta_i.x of the block's agents, thetas one row per agent."""
-    return block.labels * np.matmul(block.features, thetas[block.rows, :, None])[:, :, 0]
+    """(k, m) margins y theta_i.x of the block's agents (it holds y x), thetas one row per agent."""
+    return np.matmul(block.features, thetas[block.rows, :, None])[:, :, 0]
 
 
 class DataTerms:
     """The data part of every agent's objective, for one run's shards.
 
     data_terms(thetas) returns the read-only (N, d) mean loss gradients, row
-    i that of agent i's shard at thetas[i].  data_terms.losses(thetas)
-    returns thetas' per-sample losses, one (k, m) array per block.  Both
-    share a one-entry memo: a copy of the last point evaluated, with its
-    gradients and each block's margins, reused while the point is
-    np.array_equal to the copy.  Points equal that way differ at most in the sign of a zero,
-    which no term sees.
+    i that of agent i's shard at thetas[i].  mean_losses(thetas, cap) returns
+    the (N,) mean per-sample losses, each capped at cap if one is given.
+    Both share a one-entry memo: a copy of the last point evaluated, with its
+    gradients, each block's margins and, once formed, its per-sample losses,
+    reused while the point is np.array_equal to the copy.  Points equal that
+    way differ at most in the sign of a zero, which no term sees.
     """
 
     def __init__(self, blocks):
-        self.blocks = blocks  # data.ShardBlock: the shards stacked by size
+        self.blocks = blocks  # data.ShardBlock: the shards stacked by size, holding y x
         self.n_agents = sum(len(block.rows) for block in blocks)
         self._point = None
         self._grads = None
         self._margins = None  # per block, (z, exp(-|z|)) at _point
+        self._losses = None  # per block, the per-sample losses at _point once formed
 
     def __call__(self, thetas: np.ndarray) -> np.ndarray:
         if self._point is not None and np.array_equal(thetas, self._point):
@@ -87,20 +88,26 @@ class DataTerms:
         for block in self.blocks:
             z = margins(block, thetas)
             e = np.exp(-np.abs(z))
-            w = _deriv(z, e) * block.labels
-            grads[block.rows] = (
-                np.matmul(block.features.transpose(0, 2, 1), w[:, :, None])[:, :, 0] / z.shape[1])
+            grads[block.rows] = (np.matmul(block.features.transpose(0, 2, 1),
+                                           _deriv(z, e)[:, :, None])[:, :, 0] / z.shape[1])
             kept.append((z, e))
         grads.flags.writeable = False
         self._point = np.array(thetas, dtype=float)
         self._grads = grads
         self._margins = kept
+        self._losses = None
         return grads
 
-    def losses(self, thetas: np.ndarray) -> list:
-        """Per-sample losses at thetas, one (k, m) array per block."""
+    def mean_losses(self, thetas: np.ndarray, cap: float | None = None) -> np.ndarray:
+        """(N,) mean per-sample loss of each agent's shard at thetas[i], capped at cap if given."""
         self(thetas)
-        return [_loss(z, e) for z, e in self._margins]
+        if self._losses is None:
+            self._losses = [_loss(z, e) for z, e in self._margins]
+        out = np.empty(self.n_agents)
+        for block, losses in zip(self.blocks, self._losses, strict=True):
+            capped = losses if cap is None else np.minimum(losses, cap)
+            out[block.rows] = capped.sum(axis=1) / capped.shape[1]
+        return out
 
 
 def stacked_kernel(data_terms: DataTerms, lambda_hat: float, dual: np.ndarray,
@@ -162,13 +169,13 @@ def solver_steps(data_terms: DataTerms, lambda_hat: float, eta: float, degrees) 
     return 2.0 / (mu + lipschitz)
 
 
-def clipped_quality(data_terms: DataTerms, losses_prev: list, theta_prev: np.ndarray,
+def clipped_quality(data_terms: DataTerms, capped_prev: np.ndarray, theta_prev: np.ndarray,
                     theta_hat: np.ndarray, lambda_hat: float, c_loss: float) -> np.ndarray:
     """Every agent's f_i(theta_prev) - f_i(theta_hat) with per-sample losses capped at c_loss.
 
     Returns an (N,) array, one score per row of theta_prev and theta_hat.
-    losses_prev is data_terms.losses(theta_prev); theta_hat's losses are
-    read from data_terms (no pass when theta_hat is its last point).
+    capped_prev is data_terms.mean_losses(theta_prev, c_loss); theta_hat's
+    are read from data_terms (no pass when theta_hat is its last point).
     Capping bounds each score's sensitivity to any single sample swap by
     2 * c_loss.  The regularizer enters uncapped (it is data-independent).
     Each row takes the one-agent form's operations in its order
@@ -178,11 +185,6 @@ def clipped_quality(data_terms: DataTerms, losses_prev: list, theta_prev: np.nda
     if c_loss <= 0:
         raise ValueError("c_loss must be positive")
     scale = lambda_hat / data_terms.n_agents
-
-    def clipped_f(losses, thetas):
-        out = np.empty(len(thetas))
-        for block, block_losses in zip(data_terms.blocks, losses, strict=True):
-            out[block.rows] = np.minimum(block_losses, c_loss).sum(axis=1) / block_losses.shape[1]
-        return out + scale * 0.5 * np.vecdot(thetas, thetas)
-
-    return clipped_f(losses_prev, theta_prev) - clipped_f(data_terms.losses(theta_hat), theta_hat)
+    return ((capped_prev + scale * 0.5 * np.vecdot(theta_prev, theta_prev))
+            - (data_terms.mean_losses(theta_hat, c_loss)
+               + scale * 0.5 * np.vecdot(theta_hat, theta_hat)))

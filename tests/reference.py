@@ -17,9 +17,11 @@ one agent's data, maximum over disjoint data), which padmm.accountant's
 ledger applies in place.  centralized_reference minimizes the pooled
 problem directly, the oracle for the decentralized loops.
 blocks is the old two-step form of padmm.data.partition: per-agent
-shards, then grouped by size and stacked; agent_shards unstacks blocks
-back into per-agent Datasets, and subset picks a Dataset's samples by
-index.  prepare_data is the old setup that padmm.cli.prepare_data must
+shards, then grouped by size, signed and stacked; agent_shards unstacks
+blocks back into per-agent signed Datasets, and subset picks a Dataset's
+samples by index.  A signed shard is the dataset (y x, +1): its margins,
+losses and gradients equal those of (x, y) bit for bit, so the one-agent
+forms here read either.  prepare_data is the old setup that padmm.cli.prepare_data must
 match bit for bit: copies of the train and test splits, column_scales from
 the train copy, preprocess on each split (both whole-array forms), then
 data.partition of the normalized train split; synthetic_blobs is padmm.data.synthetic_blobs normalized by preprocess.
@@ -236,12 +238,12 @@ def parallel_compose(costs) -> float:
 def centralized_reference(pooled: Dataset, lambda_hat: float, cfg: SolverConfig):
     """Minimize mean pooled loss + lambda_hat * 0.5 ||theta||^2 directly.
 
-    pooled is read in place as the one shard of one agent.  With equal agent
+    pooled is signed as the one shard of one agent.  With equal agent
     shares, the consensus problem's minimizer equals this one at lambda_hat =
     (total regularizer weight) / N.
     """
-    data_terms = DataTerms([ShardBlock(np.zeros(1, dtype=int), pooled.features[None],
-                                       pooled.labels[None])])
+    signed = pooled.labels[:, None] * pooled.features
+    data_terms = DataTerms([ShardBlock(np.zeros(1, dtype=int), signed[None])])
     cfg = replace(cfg, step=solver_steps(data_terms, lambda_hat, 0.0, [0]))
     zeros = np.zeros((1, pooled.dimension))
     objective = stacked_kernel(data_terms, lambda_hat, zeros, zeros,
@@ -259,18 +261,18 @@ def subset(data: Dataset, indices) -> Dataset:
 
 
 def blocks(parts: list[Dataset]) -> list[ShardBlock]:
-    """The agents' shards grouped by size, each group stacked, in agent order."""
+    """The agents' shards grouped by size, each group signed (y x) and stacked, in agent order."""
     by_size = {}
     for i, part in enumerate(parts):
         by_size.setdefault(part.n_samples, []).append(i)
-    return [ShardBlock(np.array(rows), np.stack([parts[i].features for i in rows]),
-                       np.stack([parts[i].labels for i in rows]))
+    return [ShardBlock(np.array(rows),
+                       np.stack([parts[i].labels[:, None] * parts[i].features for i in rows]))
             for rows in by_size.values()]
 
 
 def agent_shards(shard_blocks: list[ShardBlock]) -> list[Dataset]:
-    """Each agent's shard as a Dataset (views of the blocks), in agent order."""
-    shards = {int(i): Dataset(block.features[j], block.labels[j])
+    """Each agent's signed shard (y x, +1) as a Dataset (features view the blocks), in agent order."""
+    shards = {int(i): Dataset(block.features[j], np.ones(block.features.shape[1]))
               for block in shard_blocks for j, i in enumerate(block.rows)}
     return [shards[i] for i in sorted(shards)]
 

@@ -4,7 +4,7 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 import reference
-from padmm import data
+from padmm import cli, data, topology
 from reference import agent_shards, blocks, centralized_reference, subset
 
 
@@ -168,7 +168,7 @@ class TestPartition:
     def test_disjoint_cover(self):
         ds = indexed_dataset(100)
         parts = agent_shards(data.partition(ds, 7, 3))
-        all_idx = np.concatenate([p.features[:, 0] for p in parts])
+        all_idx = np.abs(np.concatenate([p.features[:, 0] for p in parts]))  # the shards hold y x
         assert sorted(all_idx) == list(range(100))
 
     def test_deterministic(self):
@@ -187,8 +187,7 @@ class TestPartition:
         expected = reference_shards(ds, n_agents, seed)
         assert len(parts) == n_agents
         for p, e in zip(parts, expected):
-            assert np.array_equal(p.features, e.features)
-            assert np.array_equal(p.labels, e.labels)
+            assert np.array_equal(p.features, e.labels[:, None] * e.features)
 
     @pytest.mark.parametrize(
         "n, n_agents, seed",
@@ -198,16 +197,16 @@ class TestPartition:
         # bit for bit the old two-step form: per-agent shards, then stacked by size
         ds = indexed_dataset(n)
         got = data.partition(ds, n_agents, seed)
-        expected = blocks(reference_shards(ds, n_agents, seed))
+        shards = reference_shards(ds, n_agents, seed)
+        expected = blocks(shards)
         assert len(got) == len(expected) == (1 if n % n_agents == 0 else 2)
         for g, e in zip(got, expected, strict=True):
             assert g.rows.tolist() == e.rows.tolist()
-            for name in ("features", "labels"):
-                a, b = getattr(g, name), getattr(e, name)
-                assert a.dtype == b.dtype and a.shape == b.shape
-                assert a.tobytes() == b.tobytes()
-                assert a.flags.c_contiguous
-            assert g.n_samples == g.labels.shape[0] * g.labels.shape[1]
+            a, b = g.features, e.features
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+            assert a.flags.c_contiguous
+            assert g.n_samples == sum(shards[i].n_samples for i in g.rows)
 
     @pytest.mark.parametrize("n_agents", [4, 7])
     def test_samples_partition_their_subset(self, n_agents):
@@ -220,8 +219,23 @@ class TestPartition:
         for g, e in zip(got, expected, strict=True):
             assert g.rows.tolist() == e.rows.tolist()
             assert g.features.tobytes() == e.features.tobytes()
-            assert g.labels.tobytes() == e.labels.tobytes()
-            assert g.features.flags.c_contiguous and g.labels.flags.c_contiguous
+            assert g.features.flags.c_contiguous
+
+    def test_two_size_blocks_hold_the_signed_reference_shards(self, monkeypatch):
+        # y x of each reference shard bit for bit; sizes (and the plan's dataset sizes) as before
+        ds = data.synthetic_blobs(1003, 3, 2.0, 0)
+        shards = reference_shards(ds, 7, 1)  # 144 x 2, then 143 x 5
+        got = data.partition(ds, 7, 1)
+        assert [g.n_samples for g in got] == [2 * 144, 5 * 143]
+        for g in got:
+            for j, i in enumerate(g.rows):
+                signed = shards[i].labels[:, None] * shards[i].features
+                assert g.features[j].tobytes() == signed.tobytes()
+        planned = {}
+        monkeypatch.setattr(cli.accountant, "plan_budget", lambda **kw: planned.update(kw))
+        cli.build_plan(cli.ExperimentConfig(algorithm="pp_admm", n_agents=7), got,
+                       topology.ring(7))
+        assert planned["dataset_sizes"] == {i: shards[i].n_samples for i in range(7)}
 
     def test_too_many_agents(self):
         ds = data.synthetic_blobs(4, 2, 1.0, 0)
@@ -238,8 +252,7 @@ class TestBlocks:
         for b in shard_blocks:
             assert b.features.shape == (len(b.rows), parts[b.rows[0]].n_samples, 3)
             for j, i in enumerate(b.rows):
-                assert np.array_equal(b.features[j], parts[i].features)
-                assert np.array_equal(b.labels[j], parts[i].labels)
+                assert np.array_equal(b.features[j], parts[i].labels[:, None] * parts[i].features)
 
     def test_hand_built_list_groups_by_size(self):
         # three sizes, agents of one size not adjacent, one shard used twice
@@ -250,8 +263,7 @@ class TestBlocks:
         assert [list(b.rows) for b in stacked] == [[0, 2, 4], [1], [3]]
         for b in stacked:
             for j, i in enumerate(b.rows):
-                assert np.array_equal(b.features[j], parts[i].features)
-                assert np.array_equal(b.labels[j], parts[i].labels)
+                assert np.array_equal(b.features[j], parts[i].labels[:, None] * parts[i].features)
         assert not np.shares_memory(stacked[0].features, parts[0].features)
 
     def test_labels_are_float(self):

@@ -168,10 +168,10 @@ class TestDataPasses:
             assert passes == 2 * (evals + 1 - (t > 0))
 
     @pytest.mark.parametrize("algorithm, per_round", [
-        ("nonprivate", 1), ("pp_admm", 1), ("ipp_admm", 3)])
+        ("nonprivate", 1), ("pp_admm", 1), ("ipp_admm", 2)])
     def test_solver_evaluations_form_no_losses(self, monkeypatch, algorithm, per_round):
-        # per block and round: the training loss, and for the gate the warm start's
-        # and the solution's losses
+        # per block and round: the training loss, and for the gate the solution's losses;
+        # the gate's warm start reuses the last round's training loss, except at round 0
         parts, g, T = make_parts(n=301), ring(3), 5
         assert len(parts) == 2
         calls, solving = [0, 0], [False]
@@ -197,7 +197,8 @@ class TestDataPasses:
          "ipp_admm": lambda: engine.run_ipp_admm(
              parts, g, make_plan(parts, g, T=T, gated=True, c_max=3), 0.5, 1e-3, 2.0, cfg,
              seed=0)}[algorithm]()
-        assert calls == [per_round * len(parts) * T, 0]
+        at_zero = algorithm == "ipp_admm"
+        assert calls == [(per_round * T + at_zero) * len(parts), 0]
 
 
 class TestPpAdmm:
@@ -319,8 +320,8 @@ class TestGateQuality:
         parts = make_parts(n=301)  # shards of 101, 100 and 100: two blocks
         calls, stacked = [], engine.clipped_quality
 
-        def checked(data_terms, losses_prev, theta_prev, theta_hat, lambda_hat, c_loss):
-            quality = stacked(data_terms, losses_prev, theta_prev, theta_hat, lambda_hat, c_loss)
+        def checked(data_terms, capped_prev, theta_prev, theta_hat, lambda_hat, c_loss):
+            quality = stacked(data_terms, capped_prev, theta_prev, theta_hat, lambda_hat, c_loss)
             calls.append(theta_prev)
             for i, part in enumerate(agent_shards(parts)):
                 p = LocalObjectiveParams(part, lambda_hat, len(agent_shards(parts)))

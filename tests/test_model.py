@@ -380,13 +380,17 @@ class TestDataTerms:
         terms, parts = self.evaluator()
         thetas = np.random.default_rng(1).normal(size=(3, 3)) * 3
         grads = terms(thetas)
-        loss = np.empty(3)
-        for block, losses in zip(terms.blocks, terms.losses(thetas), strict=True):
-            loss[block.rows] = losses.sum(axis=1) / losses.shape[1]
+        loss = terms.mean_losses(thetas)
+        assert loss.shape == (3,)
         for i, part in enumerate(parts):
             value, grad = local_value_and_grad(thetas[i], LocalObjectiveParams(part, 0.0, 1))
             assert loss[i] == value
             assert np.array_equal(grads[i], grad)
+        for cap in (1e-300, 0.3, 0.7, 1e300):  # the gate's capped means
+            capped = terms.mean_losses(thetas, cap)
+            for i, part in enumerate(parts):
+                losses = logistic_loss(part.labels * (part.features @ thetas[i]))
+                assert capped[i] == np.minimum(losses, cap).sum() / part.n_samples
 
     def test_repeated_point_is_one_pass(self, monkeypatch):
         passes = []
@@ -427,11 +431,12 @@ class TestDataTerms:
         assert np.array_equal(np.signbit(thetas) == np.signbit(flipped), thetas != 0.0)
         terms, _ = self.evaluator()
         terms(thetas)
-        grads, losses = terms(flipped), terms.losses(flipped)
+        grads = terms(flipped)
         fresh = self.evaluator()[0]
         assert grads.tobytes() == fresh(flipped).tobytes()
-        for kept, fresh_losses in zip(losses, fresh.losses(flipped), strict=True):
-            assert kept.tobytes() == fresh_losses.tobytes()
+        for cap in (None, 0.5):
+            assert terms.mean_losses(flipped, cap).tobytes() == fresh.mean_losses(
+                flipped, cap).tobytes()
 
     def test_terms_are_read_only(self):
         terms, _ = self.evaluator()
@@ -440,24 +445,25 @@ class TestDataTerms:
             grads += 1.0
 
     def test_kept_losses_are_the_memo_points_per_sample_losses(self, monkeypatch):
-        passes = []
+        # formed once per memo point and reused at any cap; a new pass drops them
         terms = DataTerms(data.partition(toy_dataset(n=31), 3, 0))
-        parts = agent_shards(terms.blocks)
+        fresh = DataTerms(terms.blocks)
         rng = np.random.default_rng(7)
         a, b = rng.normal(size=(3, 3)), rng.normal(size=(3, 3))
-        losses_a = terms.losses(a)
-        terms(b)
-        block_margins = model.margins
+        passes, formed = [], []
+        block_margins, loss = model.margins, model._loss
         monkeypatch.setattr(model, "margins",
                             lambda block, thetas: passes.append(1) or block_margins(block, thetas))
-        losses_b = terms.losses(b.copy())  # the memo point's losses take no pass
-        assert passes == []
-        for point, losses in ((a, losses_a), (b, losses_b)):
-            assert len(losses) == len(terms.blocks) == 2
-            for block, block_losses in zip(terms.blocks, losses, strict=True):
-                for row, i in enumerate(block.rows):
-                    z = parts[i].labels * (parts[i].features @ point[i])
-                    assert block_losses[row].tobytes() == logistic_loss(z).tobytes()
+        monkeypatch.setattr(model, "_loss", lambda z, e: formed.append(1) or loss(z, e))
+        means_a = terms.mean_losses(a)
+        assert (len(passes), len(formed)) == (2, 2)  # one per block
+        terms(b)
+        means_b = terms.mean_losses(b.copy())  # the memo point's losses: no pass
+        capped_b = terms.mean_losses(b, 0.5)  # formed once for every cap
+        assert (len(passes), len(formed)) == (4, 4)
+        for point, means, cap in ((a, means_a, None), (b, means_b, None), (b, capped_b, 0.5)):
+            assert means.tobytes() == fresh.mean_losses(point, cap).tobytes()
+        assert not np.array_equal(means_a, means_b)
 
 
 class TestAverageLoss:
@@ -639,9 +645,9 @@ class TestStackedClippedQuality:
                       "zero": np.zeros((n_agents, 3)),  # round 0's start
                       "same": theta_hat.copy()}[start]
         terms = DataTerms(blocks(parts))
-        losses_prev = terms.losses(theta_prev)
+        capped_prev = terms.mean_losses(theta_prev, cap)
         terms(theta_hat)
-        quality = model.clipped_quality(terms, losses_prev, theta_prev, theta_hat, lam, cap)
+        quality = model.clipped_quality(terms, capped_prev, theta_prev, theta_hat, lam, cap)
         assert quality.shape == (n_agents,)
         for i, part in enumerate(parts):
             expected = clipped_quality(theta_prev[i], theta_hat[i],
@@ -659,7 +665,7 @@ class TestStackedClippedQuality:
         terms = DataTerms(parts)
         zeros = np.zeros((2, 3))
         with pytest.raises(ValueError, match="c_loss must be positive"):
-            model.clipped_quality(terms, terms.losses(zeros), zeros, zeros, 1.0, 0.0)
+            model.clipped_quality(terms, terms.mean_losses(zeros, 0.0), zeros, zeros, 1.0, 0.0)
 
 
 class TestClippedQuality:
