@@ -250,17 +250,21 @@ def build_experiment(cfg: ExperimentConfig):
     return graph, train_parts, test, plan
 
 
-def _round_record(seed, trace, insecure_no_noise: bool):
-    return {
+def _round_records(seed, run: engine.Run, insecure_no_noise: bool) -> list:
+    """One report record per round of one seed's run."""
+    agents = [str(i) for i in range(run.broadcasts.shape[1])]
+    spent = run.spent.tolist() if run.spent is not None else [[]] * len(run.average_loss)
+    return [{
         "seed": seed,
-        "round": trace.round,
-        "average_loss": trace.average_loss,
-        "error_rate": trace.error_rate_test,
-        "consensus_residual": trace.consensus_residual,
-        "broadcasts": {str(k): v for k, v in trace.broadcasts.items()},
-        "cumulative_rho": {str(k): "inf" if insecure_no_noise else v
-                           for k, v in trace.cumulative_rho.items()},
-    }
+        "round": t,
+        "average_loss": loss,
+        "error_rate": error,
+        "consensus_residual": residual,
+        "broadcasts": dict(zip(agents, bits)),
+        "cumulative_rho": {a: "inf" if insecure_no_noise else rho for a, rho in zip(agents, rhos)},
+    } for t, (loss, error, residual, bits, rhos) in enumerate(zip(
+        run.average_loss.tolist(), run.error_rate.tolist(), run.consensus_residual.tolist(),
+        run.broadcasts.tolist(), spent))]
 
 
 def run_experiment(cfg: ExperimentConfig) -> RunReport:
@@ -273,35 +277,30 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
             file=sys.stderr,
         )
 
-    runs = []  # (seed, traces), one trace per round
-    ledgers = []
+    runs = {}  # seed -> engine.Run
     for seed in cfg.seeds:
         if cfg.algorithm == "nonprivate":
             lam = cfg.lambda_hat if cfg.lambda_hat is not None else 0.01
-            traces = engine.run_nonprivate(
+            runs[seed] = engine.run_nonprivate(
                 train_parts, graph, cfg.eta, lam, cfg.T, solver_cfg, test=test
             )
-            ledger = None
         elif cfg.algorithm == "pp_admm":
-            traces, ledger = engine.run_pp_admm(
+            runs[seed] = engine.run_pp_admm(
                 train_parts, graph, plan, cfg.eta, solver_cfg, seed,
                 lambda_hat=cfg.lambda_hat, test=test,
                 noise_disabled=cfg.insecure_no_noise,
             )
         else:
-            traces, ledger = engine.run_ipp_admm(
+            runs[seed] = engine.run_ipp_admm(
                 train_parts, graph, plan, cfg.eta, cfg.alpha, cfg.c_loss, solver_cfg, seed,
                 lambda_hat=cfg.lambda_hat, test=test, noise_disabled=cfg.insecure_no_noise,
             )
-        runs.append((seed, traces))
-        if ledger is not None:
-            ledgers.append(ledger)
 
     report = RunReport(
         config=dataclasses.asdict(cfg),
-        rounds=[_round_record(seed, trace, cfg.insecure_no_noise)
-                for seed, traces in runs for trace in traces],
-        summary=_summarize(runs, _privacy(ledgers, cfg.insecure_no_noise), graph),
+        rounds=[record for seed, run in runs.items()
+                for record in _round_records(seed, run, cfg.insecure_no_noise)],
+        summary=_summarize(runs, _privacy(runs, plan, cfg.insecure_no_noise), graph),
     )
     if cfg.output:
         with open(cfg.output, "w") as fh:
@@ -309,33 +308,29 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
     return report
 
 
-def _privacy(ledgers, insecure_no_noise: bool) -> dict | None:
-    """The privacy block: per agent, the largest spend of any one seed's run.
+def _privacy(runs, plan, insecure_no_noise: bool) -> dict | None:
+    """The privacy block: per agent, the largest final spend of any one seed's run.
 
     Runs on different seeds are separate experiments, not composed, so the
     block is the worst single run and does not depend on the seeds' order.
     Without noise there is no guarantee: every rho and both epsilons read "inf".
     """
-    if not ledgers:
+    if plan is None:
         return None
-    worst = accountant.ZcdpLedger(delta_target=ledgers[0].delta_target)
-    for ledger in ledgers:
-        for agent, rho in ledger.per_agent.items():
-            worst.per_agent[agent] = max(worst.per_agent.get(agent, 0.0), rho)
-    report = worst.report()
+    worst = np.max([run.spent[-1] for run in runs.values()], axis=0).tolist()
+    report = accountant.ZcdpLedger(plan.delta_total, dict(enumerate(worst))).report()
     if insecure_no_noise:
         report.update(per_agent_rho=dict.fromkeys(report["per_agent_rho"], "inf"),
                       total_rho="inf", epsilon_sufficient="inf", epsilon_conservative="inf")
     return report
 
 
-def _summarize(runs, ledger_report, graph):
+def _summarize(runs, privacy, graph):
     """Per-round mean and std over seeds, privacy spend and broadcast counts."""
-    by_round = list(zip(*(traces for _, traces in runs)))  # one tuple per round, over seeds
 
     def column(reduce, field):
         # (T, seeds): each round is one contiguous row, reduced as a 1-D array would be
-        values = np.array([[getattr(trace, field) for trace in traces] for traces in by_round])
+        values = np.stack([getattr(run, field) for run in runs.values()], axis=1)
         return reduce(values, axis=1).tolist()
 
     return {
@@ -343,13 +338,12 @@ def _summarize(runs, ledger_report, graph):
         "graph_edges": [list(e) for e in graph.edge_list()],
         "mean_average_loss": column(np.mean, "average_loss"),
         "std_average_loss": column(np.std, "average_loss"),
-        "mean_error_rate": column(np.mean, "error_rate_test"),
-        "std_error_rate": column(np.std, "error_rate_test"),
-        "privacy": ledger_report,
+        "mean_error_rate": column(np.mean, "error_rate"),
+        "std_error_rate": column(np.std, "error_rate"),
+        "privacy": privacy,
         "broadcast_counts": {
-            str(seed): {str(i): sum(trace.broadcasts[i] for trace in traces)
-                        for i in range(graph.n)}
-            for seed, traces in runs
+            str(seed): {str(i): int(n) for i, n in enumerate(run.broadcasts.sum(axis=0))}
+            for seed, run in runs.items()
         },
     }
 

@@ -2,13 +2,15 @@
 
 Every round, each agent minimizes its (optionally perturbed) augmented
 objective against a read-only snapshot of the values its neighbors shared
-at the previous round, then releases the value it shares this round, and
-duals are updated from the newly shared values.  The three algorithms
-differ only in the objective noise and the release step: non-private ADMM
-shares the solution, PP-ADMM adds output noise to it, and IPP-ADMM does so
-only when its sparse-vector gate fires, keeping the previous value
-otherwise.  With the noise disabled the private runs reproduce the
-non-private run bit for bit.
+at the previous round.  One release step then returns the round's mask of
+the agents that share, with their values; the others keep their previous
+values, and duals are updated from the newly shared values.  The three
+algorithms differ only in the objective noise and the release step:
+non-private ADMM shares every solution, PP-ADMM every solution plus output
+noise, and IPP-ADMM only the noised solutions its sparse-vector gates let
+through.  With the noise disabled the private runs reproduce the
+non-private run bit for bit.  Each run is recorded as one Run of
+per-round arrays.
 
 The agents' solves within a round are independent, so the loop runs them
 as one row-wise solve (model.stacked_kernel) over the shards as
@@ -45,15 +47,16 @@ class EngineError(RuntimeError):
     """A training loop failed; the message carries round/agent context."""
 
 
-@dataclass
-class IterationTrace:
-    round: int
-    average_loss: float
-    consensus_residual: float
-    error_rate_test: float | None
-    broadcasts: dict
-    cumulative_rho: dict
-    thetas: np.ndarray  # (N, d) values as shared with neighbors this round
+@dataclass(frozen=True)
+class Run:
+    """One run, recorded as arrays with one row per round."""
+
+    thetas: np.ndarray  # (T, N, d) values as shared with neighbors after each round
+    average_loss: np.ndarray  # (T,) training loss at the shared values
+    consensus_residual: np.ndarray  # (T,)
+    error_rate: np.ndarray | None  # (T,) test error at the shared values; None without a test set
+    broadcasts: np.ndarray  # (T, N) bool: the release mask, the agents that shared
+    spent: np.ndarray | None  # (T, N) each agent's cumulative rho; None for nonprivate
 
 
 def dual_update(dual, theta_new, neighbor_thetas, eta: float):
@@ -68,29 +71,6 @@ def dual_update(dual, theta_new, neighbor_thetas, eta: float):
     return updated
 
 
-@dataclass(frozen=True)
-class _Agents:
-    """What the loop needs of the agents, built once per run."""
-
-    dimension: int
-    lambda_hat: float
-    eta: float
-    data_terms: DataTerms  # the shards stacked by size, with this run's one-point memo
-    slots: np.ndarray  # (N, max degree) sorted neighbors, padded with the agent itself
-    cfg: SolverConfig  # step: each agent's 2 / (mu + L)
-
-
-def _agents(blocks, g: Graph, lambda_hat: float, eta: float, cfg: SolverConfig) -> _Agents:
-    d = _check_inputs(blocks, g)
-    nbrs = [sorted(g.neighbors(i)) for i in range(g.n)]
-    slots = np.tile(np.arange(g.n)[:, None], max(map(len, nbrs), default=0))
-    for i, js in enumerate(nbrs):
-        slots[i, :len(js)] = js
-    data_terms = DataTerms(blocks)
-    steps = solver_steps(data_terms, lambda_hat, eta, [len(js) for js in nbrs])
-    return _Agents(d, lambda_hat, eta, data_terms, slots, replace(cfg, step=steps))
-
-
 def _check_inputs(blocks, g: Graph):
     rows = sorted(i for block in blocks for i in block.rows.tolist())
     if rows != list(range(g.n)):
@@ -101,57 +81,63 @@ def _check_inputs(blocks, g: Graph):
     return dims.pop()
 
 
-def _train(agents: _Agents, T, test, ledger, draw_b1, release, c_loss=None):
-    """The ADMM loop shared by all three algorithms; returns the per-round trace.
+def _train(blocks, g: Graph, lambda_hat, eta, cfg: SolverConfig, T, test, ledger, draw_b1,
+           release, c_loss=None) -> Run:
+    """The ADMM loop shared by all three algorithms; returns the run's Run.
 
-    Every agent i draws its objective noise with draw_b1(i) (draw_b1 is None
-    for none) before the round's solve.  release(i, theta_hat, quality)
-    then returns, agent by agent, the value agent i shares this round, or
-    None to discard theta_hat and keep its previous value; it charges
-    `ledger` for what it releases.  quality is agent i's clipped quality
-    score at loss cap c_loss, or None when c_loss is None.
+    Each round, draw_b1() returns the (N, d) objective noise before the
+    solve (draw_b1 is None for none).  release(theta_hat, quality) then
+    returns the (N,) bool mask of the agents that share this round and an
+    (N, d) array whose masked rows hold what they share; it charges
+    `ledger` for what it releases, and spent records the ledger after each
+    round.  quality holds the agents' clipped quality scores at loss cap
+    c_loss, or is None when c_loss is None.
     """
-    n, d = len(agents.slots), agents.dimension
-    lambda_hat, eta = agents.lambda_hat, agents.eta
-    data_terms = agents.data_terms
-    thetas = np.zeros((n, d))
-    duals = np.zeros((n, d))
-    traces = []
+    d = _check_inputs(blocks, g)
+    nbrs = [sorted(g.neighbors(i)) for i in range(g.n)]
+    slots = np.tile(np.arange(g.n)[:, None], max(map(len, nbrs), default=0))
+    for i, js in enumerate(nbrs):
+        slots[i, :len(js)] = js  # padded with the agent itself
+    data_terms = DataTerms(blocks)
+    cfg = replace(cfg, step=solver_steps(data_terms, lambda_hat, eta, [len(js) for js in nbrs]))
+    run = Run(np.empty((T, g.n, d)), np.empty(T), np.empty(T),
+              None if test is None else np.empty(T), np.empty((T, g.n), dtype=bool),
+              None if ledger is None else np.empty((T, g.n)))
+    thetas = np.zeros((g.n, d))
+    duals = np.zeros((g.n, d))
     for t in range(T):
         snapshot = thetas
-        b1 = None if draw_b1 is None else np.array([draw_b1(i) for i in range(n)])
-        objective = stacked_kernel(data_terms, lambda_hat, duals, snapshot, agents.slots, eta, b1)
+        b1 = None if draw_b1 is None else draw_b1()
+        objective = stacked_kernel(data_terms, lambda_hat, duals, snapshot, slots, eta, b1)
         if c_loss is not None:
             capped_prev = data_terms.mean_losses(snapshot, c_loss)
         try:
-            theta_hat = minimize(objective, snapshot, agents.cfg)
+            theta_hat = minimize(objective, snapshot, cfg)
         except NonConvergence as exc:
             raise EngineError(
                 f"round {t}, agent {exc.row}: solver did not converge: {exc}") from exc
-        quality = [None] * n if c_loss is None else clipped_quality(
+        quality = None if c_loss is None else clipped_quality(
             data_terms, capped_prev, snapshot, theta_hat, lambda_hat, c_loss)
-        shared = [release(i, theta_hat[i], quality[i]) for i in range(n)]
-        thetas = np.array([snapshot[i] if s is None else s for i, s in enumerate(shared)])
-        duals = dual_update(duals, thetas, thetas[agents.slots.T], eta)
-        traces.append(IterationTrace(
-            round=t,
-            average_loss=metrics.average_loss(thetas, data_terms),
-            consensus_residual=metrics.consensus_residual(thetas),
-            error_rate_test=metrics.error_rate(thetas, test) if test is not None else None,
-            broadcasts={i: s is not None for i, s in enumerate(shared)},
-            cumulative_rho=dict(ledger.per_agent) if ledger is not None else {},
-            thetas=thetas,
-        ))
-    return traces
+        mask, shared = release(theta_hat, quality)
+        thetas = np.where(mask[:, None], shared, snapshot)
+        duals = dual_update(duals, thetas, thetas[slots.T], eta)
+        run.thetas[t], run.broadcasts[t] = thetas, mask
+        run.average_loss[t] = metrics.average_loss(thetas, data_terms)
+        run.consensus_residual[t] = metrics.consensus_residual(thetas)
+        if test is not None:
+            run.error_rate[t] = metrics.error_rate(thetas, test)
+        if ledger is not None:
+            run.spent[t] = [ledger.per_agent[i] for i in range(g.n)]
+    return run
 
 
-def _private_setup(blocks, g, plan, lambda_hat, eta, cfg, seed, noise_disabled):
+def _private_setup(blocks, g, plan, lambda_hat, seed, noise_disabled):
     """Checks and state shared by the private loops.
 
-    Returns the agents at the effective lambda_hat, an empty ledger,
-    draw_b1(i) (agent i's objective noise), perturb(i, theta_hat) (theta_hat
-    plus agent i's output noise) and, when the plan is gated, the SVT
-    threshold and query RngHandle lists.
+    Returns the effective lambda_hat, an empty ledger, draw_b1(),
+    noisy_release(theta_hat, mask, charge) (mask and theta_hat with each
+    masked agent's output noise added, each charged through `charge`) and,
+    when the plan is gated, the SVT threshold and query RngHandle lists.
     """
     if set(plan.sigma_i1) != set(range(g.n)):
         raise EngineError("budget plan does not cover this graph's agents")
@@ -167,73 +153,78 @@ def _private_setup(blocks, g, plan, lambda_hat, eta, cfg, seed, noise_disabled):
         for purpose in (noise.OBJECTIVE_NOISE, noise.OUTPUT_NOISE,
                         *((noise.SVT_THRESHOLD, noise.SVT_QUERY)
                           if plan.c_broadcasts is not None else ()))]
-    agents = _agents(blocks, g, lambda_hat, eta, cfg)
-    d = agents.dimension
+    ledger = ZcdpLedger(delta_target=plan.delta_total)
 
-    def draw_b1(i):
-        return noise.gaussian_vector(plan.sigma_i1[i], d, b1_rngs[i])
+    def draw_b1():
+        d = blocks[0].features.shape[2]  # _train has checked every block against the graph
+        return np.array([noise.gaussian_vector(plan.sigma_i1[i], d, rng)
+                         for i, rng in enumerate(b1_rngs)])
 
-    def perturb(i, theta_hat):
-        return theta_hat + noise.gaussian_vector(plan.sigma_i2[i], d, b2_rngs[i])
+    def noisy_release(theta_hat, mask, charge):
+        shared = theta_hat.copy()
+        for i in np.flatnonzero(mask).tolist():
+            shared[i] += noise.gaussian_vector(plan.sigma_i2[i], shared.shape[1], b2_rngs[i])
+            charge(i, plan.per_release_rho)
+        return mask, shared
 
-    return agents, ZcdpLedger(delta_target=plan.delta_total), draw_b1, perturb, rngs
+    return lambda_hat, ledger, draw_b1, noisy_release, rngs
 
 
 def run_nonprivate(blocks, g: Graph, eta: float, lambda_hat: float, T: int,
-                   cfg: SolverConfig, test: Dataset | None = None):
-    """Noise-free consensus ADMM; returns the per-round trace."""
-    return _train(_agents(blocks, g, lambda_hat, eta, cfg), T, test, None,
-                  draw_b1=None, release=lambda i, theta_hat, quality: theta_hat)
+                   cfg: SolverConfig, test: Dataset | None = None) -> Run:
+    """Noise-free consensus ADMM; every round's mask is all agents.  Returns the Run."""
+    everyone = np.ones(g.n, dtype=bool)
+    return _train(blocks, g, lambda_hat, eta, cfg, T, test, None, draw_b1=None,
+                  release=lambda theta_hat, quality: (everyone, theta_hat))
 
 
 def run_pp_admm(blocks, g: Graph, plan: BudgetPlan, eta: float,
                 cfg: SolverConfig, seed: int, lambda_hat: float | None = None,
-                test: Dataset | None = None, noise_disabled: bool = False):
+                test: Dataset | None = None, noise_disabled: bool = False) -> Run:
     """Private full-broadcast ADMM: perturbed objective plus perturbed output.
 
-    Runs the plan's T rounds.  Every agent pays rho_i1 + rho_i2 per round,
-    so the ledger ends at the planned budget exactly.
+    Runs the plan's T rounds and returns their Run; every round's mask is
+    all agents.  Every agent pays rho_i1 + rho_i2 per round, so its spend
+    ends at the planned budget exactly.
     """
     if plan.c_broadcasts is not None:
         raise EngineError("budget plan was made for gated mode; full broadcast needs its own plan")
-    agents, ledger, draw_b1, perturb, _ = _private_setup(
-        blocks, g, plan, lambda_hat, eta, cfg, seed, noise_disabled)
-
-    def release(i, theta_hat, quality):
-        shared = perturb(i, theta_hat)
-        ledger.charge_pp_iteration(i, plan.per_release_rho)
-        return shared
-
-    return _train(agents, plan.T, test, ledger, draw_b1, release), ledger
+    lambda_hat, ledger, draw_b1, noisy_release, _ = _private_setup(
+        blocks, g, plan, lambda_hat, seed, noise_disabled)
+    everyone = np.ones(g.n, dtype=bool)
+    return _train(blocks, g, lambda_hat, eta, cfg, plan.T, test, ledger, draw_b1,
+                  lambda theta_hat, _: noisy_release(theta_hat, everyone,
+                                                     ledger.charge_pp_iteration))
 
 
 def run_ipp_admm(blocks, g: Graph, plan: BudgetPlan, eta: float,
                  alpha: float, c_loss: float, cfg: SolverConfig,
                  seed: int, lambda_hat: float | None = None,
-                 test: Dataset | None = None, noise_disabled: bool = False):
-    """Gated private ADMM: broadcast only when the SVT gate fires.
+                 test: Dataset | None = None, noise_disabled: bool = False) -> Run:
+    """Gated private ADMM: an agent shares only when its SVT gate fires.
 
-    Runs the plan's T rounds.  A rejected solution is discarded (the agent
-    keeps its previous value), so an agent's state always equals its last
-    shared value and neighbors implicitly reuse stale values.  Ledger: the
-    gate's cost once per agent, plus rho_i1 + rho_i2 per actual broadcast,
-    capped at the plan's c_broadcasts.
+    Runs the plan's T rounds and returns their Run.  Every round, each
+    agent's gate is checked in agent order and the mask holds those that
+    fired.  A rejected solution is discarded (the agent keeps its previous
+    value), so an agent's state always equals its last shared value and
+    neighbors implicitly reuse stale values.  Spend: the gate's cost once
+    per agent, plus rho_i1 + rho_i2 per actual broadcast, capped at the
+    plan's c_broadcasts.
     """
     if plan.c_broadcasts is None:
         raise EngineError("budget plan was made for full broadcast; gated mode needs its own plan")
-    agents, ledger, draw_b1, perturb, (threshold_rngs, query_rngs) = _private_setup(
-        blocks, g, plan, lambda_hat, eta, cfg, seed, noise_disabled)
+    lambda_hat, ledger, draw_b1, noisy_release, (threshold_rngs, query_rngs) = _private_setup(
+        blocks, g, plan, lambda_hat, seed, noise_disabled)
     eps1, eps2 = plan.svt_eps
     gates = []
     for i in range(g.n):
         gates.append(SvtGate(alpha, plan.c_broadcasts, eps1, eps2, c_loss, threshold_rngs[i]))
         ledger.charge_ipp(i, plan.rho_svt)
 
-    def release(i, theta_hat, quality):
-        if gates[i].check(quality, query_rngs[i]) is not Decision.ABOVE:
-            return None
-        shared = perturb(i, theta_hat)
-        ledger.charge_ipp(i, plan.per_release_rho)
-        return shared
+    def release(theta_hat, quality):
+        mask = np.array([gate.check(q, rng) is Decision.ABOVE
+                         for gate, q, rng in zip(gates, quality, query_rngs)], dtype=bool)
+        return noisy_release(theta_hat, mask, ledger.charge_ipp)
 
-    return _train(agents, plan.T, test, ledger, draw_b1, release, c_loss), ledger
+    return _train(blocks, g, lambda_hat, eta, cfg, plan.T, test, ledger, draw_b1, release,
+                  c_loss)

@@ -41,3 +41,49 @@ def test_install_then_uninstall_restores_originals(tracer):
         t.uninstall()
     for (owner, attr), original in zip(targets, originals):
         assert owner.__dict__[attr] is original, f"{owner.__name__}.{attr}"
+
+
+def traced_spans(tracer, capsys, algorithm):
+    """Span name -> spans of one tiny traced `padmm run` of algorithm (4 agents, 3 rounds)."""
+    from padmm import cli
+
+    t = tracer.Tracer()
+    t.install()
+    try:
+        code = cli.main(["run", "--algorithm", algorithm, "--synthetic-n", "200",
+                         "--n-agents", "4", "--topology", "ring", "--T", "3"])
+    finally:
+        t.uninstall()
+    capsys.readouterr()
+    assert code == 0
+    by_name = {}
+    for span in t.spans:
+        by_name.setdefault(span.name, []).append(span)
+    return by_name
+
+
+COMMON_SPANS = {"cli.main", "cli.to_ndjson", "topology.build_graph", "data.prepare_data",
+                "accountant.build_plan", "engine.run", "engine.dual_update", "solver.minimize",
+                "metrics.average_loss", "metrics.error_rate", "metrics.consensus_residual"}
+PRIVATE_SPANS = {"noise.gaussian_vector", "accountant.charge"}
+GATE_SPANS = {"svt.check", "noise.laplace_scalar", "model.clipped_quality"}
+
+
+def test_traced_runs_call_every_target(tracer, capsys):
+    # a refactor that stops calling a traced name would silently zero a per-layer metric
+    n, T = 4, 3
+    spans = {algorithm: traced_spans(tracer, capsys, algorithm)
+             for algorithm in ("nonprivate", "pp_admm", "ipp_admm")}
+    assert set(spans["nonprivate"]) == COMMON_SPANS
+    assert set(spans["pp_admm"]) == COMMON_SPANS | PRIVATE_SPANS
+    assert set(spans["ipp_admm"]) == COMMON_SPANS | PRIVATE_SPANS | GATE_SPANS
+    assert set().union(*spans.values()) == {name for _, _, name in tracer.TARGETS} | {
+        "solver.minimize"}
+    for by_name in spans.values():
+        assert len(by_name["solver.minimize"]) == T
+        assert all(span.evals >= 1 for span in by_name["solver.minimize"])
+    pp, ipp = spans["pp_admm"], spans["ipp_admm"]
+    assert len(pp["noise.gaussian_vector"]) == 2 * n * T  # b1 and b2, every agent and round
+    assert len(pp["accountant.charge"]) == n * T
+    assert len(ipp["svt.check"]) == n * T  # exhausted gates are checked too
+    assert len(ipp["model.clipped_quality"]) == T

@@ -308,6 +308,22 @@ class TestRunExperiment:
         assert both["per_agent_rho"] == {
             agent: max(single[agent] for single in singles) for agent in singles[0]}
 
+    def test_summary_agrees_with_the_round_records(self):
+        cfg = ExperimentConfig(algorithm="ipp_admm", topology="ring", seeds=(0, 1))
+        report = run_experiment(cfg)
+        last = {}
+        for seed in cfg.seeds:
+            records = [r for r in report.rounds if r["seed"] == seed]
+            assert [r["round"] for r in records] == list(range(cfg.T))
+            counts = report.summary["broadcast_counts"][str(seed)]
+            for i in map(str, range(cfg.n_agents)):
+                assert counts[i] == sum(r["broadcasts"][i] for r in records)
+            last[seed] = records[-1]["cumulative_rho"]
+        privacy = report.summary["privacy"]
+        for i in map(str, range(cfg.n_agents)):
+            assert privacy["per_agent_rho"][i] == max(last[seed][i] for seed in cfg.seeds)
+        assert privacy["total_rho"] == max(max(spent.values()) for spent in last.values())
+
     def test_summary_reduces_each_round_over_seeds(self):
         # Nine seeds pass numpy's 8-way pairwise-sum block, where a reduction
         # in another order would show in the last bits.
