@@ -161,34 +161,51 @@ def build_graph(cfg: ExperimentConfig) -> topology.Graph:
 def prepare_data(cfg: ExperimentConfig):
     """Load or generate, split, partition, and normalize with the training maxima.
 
-    Returns (train shards as data.partition stacks them, test Dataset).  The
-    shards and the test set are gathered straight from the loaded or
-    generated samples and normalized in place; the bits are those of
-    normalizing the training split and partitioning it afterwards.
+    Returns (train shards as data.partition stacks them, test Dataset), all
+    views of one C-contiguous (n, d) buffer into which each sample is written
+    once: first the training shards' rows, in data.shard_order over the
+    training split, then the test samples in split-permutation order.
+    Generated samples are drawn straight into their rows and normalized with
+    their own maxima, as data.synthetic_blobs does; loaded ones are gathered
+    with one take.  Then, in place, the training rows are multiplied by their
+    labels, and one normalize call scales every row by the training maxima.
+    The bits are those of normalizing the training split and partitioning it
+    afterwards.
     """
     if cfg.dataset_csv is not None:
         if cfg.label_column is None or cfg.positive_value is None:
             raise ConfigError("CSV input needs label_column and positive_value")
         raw = data_mod.load_csv(cfg.dataset_csv, cfg.label_column, cfg.positive_value)
+        n, d = raw.features.shape
     else:
-        raw = data_mod.synthetic_blobs(
-            cfg.synthetic_n, cfg.synthetic_d, cfg.synthetic_separation, cfg.split_seed
-        )
-    n = raw.n_samples
+        n, d = cfg.synthetic_n, cfg.synthetic_d
     n_test = max(1, int(round(n * cfg.test_fraction)))
-    if n - n_test < cfg.n_agents:
+    n_train = n - n_test
+    if n_train < cfg.n_agents:
         raise ConfigError("not enough training samples for the agent count")
+    # The buffer is allocated before the index arrays: in a process that sets
+    # up again, it then takes the hole that the last buffer left in the heap
+    # before smaller arrays split it, so the heap does not grow by a buffer.
+    x = np.empty((n, d))
+    # The test samples lead the split permutation; the buffer puts them last.
     perm = np.random.default_rng(cfg.split_seed).permutation(n)
-    train = data_mod.partition(raw, cfg.n_agents, cfg.split_seed, samples=perm[n_test:])
-    test_features = raw.features.take(perm[:n_test], axis=0)
-    test_labels = raw.labels.take(perm[:n_test])
-    del raw
+    shards, layout = data_mod.shard_order(n_train, cfg.n_agents, cfg.split_seed)
+    order = np.concatenate([perm[n_test:].take(shards), perm[:n_test]])
+    del perm, shards
+    if cfg.dataset_csv is not None:
+        # every index is in range; mode="clip" writes into x with no buffer copy
+        raw.features.take(order, axis=0, out=x, mode="clip")
+        labels = raw.labels
+        del raw
+    else:
+        data_mod.draw_blobs(x, cfg.synthetic_separation, cfg.split_seed, order)
+        labels = data_mod.blob_labels(n)
+    x[:n_train] *= labels.take(order[:n_train])[:, None]
+    test_labels = labels.take(order[n_train:])
+    del order, labels
     # Held-out data is normalized with the training columns' maxima.
-    scales = data_mod.column_scales(block.features for block in train)
-    for block in train:
-        data_mod.normalize(block.features, scales)
-    data_mod.normalize(test_features, scales)
-    return train, data_mod.Dataset(test_features, test_labels)
+    data_mod.normalize(x, data_mod.column_scales([x[:n_train]]))
+    return data_mod.shard_blocks(x, layout), data_mod.Dataset(x[n_train:], test_labels)
 
 
 def build_plan(cfg: ExperimentConfig, train_parts, graph) -> accountant.BudgetPlan | None:

@@ -94,8 +94,8 @@ def load_csv(path, label_column: str, positive_value: str) -> Dataset:
     return Dataset(np.asarray(rows, dtype=float), labels)
 
 
-_FOLD = 64  # rows per wide row in column_max_abs
-_CHUNK = 8192  # rows per squared-norm scratch array in normalize
+_FOLD = 64  # rows per wide row in column_max_abs and _by_column
+_CHUNK = 8192  # rows per draw in draw_blobs and per scratch array in normalize
 
 
 def _rows(x: np.ndarray) -> np.ndarray:
@@ -127,6 +127,19 @@ def column_scales(arrays) -> np.ndarray:
     return np.where(scales > 0, scales, 1.0)
 
 
+def _by_column(ufunc, rows: np.ndarray, wide: np.ndarray) -> None:
+    """rows = ufunc(rows, v) in place, for C-contiguous (m, d) rows and wide = np.tile(v, _FOLD).
+
+    Whole groups of _FOLD rows are read as one wide row each, so the inner
+    loop runs over _FOLD * d entries rather than d; each entry still takes
+    one operation with its column's v, so the bits are those of the broadcast.
+    """
+    k = len(rows) - len(rows) % _FOLD
+    folded = rows[:k].reshape(k // _FOLD, wide.size)
+    ufunc(folded, wide, out=folded)
+    ufunc(rows[k:], wide[:rows.shape[1]], out=rows[k:])
+
+
 def normalize(x: np.ndarray, scales: np.ndarray) -> None:
     """Divide each attribute by scales, then cap each sample's L2 norm at 1, in place.
 
@@ -134,22 +147,35 @@ def normalize(x: np.ndarray, scales: np.ndarray) -> None:
     (column_scales) to normalize held-out data the same way.  Each sample's
     entries are divided, squared and summed on their own, as np.linalg.norm
     does, so the bits do not depend on how the samples are stacked or chunked.
+    The scales divide each chunk through _by_column's wide rows.  numpy's
+    pairwise sum adds fewer than 8 entries left to right, so for d < 8 the
+    squares are summed one column at a time in that order: np.add.reduce's
+    bits without its d-long inner loops.
     """
     if not x.flags.c_contiguous:
         raise DataError("normalize works in place on a C-contiguous array")
     rows = _rows(x)
+    d = rows.shape[1]
+    wide = np.tile(scales, _FOLD)
     for start in range(0, rows.shape[0], _CHUNK):
         chunk = rows[start:start + _CHUNK]
-        chunk /= scales
-        norms = np.sqrt(np.add.reduce(chunk * chunk, axis=-1))
-        chunk /= np.maximum(norms, 1.0)[:, np.newaxis]  # dividing by 1.0 is exact
+        _by_column(np.divide, chunk, wide)
+        if 0 < d < 8:
+            sums = chunk[:, 0] * chunk[:, 0]
+            for j in range(1, d):
+                sums += chunk[:, j] * chunk[:, j]
+        else:
+            sums = np.add.reduce(chunk * chunk, axis=-1)
+        chunk /= np.maximum(np.sqrt(sums), 1.0)[:, np.newaxis]  # dividing by 1.0 is exact
 
 
 @dataclass(frozen=True)
 class ShardBlock:
     """The equal-size shards of agents `rows`: features (k, m, d), each sample as y x.
 
-    model.DataTerms is the one reader of the samples.
+    partition and cli.prepare_data make every block a (k, m, d) view of its
+    rows of one C-contiguous buffer.  model.DataTerms is the one reader of the
+    samples.
     """
 
     rows: np.ndarray
@@ -158,6 +184,36 @@ class ShardBlock:
     @property
     def n_samples(self) -> int:  # k * m
         return self.features.shape[0] * self.features.shape[1]
+
+
+def shard_order(n: int, n_agents: int, seed: int) -> tuple[np.ndarray, list]:
+    """Positions 0..n-1 in shard order, and the blocks' layout as (agent rows, shard size).
+
+    A seeded permutation deals the first n % n_agents agents m + 1 positions
+    each and the others m, agent by agent; each shard's positions are sorted,
+    so a shard keeps its samples in data order.  Each shard size is one block,
+    the larger first.
+    """
+    if n_agents < 1 or n_agents > n:
+        raise DataError(f"cannot split {n} samples across {n_agents} agents")
+    order = np.random.default_rng(seed).permutation(n)
+    m, r = divmod(n, n_agents)
+    cut = r * (m + 1)
+    order[:cut].reshape(r, m + 1).sort()
+    order[cut:].reshape(n_agents - r, m).sort()
+    layout = [(np.arange(r), m + 1), (np.arange(r, n_agents), m)]
+    return order, [(rows, size) for rows, size in layout if len(rows)]
+
+
+def shard_blocks(x: np.ndarray, layout) -> list[ShardBlock]:
+    """The shard blocks of layout as (k, m, d) views of x's leading rows, in order."""
+    blocks = []
+    start = 0
+    for rows, size in layout:
+        stop = start + len(rows) * size
+        blocks.append(ShardBlock(rows, x[start:stop].reshape(len(rows), size, x.shape[1])))
+        start = stop
+    return blocks
 
 
 def partition(data: Dataset, n_agents: int, seed: int, samples=None) -> list[ShardBlock]:
@@ -169,40 +225,62 @@ def partition(data: Dataset, n_agents: int, seed: int, samples=None) -> list[Sha
     shard keeps its samples in their order in `data`, each times its label
     (exact for labels of +-1, and commuting with normalize and column_scales).
     `samples` (an index array; default every sample) splits only the samples
-    at those indices, gathering each shard from `data` directly.
+    at those indices.  The order is shard_order's, which cli.prepare_data
+    shares; the shards are gathered with one take into one buffer that every
+    block views.
     """
     n = data.n_samples if samples is None else len(samples)
-    if n_agents < 1 or n_agents > n:
-        raise DataError(f"cannot split {n} samples across {n_agents} agents")
-    perm = np.random.default_rng(seed).permutation(n)
-    m, r = divmod(n, n_agents)
-    cut = r * (m + 1)
-    shards = [(np.arange(r), np.sort(perm[:cut].reshape(r, m + 1))),
-              (np.arange(r, n_agents), np.sort(perm[cut:].reshape(n_agents - r, m)))]
+    order, layout = shard_order(n, n_agents, seed)
     if samples is not None:
-        shards = [(rows, samples[idx]) for rows, idx in shards]
-    blocks = []
-    for rows, idx in shards:
-        if len(rows):
-            x = data.features.take(idx, axis=0)
-            np.multiply(x, data.labels.take(idx)[..., None], out=x)
-            blocks.append(ShardBlock(rows, x))
-    return blocks
+        order = np.asarray(samples).take(order)
+    x = data.features.take(order, axis=0)
+    x *= data.labels.take(order)[:, None]
+    return shard_blocks(x, layout)
 
 
-def synthetic_blobs(n: int, d: int, separation: float, seed: int) -> Dataset:
-    """Two Gaussian clusters labeled +1/-1, normalized in place with their own maxima.
+def blob_labels(n: int) -> np.ndarray:
+    """The labels of draw_blobs' samples: +1 for the first n // 2, -1 for the rest."""
+    n_pos = n // 2
+    return np.concatenate([np.ones(n_pos), -np.ones(n - n_pos)])
 
-    Cluster centers are `separation` apart; unit-variance isotropic noise.
+
+def draw_blobs(x: np.ndarray, separation: float, seed: int, order=None) -> None:
+    """Fill the C-contiguous (n, d) x with two Gaussian clusters, normalized with their own maxima.
+
+    Cluster centers are `separation` apart; unit-variance isotropic noise;
+    sample s has label blob_labels(n)[s].  Row j holds sample order[j]
+    (default j).  The samples come from one Generator stream, _CHUNK rows
+    per draw, and each draw is written straight to its samples' rows, each
+    row as one item, so no second (n, d) array exists.  Chunked
+    standard_normal draws are the bits of one rng.normal(size=(n, d)) draw,
+    except that normal's 0.0 + z turns a drawn -0.0 into 0.0, which the
+    offset also does unless separation is 0.  Column maxima do not depend on
+    the row order, and normalize works row by row, so every row's bits are
+    those of the identity order.
     """
+    n, d = x.shape
     if n < 2 or d < 1:
         raise DataError("need n >= 2 and d >= 1")
     rng = np.random.default_rng(seed)
     n_pos = n // 2
-    offset = np.full(d, separation / (2.0 * np.sqrt(d)))
-    features = rng.normal(size=(n, d))  # the same stream as one draw per cluster
-    features[:n_pos] += offset
-    features[n_pos:] -= offset
-    normalize(features, column_scales([features]))
-    labels = np.concatenate([np.ones(n_pos), -np.ones(n - n_pos)])
-    return Dataset(features, labels)
+    offset = np.full(d * _FOLD, separation / (2.0 * np.sqrt(d)))  # tiled, see _by_column
+    rows = np.arange(n)  # the row of each sample
+    if order is not None:
+        rows[order] = np.arange(n)
+    item = np.dtype((np.void, x.itemsize * d))
+    for start in range(0, n, _CHUNK):
+        chunk = rng.standard_normal(size=(min(_CHUNK, n - start), d))
+        pos = min(max(n_pos - start, 0), len(chunk))
+        _by_column(np.add, chunk[:pos], offset)
+        _by_column(np.subtract, chunk[pos:], offset)
+        np.put(x.view(item), rows[start:start + len(chunk)], chunk.view(item))
+        del chunk  # before the next draw allocates its own
+    del rows
+    normalize(x, column_scales([x]))
+
+
+def synthetic_blobs(n: int, d: int, separation: float, seed: int) -> Dataset:
+    """draw_blobs' samples in draw order, labeled +1/-1 (see blob_labels)."""
+    x = np.empty((n, d))
+    draw_blobs(x, separation, seed)
+    return Dataset(x, blob_labels(n))

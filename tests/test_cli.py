@@ -204,7 +204,12 @@ class TestPrepareData:
     @pytest.mark.parametrize("n, d, n_agents, split_seed", [
         (2000, 1, 5, 0), (2011, 5, 6, 3), (1003, 20, 7, 1), (20000, 5, 100, 0),
         (4037, 20, 100, 2),
-    ], ids=["one_size-d1", "two_sizes-d5", "two_sizes-d20", "100_agents", "100_agents-two_sizes"])
+        # several draw chunks (data._CHUNK rows each); n // 2, where the clusters meet, falls
+        # inside the first chunk, on the edge between two chunks, or inside the second one
+        (8191, 1, 7, 2), (8192, 5, 4, 0), (8193, 20, 10, 1), (16385, 3, 5, 0), (24577, 2, 6, 4),
+    ], ids=["one_size-d1", "two_sizes-d5", "two_sizes-d20", "100_agents", "100_agents-two_sizes",
+            "chunks1-two_sizes-d1", "chunks1-two_sizes-d5", "chunks2-two_sizes-d20",
+            "chunks3-edge-two_sizes-d3", "chunks4-one_size-d2"])
     def test_synthetic_matches_the_old_setup_bit_for_bit(self, n, d, n_agents, split_seed):
         cfg = small_cfg(synthetic_n=n, synthetic_d=d, n_agents=n_agents, split_seed=split_seed)
         got = cli.prepare_data(cfg)
@@ -242,9 +247,10 @@ class TestPrepareData:
         assert got[1].dimension == 0
         assert_same_setup(got, reference.prepare_data(cfg))
 
-    def test_peak_memory_is_two_copies_of_the_features(self):
-        # the draw, and the shards and test set gathered from it, are alive together; the
-        # whole-array form held a third copy (a normalized train split, or x * x)
+    def test_peak_memory_is_one_copy_of_the_features(self):
+        # each sample is written once into one buffer that the shards and the test set view;
+        # beside it live only n-long index arrays and one draw chunk (or normalize's squared
+        # chunk), never a second n x d array
         import tracemalloc
 
         n, d = 40000, 20
@@ -252,14 +258,23 @@ class TestPrepareData:
         cli.prepare_data(cfg)
         tracemalloc.start()
         try:
-            cli.prepare_data(cfg)
+            parts, test = cli.prepare_data(cfg)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         features = n * d * 8
-        labels_and_indices = 4 * n * 8  # raw and gathered labels, split permutation, slack
-        scratch = data._CHUNK * d * 8  # normalize's squared chunk
-        assert peak <= 2 * features + labels_and_indices + scratch
+        indices = 4 * n * 8  # split permutation, shard order, buffer order and its inverse
+        chunk = data._CHUNK * d * 8
+        assert peak <= features + indices + chunk
+        buffer = test.features.base
+        assert buffer.shape == (n, d) and buffer.flags.c_contiguous
+        views = [block.features for block in parts] + [test.features]
+        row = 0
+        for view in views:  # the training blocks in order, then the test set
+            assert np.shares_memory(view, buffer)
+            assert view.ctypes.data == buffer.ctypes.data + row * d * 8
+            row += view.size // d
+        assert row == n
 
 
 class TestRunExperiment:

@@ -83,9 +83,11 @@ class TestPreprocess:
         assert np.abs(out).max() <= 1 + 1e-9
         assert np.linalg.norm(out, axis=1).max() <= 1 + 1e-9
 
-    @pytest.mark.parametrize("n, d", [(1, 1), (7, 3), (2 * data._CHUNK + 5, 3), (3000, 20)])
+    @pytest.mark.parametrize("n, d", [(1, 1), (7, 3), (2 * data._CHUNK + 5, 3), (3000, 20),
+                                      (999, 7), (999, 8), (130, 2)])
     def test_equals_the_whole_array_form_bit_for_bit(self, n, d):
-        # chunked, in place and on stacked (k, m, d) shapes: the bits of reference.preprocess
+        # chunked, in place and on stacked (k, m, d) shapes: the bits of reference.preprocess;
+        # rows of fewer than 8 entries are summed a column at a time, longer ones by numpy
         rng = np.random.default_rng(n)
         ds = data.Dataset(rng.normal(size=(n, d)) * rng.uniform(0.1, 10, size=d),
                           np.ones(n))
@@ -207,6 +209,7 @@ class TestPartition:
             assert a.tobytes() == b.tobytes()
             assert a.flags.c_contiguous
             assert g.n_samples == sum(shards[i].n_samples for i in g.rows)
+            assert np.shares_memory(a, got[0].features.base)  # one buffer, gathered with one take
 
     @pytest.mark.parametrize("n_agents", [4, 7])
     def test_samples_partition_their_subset(self, n_agents):
@@ -297,12 +300,21 @@ class TestSyntheticBlobs:
         theta = centralized_reference(ds, 0.01, SolverConfig(beta=1e-5))
         assert error_rate([theta], ds) < 0.05
 
-    @pytest.mark.parametrize("n, d", [(2, 1), (2000, 5), (1001, 20)])
+    @pytest.mark.parametrize("n, d", [(2, 1), (2000, 5), (1001, 20), (16385, 3), (24577, 2)])
     def test_equals_the_preprocess_form_bit_for_bit(self, n, d):
+        # the last two draw several chunks, and the clusters meet on and inside a chunk edge
         got = data.synthetic_blobs(n, d, 5.0, 3)
         expected = reference.synthetic_blobs(n, d, 5.0, 3)
         assert got.features.tobytes() == expected.features.tobytes()
         assert got.labels.tobytes() == expected.labels.tobytes()
+
+    @pytest.mark.parametrize("n, d", [(2, 1), (1001, 20), (2 * data._CHUNK + 1, 3)])
+    def test_any_row_order_holds_the_identity_bits(self, n, d):
+        order = np.random.default_rng(n).permutation(n)
+        got = np.empty((n, d))
+        data.draw_blobs(got, 5.0, 3, order)
+        expected = data.synthetic_blobs(n, d, 5.0, 3).features[order]
+        assert got.tobytes() == expected.tobytes()
 
     def test_normalized(self):
         ds = data.synthetic_blobs(200, 4, 3.0, 1)
