@@ -18,18 +18,20 @@ regularizer floor the training loops need:
   sigma_i1 = 2 sqrt(2 ln(1.25/delta_i1)) / (|D_i| eps_i3)
   sigma_i2 = beta / (sqrt(2 rho_i2) (lambda_hat/N + 2 eta deg_i))
 
-The ledger (ZcdpLedger) is a per-agent sum that each release step charges
-with the rho it spends: a pp round charges rho_i1 + rho_i2, and an ipp
-agent charges rho_svt once when its gate is built and rho_i1 + rho_i2 per
-broadcast.  One agent's charges add up (serial composition); agents hold
-disjoint data, so the network-wide cost is the largest agent's (parallel
-composition).
+The ledger (ZcdpLedger) is one (N,) array of per-agent sums.  A run's one
+release step charges rho_i1 + rho_i2 to each agent it releases, and an ipp
+agent also pays rho_svt once, when its gate is opened.  One agent's charges
+add up (serial composition).  privacy_report turns the final array into the
+report's privacy block, where the network-wide cost is the largest agent's
+(parallel composition over the agents' disjoint data).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+import numpy as np
 
 from .model import strong_convexity
 
@@ -226,29 +228,30 @@ def check_lambda_hat(plan: BudgetPlan, lambda_hat: float) -> None:
             f"lambda_hat {lambda_hat} below the planned floor {plan.lambda_hat_floor}")
 
 
-@dataclass
 class ZcdpLedger:
-    """Accumulated per-agent zCDP spend over a run."""
+    """Each agent's accumulated zCDP spend over a run, as one (N,) array."""
 
-    delta_target: float
-    per_agent: dict = field(default_factory=dict)
+    def __init__(self, n_agents: int):
+        self.per_agent = np.zeros(n_agents)
 
-    def charge_pp_iteration(self, agent, rho: float) -> None:
+    def charge_pp_iteration(self, agent: int, rho: float) -> None:
         """Add rho to agent's spend."""
-        self.per_agent[agent] = self.per_agent.get(agent, 0.0) + rho
+        self.per_agent[agent] += rho
 
-    charge_ipp = charge_pp_iteration  # the gated loop's name; bench/tracer.py wraps both
+    charge_ipp = charge_pp_iteration  # the gate's name; bench/tracer.py wraps both
 
-    def total_rho(self) -> float:
-        """Network-wide cost: parallel composition over disjoint agent datasets."""
-        return max(self.per_agent.values(), default=0.0)
 
-    def report(self) -> dict:
-        rho = self.total_rho()
-        return {
-            "per_agent_rho": {str(a): r for a, r in sorted(self.per_agent.items())},
-            "total_rho": rho,
-            "delta": self.delta_target,
-            "epsilon_sufficient": zcdp_sufficient_epsilon(rho, self.delta_target),
-            "epsilon_conservative": zcdp_to_dp(rho, self.delta_target),
-        }
+def privacy_report(per_agent: np.ndarray, delta: float) -> dict:
+    """A run's privacy block from each agent's final rho, an (N,) array.
+
+    The network-wide rho is the largest agent's (parallel composition).
+    """
+    rhos = per_agent.tolist()
+    rho = max(rhos, default=0.0)
+    return {
+        "per_agent_rho": {str(a): r for a, r in enumerate(rhos)},
+        "total_rho": rho,
+        "delta": delta,
+        "epsilon_sufficient": zcdp_sufficient_epsilon(rho, delta),
+        "epsilon_conservative": zcdp_to_dp(rho, delta),
+    }

@@ -204,7 +204,7 @@ def prepare_data(cfg: ExperimentConfig):
     test_labels = labels.take(order[n_train:])
     del order, labels
     # Held-out data is normalized with the training columns' maxima.
-    data_mod.normalize(x, data_mod.column_scales([x[:n_train]]))
+    data_mod.normalize(x, data_mod.column_scales(x[:n_train]))
     return data_mod.shard_blocks(x, layout), data_mod.Dataset(x[n_train:], test_labels)
 
 
@@ -334,8 +334,8 @@ def _privacy(runs, plan, insecure_no_noise: bool) -> dict | None:
     """
     if plan is None:
         return None
-    worst = np.max([run.spent[-1] for run in runs.values()], axis=0).tolist()
-    report = accountant.ZcdpLedger(plan.delta_total, dict(enumerate(worst))).report()
+    worst = np.max([run.spent[-1] for run in runs.values()], axis=0)
+    report = accountant.privacy_report(worst, plan.delta_total)
     if insecure_no_noise:
         report.update(per_agent_rho=dict.fromkeys(report["per_agent_rho"], "inf"),
                       total_rho="inf", epsilon_sufficient="inf", epsilon_conservative="inf")

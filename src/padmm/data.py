@@ -121,9 +121,9 @@ def column_max_abs(x: np.ndarray) -> np.ndarray:
     return np.abs(np.concatenate(parts)).max(axis=0)
 
 
-def column_scales(arrays) -> np.ndarray:
-    """Per-column max-abs over (..., d) arrays, used by normalize; all-zero columns give 1."""
-    scales = np.max([column_max_abs(x) for x in arrays], axis=0)
+def column_scales(x: np.ndarray) -> np.ndarray:
+    """Per-column max-abs of a (..., d) array, used by normalize; all-zero columns give 1."""
+    scales = column_max_abs(x)
     return np.where(scales > 0, scales, 1.0)
 
 
@@ -216,7 +216,7 @@ def shard_blocks(x: np.ndarray, layout) -> list[ShardBlock]:
     return blocks
 
 
-def partition(data: Dataset, n_agents: int, seed: int, samples=None) -> list[ShardBlock]:
+def partition(data: Dataset, n_agents: int, seed: int) -> list[ShardBlock]:
     """Randomly split samples into n_agents near-equal disjoint shards, stacked by size.
 
     Disjointness across agents is what makes parallel composition of
@@ -224,15 +224,10 @@ def partition(data: Dataset, n_agents: int, seed: int, samples=None) -> list[Sha
     sample more; each size is one ShardBlock, the larger first, and each
     shard keeps its samples in their order in `data`, each times its label
     (exact for labels of +-1, and commuting with normalize and column_scales).
-    `samples` (an index array; default every sample) splits only the samples
-    at those indices.  The order is shard_order's, which cli.prepare_data
-    shares; the shards are gathered with one take into one buffer that every
-    block views.
+    The order is shard_order's, which cli.prepare_data shares; the shards are
+    gathered with one take into one buffer that every block views.
     """
-    n = data.n_samples if samples is None else len(samples)
-    order, layout = shard_order(n, n_agents, seed)
-    if samples is not None:
-        order = np.asarray(samples).take(order)
+    order, layout = shard_order(data.n_samples, n_agents, seed)
     x = data.features.take(order, axis=0)
     x *= data.labels.take(order)[:, None]
     return shard_blocks(x, layout)
@@ -276,7 +271,7 @@ def draw_blobs(x: np.ndarray, separation: float, seed: int, order=None) -> None:
         np.put(x.view(item), rows[start:start + len(chunk)], chunk.view(item))
         del chunk  # before the next draw allocates its own
     del rows
-    normalize(x, column_scales([x]))
+    normalize(x, column_scales(x))
 
 
 def synthetic_blobs(n: int, d: int, separation: float, seed: int) -> Dataset:

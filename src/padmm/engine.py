@@ -9,8 +9,9 @@ algorithms differ only in the objective noise and the release step:
 non-private ADMM shares every solution, PP-ADMM every solution plus output
 noise, and IPP-ADMM only the noised solutions its sparse-vector gates let
 through.  With the noise disabled the private runs reproduce the
-non-private run bit for bit.  Each run is recorded as one Run of
-per-round arrays.
+non-private run bit for bit.  The private two share one release step,
+which charges each agent it releases in an (N,) ledger.  Each run is
+recorded as one Run of per-round arrays.
 
 The agents' solves within a round are independent, so the loop runs them
 as one row-wise solve (model.stacked_kernel) over the shards as
@@ -74,24 +75,28 @@ def dual_update(dual, theta_new, neighbor_thetas, eta: float):
 def _check_inputs(blocks, g: Graph):
     rows = sorted(i for block in blocks for i in block.rows.tolist())
     if rows != list(range(g.n)):
-        raise EngineError(f"{len(rows)} agent datasets but graph has {g.n} nodes")
+        # each graph node needs one dataset and any other agent none: name the first at fault
+        agent = next(i for i in [*range(g.n), *rows] if rows.count(i) != int(0 <= i < g.n))
+        raise EngineError(f"agent {agent} has {rows.count(agent)} datasets, but the graph's "
+                          f"{g.n} nodes 0..{g.n - 1} need one each")
     dims = {block.features.shape[2] for block in blocks}
     if len(dims) != 1:
         raise EngineError(f"inconsistent feature dimensions across agents: {sorted(dims)}")
     return dims.pop()
 
 
-def _train(blocks, g: Graph, lambda_hat, eta, cfg: SolverConfig, T, test, ledger, draw_b1,
+def _train(blocks, g: Graph, lambda_hat, eta, cfg: SolverConfig, T, test, spent, draw_b1,
            release, c_loss=None) -> Run:
     """The ADMM loop shared by all three algorithms; returns the run's Run.
 
     Each round, draw_b1() returns the (N, d) objective noise before the
     solve (draw_b1 is None for none).  release(theta_hat, quality) then
     returns the (N,) bool mask of the agents that share this round and an
-    (N, d) array whose masked rows hold what they share; it charges
-    `ledger` for what it releases, and spent records the ledger after each
-    round.  quality holds the agents' clipped quality scores at loss cap
-    c_loss, or is None when c_loss is None.
+    (N, d) array whose masked rows hold what they share.  spent is the
+    (N,) array of each agent's rho that release charges (None for none);
+    each round's row of Run.spent is a copy of it.  quality holds the
+    agents' clipped quality scores at loss cap c_loss, or is None when
+    c_loss is None.
     """
     d = _check_inputs(blocks, g)
     nbrs = [sorted(g.neighbors(i)) for i in range(g.n)]
@@ -102,7 +107,7 @@ def _train(blocks, g: Graph, lambda_hat, eta, cfg: SolverConfig, T, test, ledger
     cfg = replace(cfg, step=solver_steps(data_terms, lambda_hat, eta, [len(js) for js in nbrs]))
     run = Run(np.empty((T, g.n, d)), np.empty(T), np.empty(T),
               None if test is None else np.empty(T), np.empty((T, g.n), dtype=bool),
-              None if ledger is None else np.empty((T, g.n)))
+              None if spent is None else np.empty((T, g.n)))
     thetas = np.zeros((g.n, d))
     duals = np.zeros((g.n, d))
     for t in range(T):
@@ -126,19 +131,26 @@ def _train(blocks, g: Graph, lambda_hat, eta, cfg: SolverConfig, T, test, ledger
         run.consensus_residual[t] = metrics.consensus_residual(thetas)
         if test is not None:
             run.error_rate[t] = metrics.error_rate(thetas, test)
-        if ledger is not None:
-            run.spent[t] = [ledger.per_agent[i] for i in range(g.n)]
+        if spent is not None:
+            run.spent[t] = spent
     return run
 
 
-def _private_setup(blocks, g, plan, lambda_hat, seed, noise_disabled):
-    """Checks and state shared by the private loops.
+def _run_private(blocks, g: Graph, plan: BudgetPlan, eta: float, cfg: SolverConfig, seed: int,
+                 lambda_hat, test, noise_disabled: bool, gate=None) -> Run:
+    """The private loop of PP-ADMM (gate None) and IPP-ADMM (gate (alpha, c_loss)).
 
-    Returns the effective lambda_hat, an empty ledger, draw_b1(),
-    noisy_release(theta_hat, mask, charge) (mask and theta_hat with each
-    masked agent's output noise added, each charged through `charge`) and,
-    when the plan is gated, the SVT threshold and query RngHandle lists.
+    Checks the plan once, then runs its T rounds: objective noise b1 before
+    each solve, then one release step on the round's mask, which is every
+    agent or, gated, those whose SVT gates answer ABOVE in agent order.  The
+    step adds each masked agent's output noise b2 and charges it
+    rho_i1 + rho_i2, in agent order; a gated run first charges each agent
+    rho_svt as its gate opens.
     """
+    if (gate is None) != (plan.c_broadcasts is None):
+        made_for = "gated mode" if gate is None else "full broadcast"
+        raise EngineError(f"budget plan was made for {made_for}; gated and full-broadcast "
+                          "runs each need their own plan")
     if set(plan.sigma_i1) != set(range(g.n)):
         raise EngineError("budget plan does not cover this graph's agents")
     if lambda_hat is None:
@@ -147,27 +159,38 @@ def _private_setup(blocks, g, plan, lambda_hat, seed, noise_disabled):
         check_lambda_hat(plan, lambda_hat)
     except BudgetError as exc:
         raise EngineError(str(exc)) from None
-    b1_rngs, b2_rngs, *rngs = [
-        [noise.RngHandle.for_agent(seed, i, purpose, disabled=noise_disabled)
-         for i in range(g.n)]
-        for purpose in (noise.OBJECTIVE_NOISE, noise.OUTPUT_NOISE,
-                        *((noise.SVT_THRESHOLD, noise.SVT_QUERY)
-                          if plan.c_broadcasts is not None else ()))]
-    ledger = ZcdpLedger(delta_target=plan.delta_total)
+
+    def streams(purpose):
+        return [noise.RngHandle.for_agent(seed, i, purpose, disabled=noise_disabled)
+                for i in range(g.n)]
+
+    b1_rngs, b2_rngs = streams(noise.OBJECTIVE_NOISE), streams(noise.OUTPUT_NOISE)
+    ledger = ZcdpLedger(g.n)
+    everyone = np.ones(g.n, dtype=bool)
+    if gate is not None:
+        alpha, c_loss = gate
+        gates, query_rngs = [], streams(noise.SVT_QUERY)
+        for i, rng in enumerate(streams(noise.SVT_THRESHOLD)):
+            gates.append(SvtGate(alpha, plan.c_broadcasts, *plan.svt_eps, c_loss, rng))
+            ledger.charge_ipp(i, plan.rho_svt)
 
     def draw_b1():
         d = blocks[0].features.shape[2]  # _train has checked every block against the graph
         return np.array([noise.gaussian_vector(plan.sigma_i1[i], d, rng)
                          for i, rng in enumerate(b1_rngs)])
 
-    def noisy_release(theta_hat, mask, charge):
+    def release(theta_hat, quality):
+        mask = everyone if gate is None else np.array(
+            [svt_gate.check(q, rng) is Decision.ABOVE
+             for svt_gate, q, rng in zip(gates, quality, query_rngs)], dtype=bool)
         shared = theta_hat.copy()
         for i in np.flatnonzero(mask).tolist():
             shared[i] += noise.gaussian_vector(plan.sigma_i2[i], shared.shape[1], b2_rngs[i])
-            charge(i, plan.per_release_rho)
+            ledger.charge_pp_iteration(i, plan.per_release_rho)
         return mask, shared
 
-    return lambda_hat, ledger, draw_b1, noisy_release, rngs
+    return _train(blocks, g, lambda_hat, eta, cfg, plan.T, test, ledger.per_agent, draw_b1,
+                  release, None if gate is None else gate[1])
 
 
 def run_nonprivate(blocks, g: Graph, eta: float, lambda_hat: float, T: int,
@@ -187,14 +210,7 @@ def run_pp_admm(blocks, g: Graph, plan: BudgetPlan, eta: float,
     all agents.  Every agent pays rho_i1 + rho_i2 per round, so its spend
     ends at the planned budget exactly.
     """
-    if plan.c_broadcasts is not None:
-        raise EngineError("budget plan was made for gated mode; full broadcast needs its own plan")
-    lambda_hat, ledger, draw_b1, noisy_release, _ = _private_setup(
-        blocks, g, plan, lambda_hat, seed, noise_disabled)
-    everyone = np.ones(g.n, dtype=bool)
-    return _train(blocks, g, lambda_hat, eta, cfg, plan.T, test, ledger, draw_b1,
-                  lambda theta_hat, _: noisy_release(theta_hat, everyone,
-                                                     ledger.charge_pp_iteration))
+    return _run_private(blocks, g, plan, eta, cfg, seed, lambda_hat, test, noise_disabled)
 
 
 def run_ipp_admm(blocks, g: Graph, plan: BudgetPlan, eta: float,
@@ -203,28 +219,11 @@ def run_ipp_admm(blocks, g: Graph, plan: BudgetPlan, eta: float,
                  test: Dataset | None = None, noise_disabled: bool = False) -> Run:
     """Gated private ADMM: an agent shares only when its SVT gate fires.
 
-    Runs the plan's T rounds and returns their Run.  Every round, each
-    agent's gate is checked in agent order and the mask holds those that
-    fired.  A rejected solution is discarded (the agent keeps its previous
-    value), so an agent's state always equals its last shared value and
-    neighbors implicitly reuse stale values.  Spend: the gate's cost once
-    per agent, plus rho_i1 + rho_i2 per actual broadcast, capped at the
-    plan's c_broadcasts.
+    Runs the plan's T rounds and returns their Run.  A rejected solution is
+    discarded (the agent keeps its previous value), so an agent's state
+    always equals its last shared value and neighbors implicitly reuse
+    stale values.  Spend: the gate's cost once per agent, plus
+    rho_i1 + rho_i2 per actual broadcast, capped at the plan's c_broadcasts.
     """
-    if plan.c_broadcasts is None:
-        raise EngineError("budget plan was made for full broadcast; gated mode needs its own plan")
-    lambda_hat, ledger, draw_b1, noisy_release, (threshold_rngs, query_rngs) = _private_setup(
-        blocks, g, plan, lambda_hat, seed, noise_disabled)
-    eps1, eps2 = plan.svt_eps
-    gates = []
-    for i in range(g.n):
-        gates.append(SvtGate(alpha, plan.c_broadcasts, eps1, eps2, c_loss, threshold_rngs[i]))
-        ledger.charge_ipp(i, plan.rho_svt)
-
-    def release(theta_hat, quality):
-        mask = np.array([gate.check(q, rng) is Decision.ABOVE
-                         for gate, q, rng in zip(gates, quality, query_rngs)], dtype=bool)
-        return noisy_release(theta_hat, mask, ledger.charge_ipp)
-
-    return _train(blocks, g, lambda_hat, eta, cfg, plan.T, test, ledger, draw_b1, release,
-                  c_loss)
+    return _run_private(blocks, g, plan, eta, cfg, seed, lambda_hat, test, noise_disabled,
+                        gate=(alpha, c_loss))

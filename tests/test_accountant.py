@@ -9,6 +9,7 @@ from padmm.accountant import (
     dp_to_zcdp,
     gaussian_zcdp,
     plan_budget,
+    privacy_report,
     svt_open_cost,
     svt_split_ratio,
     zcdp_sufficient_epsilon,
@@ -205,26 +206,27 @@ class TestPlanBudget:
 class TestLedger:
     def test_pp_charges_accumulate(self):
         plan = reference_plan()
-        ledger = ZcdpLedger(delta_target=1e-4)
+        ledger = ZcdpLedger(1)
         for _ in range(30):
             ledger.charge_pp_iteration(0, plan.per_release_rho)
         assert ledger.per_agent[0] == pytest.approx(30 * plan.per_release_rho, rel=1e-12)
 
     def test_empty_ledger(self):
-        assert ZcdpLedger(delta_target=1e-4).total_rho() == 0.0
+        assert privacy_report(ZcdpLedger(3).per_agent, 1e-4)["total_rho"] == 0.0
 
     def test_full_run_converts_back_to_target(self):
         plan = reference_plan()
-        ledger = ZcdpLedger(delta_target=1e-4)
+        ledger = ZcdpLedger(5)
         for agent in range(5):
             for _ in range(30):
                 ledger.charge_pp_iteration(agent, plan.per_release_rho)
-        assert zcdp_sufficient_epsilon(ledger.total_rho(), 1e-4) == pytest.approx(1.0, abs=1e-9)
+        rho = privacy_report(ledger.per_agent, 1e-4)["total_rho"]
+        assert zcdp_sufficient_epsilon(rho, 1e-4) == pytest.approx(1.0, abs=1e-9)
 
     def test_ipp_events(self):
         plan = reference_plan(c_broadcasts=15, svt_budget_fraction=0.5)
         gate = 0.5 * plan.rho_total
-        ledger = ZcdpLedger(delta_target=1e-4)
+        ledger = ZcdpLedger(1)
         ledger.charge_ipp(0, plan.rho_svt)
         assert ledger.per_agent[0] == pytest.approx(gate)
         for _ in range(15):
@@ -233,9 +235,9 @@ class TestLedger:
 
     def test_report_fields(self):
         plan = reference_plan()
-        ledger = ZcdpLedger(delta_target=1e-4)
+        ledger = ZcdpLedger(1)
         ledger.charge_pp_iteration(0, plan.per_release_rho)
-        report = ledger.report()
+        report = privacy_report(ledger.per_agent, 1e-4)
         assert set(report) == {
             "per_agent_rho", "total_rho", "delta",
             "epsilon_sufficient", "epsilon_conservative",

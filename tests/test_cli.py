@@ -602,10 +602,11 @@ class TestMain:
         assert (code, capsys.readouterr().out) == (0, "")
         assert json.loads((tmp_path / "1").read_text().split("\n")[0])["output"] == "1"
 
-    def test_insecure_flag_reports_inf(self, tmp_path, capsys):
+    @pytest.mark.parametrize("algorithm", ["pp_admm", "ipp_admm"])
+    def test_insecure_flag_reports_inf(self, tmp_path, capsys, algorithm):
         out = tmp_path / "r.ndjson"
         code = cli.main([
-            "run", "--algorithm", "pp_admm", "--synthetic-n", "80",
+            "run", "--algorithm", algorithm, "--synthetic-n", "80",
             "--synthetic-d", "2", "--n-agents", "2", "--topology", "complete",
             "--T", "2", "--beta", "1e-3", "--insecure-no-noise",
             "--output", str(out),

@@ -50,7 +50,7 @@ class TestLoadCsv:
 def preprocess(ds):
     """ds's features normalized in place with their own maxima, as synthetic_blobs does."""
     x = ds.features.copy()
-    data.normalize(x, data.column_scales([x]))
+    data.normalize(x, data.column_scales(x))
     return x
 
 
@@ -93,7 +93,7 @@ class TestPreprocess:
                           np.ones(n))
         scales = reference.column_scales(ds)
         expected = reference.preprocess(ds, scales / 2)  # held-out form: norms above 1 capped
-        assert data.column_scales([ds.features]).tobytes() == scales.tobytes()
+        assert data.column_scales(ds.features).tobytes() == scales.tobytes()
         x = ds.features.copy()
         data.normalize(x, scales / 2)
         assert x.tobytes() == expected.features.tobytes()
@@ -102,11 +102,10 @@ class TestPreprocess:
             data.normalize(stacked, scales / 2)
             assert stacked.tobytes() == expected.features.tobytes()
 
-    def test_scales_from_several_arrays(self):
-        a = np.array([[1.0, -4.0], [2.0, 0.0]])
-        b = np.array([[[-3.0, 1.0]], [[0.5, 0.0]]])
-        assert data.column_scales([a, b]).tolist() == [3.0, 4.0]
-        assert data.column_scales([np.zeros((2, 1)), -np.zeros((1, 1, 1))]).tolist() == [1.0]
+    def test_all_zero_columns_scale_by_one(self):
+        # a (k, m, d) array: one column of 0.0 and -0.0, one of -0.0 only
+        x = np.array([[[0.0, -0.0]], [[-0.0, -0.0]]])
+        assert data.column_scales(x).tolist() == [1.0, 1.0]
 
     def test_rejects_an_array_it_cannot_write_in_place(self):
         x = np.ones((4, 6))[:, ::2]
@@ -210,19 +209,6 @@ class TestPartition:
             assert a.flags.c_contiguous
             assert g.n_samples == sum(shards[i].n_samples for i in g.rows)
             assert np.shares_memory(a, got[0].features.base)  # one buffer, gathered with one take
-
-    @pytest.mark.parametrize("n_agents", [4, 7])
-    def test_samples_partition_their_subset(self, n_agents):
-        # gathered straight from the full dataset, bit for bit the shards of its subset
-        ds = data.synthetic_blobs(103, 3, 2.0, 0)
-        samples = np.random.default_rng(1).permutation(103)[20:]
-        got = data.partition(ds, n_agents, 5, samples=samples)
-        expected = data.partition(subset(ds, samples), n_agents, 5)
-        assert len(got) == len(expected)
-        for g, e in zip(got, expected, strict=True):
-            assert g.rows.tolist() == e.rows.tolist()
-            assert g.features.tobytes() == e.features.tobytes()
-            assert g.features.flags.c_contiguous
 
     def test_two_size_blocks_hold_the_signed_reference_shards(self, monkeypatch):
         # y x of each reference shard bit for bit; sizes (and the plan's dataset sizes) as before

@@ -88,6 +88,11 @@ class TestNonprivate:
         parts = make_parts(n_agents=3)
         with pytest.raises(EngineError, match="datasets"):
             engine.run_nonprivate(parts, ring(4), 0.5, 1.0, 1, SolverConfig(beta=BETA))
+        # four shards, two of them agent 1's and none agent 2's: the error names agent 1
+        (block,) = make_parts(n_agents=4)
+        parts = [data.ShardBlock(np.array([0, 1, 1, 3]), block.features)]
+        with pytest.raises(EngineError, match="agent 1 has 2 datasets"):
+            engine.run_nonprivate(parts, ring(4), 0.5, 1.0, 1, SolverConfig(beta=BETA))
 
     def test_failed_solve_names_round_and_agent(self, monkeypatch):
         # from round 2 on, the gradients of agents 1 and 2 are NaN, so neither reaches
@@ -231,6 +236,18 @@ class TestPpAdmm:
         assert zcdp_sufficient_epsilon(run.spent[-1].max(), plan.delta_total) == pytest.approx(
             plan.epsilon_total, rel=1e-9)
 
+    def test_every_round_spend_is_the_sequential_sum(self):
+        # row t holds exactly t + 1 charges of rho_i1 + rho_i2, added in order from 0.0
+        parts = make_parts()
+        g = ring(3)
+        plan = make_plan(parts, g, T=6)
+        run = engine.run_pp_admm(parts, g, plan, 0.5, SolverConfig(beta=BETA), seed=1)
+        expected, rho = [], 0.0
+        for _ in range(plan.T):
+            rho += plan.per_release_rho
+            expected.append([rho] * g.n)
+        assert run.spent.tolist() == expected
+
     def test_deterministic_given_seed(self):
         parts = make_parts()
         g = ring(3)
@@ -296,6 +313,23 @@ class TestIppAdmm:
             assert run.spent[-1, agent] == pytest.approx(
                 plan.rho_svt + n_broadcast * plan.per_release_rho, rel=1e-12
             )
+
+    def test_every_round_spend_is_the_sequential_sum(self):
+        # row t holds exactly the gate's cost, then one rho_i1 + rho_i2 per broadcast
+        # up to round t, added in round order
+        parts = make_parts()
+        g = ring(3)
+        plan = make_plan(parts, g, T=10, gated=True, c_max=4)
+        run = engine.run_ipp_admm(parts, g, plan, 0.5, alpha=1e-3, c_loss=2.0,
+                                  cfg=SolverConfig(beta=BETA), seed=2, noise_disabled=True)
+        assert 0 < run.broadcasts.sum() < run.broadcasts.size
+        expected, rho = [], [plan.rho_svt] * g.n
+        for mask in run.broadcasts.tolist():
+            for i, shared in enumerate(mask):
+                if shared:
+                    rho[i] += plan.per_release_rho
+            expected.append(list(rho))
+        assert run.spent.tolist() == expected
 
     def test_plan_mode_mismatch_rejected(self):
         parts = make_parts()
