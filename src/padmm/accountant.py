@@ -51,9 +51,16 @@ def gaussian_zcdp(delta2_sensitivity: float, sigma: float) -> float:
 
 
 def dp_to_zcdp(epsilon: float, delta: float) -> float:
-    """Smallest rho that suffices for (epsilon, delta)-DP.
+    """The rho that stands for (epsilon, delta)-DP: the planner's target or a gate's price.
 
-    epsilon^2 / (4 ln(1/delta)) for delta > 0; epsilon^2 / 2 for pure DP.
+    For delta > 0, epsilon^2 / (4 ln(1/delta)), the inverse of
+    zcdp_sufficient_epsilon.  This rho is a target, not a sufficient
+    budget: Bun & Steinke certify only (epsilon + rho, delta)-DP for it
+    (zcdp_to_dp).  At delta = 1e-4, Canonne, Kamath & Steinke's conversion
+    does not certify epsilon = 5, and no conversion from rho alone can
+    certify epsilon = 20 (tests/test_accountant.py pins both).  For delta = 0,
+    epsilon^2 / 2, the zCDP of any epsilon-DP mechanism (Bun & Steinke,
+    Prop. 1.4), which prices the SVT gate.
     """
     if not 0 < epsilon < math.inf:
         raise BudgetError(f"epsilon must be finite and > 0, got {epsilon!r}")
@@ -69,26 +76,20 @@ def dp_to_zcdp(epsilon: float, delta: float) -> float:
 
 
 def zcdp_to_dp(rho: float, delta: float) -> float:
-    """DP epsilon guaranteed by rho-zCDP: rho + 2 sqrt(rho ln(1/delta))."""
-    if rho < 0 or not 0 < delta < 1:
-        raise BudgetError("need rho >= 0 and delta in (0, 1)")
-    return rho + 2.0 * math.sqrt(rho * math.log(1.0 / delta))
+    """DP epsilon guaranteed by rho-zCDP: rho + 2 sqrt(rho ln(1/delta)) (Bun & Steinke)."""
+    return rho + zcdp_sufficient_epsilon(rho, delta)
 
 
 def zcdp_sufficient_epsilon(rho: float, delta: float) -> float:
-    """Epsilon for which rho-zCDP is exactly sufficient at this delta.
+    """2 sqrt(rho ln(1/delta)), the inverse of dp_to_zcdp for delta > 0.
 
-    Inverse of dp_to_zcdp: 2 sqrt(rho ln(1/delta)).  Used in run reports so
-    a planned budget converts back to the configured epsilon exactly.
+    Run reports list it as epsilon_sufficient, so a planned budget converts
+    back to the configured epsilon exactly.  It is not a certified epsilon
+    (see dp_to_zcdp); zcdp_to_dp's is.
     """
     if rho < 0 or not 0 < delta < 1:
         raise BudgetError("need rho >= 0 and delta in (0, 1)")
     return 2.0 * math.sqrt(rho * math.log(1.0 / delta))
-
-
-def svt_open_cost(eps1: float, eps2: float) -> float:
-    """zCDP cost of an SVT gate for its whole lifetime: (eps1+eps2)^2 / 2."""
-    return 0.5 * (eps1 + eps2) ** 2
 
 
 def svt_split_ratio(c_max: int, eps_total: float) -> tuple[float, float]:
@@ -124,7 +125,8 @@ class BudgetPlan:
     def rho_svt(self) -> float:
         if self.svt_eps is None:
             return 0.0
-        return svt_open_cost(*self.svt_eps)
+        eps1, eps2 = self.svt_eps
+        return dp_to_zcdp(eps1 + eps2, 0.0)
 
     @property
     def per_release_rho(self) -> float:
@@ -172,7 +174,7 @@ def plan_budget(
                               f"got {svt_budget_fraction!r}")
         svt_eps = svt_split_ratio(c_broadcasts,
                                   math.sqrt(2.0 * svt_budget_fraction * rho_total))
-        rho_svt = svt_open_cost(*svt_eps)
+        rho_svt = dp_to_zcdp(svt_eps[0] + svt_eps[1], 0.0)
         if rho_svt >= rho_total:
             raise BudgetError(
                 f"SVT gate cost {rho_svt:.4g} consumes the whole budget {rho_total:.4g}"

@@ -352,7 +352,7 @@ def _summarize(runs, privacy, graph):
 
     return {
         "n_seeds": len(runs),
-        "graph_edges": [list(e) for e in graph.edge_list()],
+        "graph_edges": [list(e) for e in graph.edges],
         "mean_average_loss": column(np.mean, "average_loss"),
         "std_average_loss": column(np.std, "average_loss"),
         "mean_error_rate": column(np.mean, "error_rate"),

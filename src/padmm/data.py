@@ -40,10 +40,6 @@ class Dataset:
     def n_samples(self) -> int:
         return self.features.shape[0]
 
-    @property
-    def dimension(self) -> int:
-        return self.features.shape[1]
-
 
 def load_csv(path, label_column: str, positive_value: str) -> Dataset:
     """Load a numeric-feature CSV with a two-valued label column.

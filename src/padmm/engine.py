@@ -99,12 +99,12 @@ def _train(blocks, g: Graph, lambda_hat, eta, cfg: SolverConfig, T, test, spent,
     c_loss is None.
     """
     d = _check_inputs(blocks, g)
-    nbrs = [sorted(g.neighbors(i)) for i in range(g.n)]
-    slots = np.tile(np.arange(g.n)[:, None], max(map(len, nbrs), default=0))
-    for i, js in enumerate(nbrs):
+    slots = np.tile(np.arange(g.n)[:, None], max(map(len, g.neighbors), default=0))
+    for i, js in enumerate(g.neighbors):
         slots[i, :len(js)] = js  # padded with the agent itself
     data_terms = DataTerms(blocks)
-    cfg = replace(cfg, step=solver_steps(data_terms, lambda_hat, eta, [len(js) for js in nbrs]))
+    cfg = replace(cfg, step=solver_steps(data_terms, lambda_hat, eta,
+                                         [len(js) for js in g.neighbors]))
     run = Run(np.empty((T, g.n, d)), np.empty(T), np.empty(T),
               None if test is None else np.empty(T), np.empty((T, g.n), dtype=bool),
               None if spent is None else np.empty((T, g.n)))

@@ -182,8 +182,6 @@ def clipped_quality(data_terms: DataTerms, capped_prev: np.ndarray, theta_prev: 
     (tests/reference.py keeps that form), so the scores match it bit for
     bit.
     """
-    if c_loss <= 0:
-        raise ValueError("c_loss must be positive")
     scale = lambda_hat / data_terms.n_agents
     return ((capped_prev + scale * 0.5 * np.vecdot(theta_prev, theta_prev))
             - (data_terms.mean_losses(theta_hat, c_loss)

@@ -8,7 +8,11 @@ SPANNING_TREE_RETRIES = 100
 
 
 class Graph:
-    """Undirected connected graph on agents 0..n-1, stored as an edge set."""
+    """Undirected connected graph on agents 0..n-1.
+
+    edges is the sorted tuple of (i, j) pairs with i < j, and neighbors[i]
+    is agent i's ascending tuple of neighbours.
+    """
 
     def __init__(self, n: int, edges):
         if n < 2:
@@ -21,11 +25,13 @@ class Graph:
             if not (0 <= i < n and 0 <= j < n):
                 raise ValueError(f"edge ({i}, {j}) out of range")
             normalized.add((min(i, j), max(i, j)))
-        self.edges = frozenset(normalized)
-        self._adj = {i: set() for i in range(n)}
+        self.edges = tuple(sorted(normalized))
+        # appending along the sorted edges leaves every list ascending
+        neighbors = [[] for _ in range(n)]
         for i, j in self.edges:
-            self._adj[i].add(j)
-            self._adj[j].add(i)
+            neighbors[i].append(j)
+            neighbors[j].append(i)
+        self.neighbors = tuple(map(tuple, neighbors))
         if not self._connected():
             raise ValueError("graph must be connected")
 
@@ -33,25 +39,14 @@ class Graph:
         seen = {0}
         stack = [0]
         while stack:
-            for j in self._adj[stack.pop()]:
+            for j in self.neighbors[stack.pop()]:
                 if j not in seen:
                     seen.add(j)
                     stack.append(j)
         return len(seen) == self.n
 
-    def neighbors(self, i: int) -> set:
-        if not 0 <= i < self.n:
-            raise ValueError(f"agent id {i} out of range")
-        return set(self._adj[i])
-
-    def degree(self, i: int) -> int:
-        return len(self.neighbors(i))
-
     def degrees(self) -> dict:
-        return {i: self.degree(i) for i in range(self.n)}
-
-    def edge_list(self) -> list:
-        return sorted(self.edges)
+        return {i: len(js) for i, js in enumerate(self.neighbors)}
 
 
 def ring(n: int) -> Graph:

@@ -75,8 +75,9 @@ class AugmentedParams:
 
 
 def _margins(theta: np.ndarray, data: Dataset) -> np.ndarray:
-    if theta.shape[0] != data.dimension:
-        raise ValueError(f"theta has dimension {theta.shape[0]}, data has {data.dimension}")
+    d = data.features.shape[1]
+    if theta.shape[0] != d:
+        raise ValueError(f"theta has dimension {theta.shape[0]}, data has {d}")
     return data.labels * (data.features @ theta)
 
 
@@ -245,7 +246,7 @@ def centralized_reference(pooled: Dataset, lambda_hat: float, cfg: SolverConfig)
     signed = pooled.labels[:, None] * pooled.features
     data_terms = DataTerms([ShardBlock(np.zeros(1, dtype=int), signed[None])])
     cfg = replace(cfg, step=solver_steps(data_terms, lambda_hat, 0.0, [0]))
-    zeros = np.zeros((1, pooled.dimension))
+    zeros = np.zeros((1, pooled.features.shape[1]))
     objective = stacked_kernel(data_terms, lambda_hat, zeros, zeros,
                                np.zeros((1, 0), dtype=int), 0.0)
     try:

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -10,7 +11,6 @@ from padmm.accountant import (
     gaussian_zcdp,
     plan_budget,
     privacy_report,
-    svt_open_cost,
     svt_split_ratio,
     zcdp_sufficient_epsilon,
     zcdp_to_dp,
@@ -104,6 +104,44 @@ class TestConversions:
         assert zcdp_to_dp(dp_to_zcdp(eps, 1e-4), 1e-4) >= eps
 
 
+def cks_delta(rho: float, epsilon: float) -> float:
+    """Canonne, Kamath & Steinke's zCDP-to-DP delta at epsilon (NeurIPS 2020).
+
+    min over alpha > 1 of exp((alpha-1)(alpha rho - epsilon)) / (alpha-1)
+    * (1 - 1/alpha)^alpha, taken in logs on a grid of alpha - 1; a grid
+    minimum is never below the true one.
+    """
+    am1 = np.logspace(-6, 4, 200001)
+    alpha = 1.0 + am1
+    log_delta = (am1 * (alpha * rho - epsilon) - np.log(am1)
+                 + alpha * (np.log(am1) - np.log1p(am1)))
+    return float(np.exp(log_delta.min()))
+
+
+class TestConversionOracle:
+    @pytest.mark.parametrize("epsilon", [
+        0.5,
+        1.0,
+        # The planner's target rho = eps^2 / (4 ln(1/delta)) is too large for
+        # epsilon_sufficient to be certified.  At 20 a single Gaussian mechanism of
+        # this rho has delta 0.016 on its exact privacy curve (Balle & Wang, ICML
+        # 2018), so no conversion from rho alone certifies it.
+        pytest.param(5.0, marks=pytest.mark.xfail(
+            strict=True, reason="rho target too large: CKS delta 1.0033e-4 > 1e-4")),
+        pytest.param(20.0, marks=pytest.mark.xfail(
+            strict=True, reason="rho target too large: CKS delta 0.0596 > 1e-4")),
+    ])
+    def test_epsilon_sufficient_is_certified(self, epsilon):
+        plan = reference_plan(epsilon=epsilon)
+        report = privacy_report(np.array([plan.rho_total]), plan.delta_total)
+        assert cks_delta(report["total_rho"], report["epsilon_sufficient"]) <= plan.delta_total
+
+    def test_epsilon_conservative_is_certified(self):
+        plan = reference_plan(epsilon=20.0)
+        report = privacy_report(np.array([plan.rho_total]), plan.delta_total)
+        assert cks_delta(report["total_rho"], report["epsilon_conservative"]) <= plan.delta_total
+
+
 class TestComposition:
     def test_serial(self):
         assert serial_compose([0.1, 0.2]) == pytest.approx(0.3)
@@ -176,7 +214,7 @@ class TestPlanBudget:
     def test_gated_mode_subtracts_svt_cost(self):
         plan = reference_plan(c_broadcasts=15, svt_budget_fraction=0.2)
         assert plan.svt_eps == svt_split_ratio(15, math.sqrt(2.0 * 0.2 * plan.rho_total))
-        gate = svt_open_cost(*plan.svt_eps)
+        gate = plan.rho_svt
         assert gate == pytest.approx(0.2 * plan.rho_total, rel=1e-12)
         assert plan.per_release_rho == pytest.approx((plan.rho_total - gate) / 15, rel=1e-12)
 

@@ -244,7 +244,7 @@ class TestPrepareData:
         cfg = small_cfg(dataset_csv=str(csv), label_column="label", positive_value="1",
                         n_agents=3)
         got = cli.prepare_data(cfg)
-        assert got[1].dimension == 0
+        assert got[1].features.shape[1] == 0
         assert_same_setup(got, reference.prepare_data(cfg))
 
     def test_peak_memory_is_one_copy_of_the_features(self):

@@ -19,7 +19,7 @@ class TestLoadCsv:
         p = write_csv(tmp_path, "a,b,income\n1,2,>50K\n3,4,<=50K\n")
         ds = data.load_csv(p, "income", ">50K")
         assert list(ds.labels) == [1, -1]
-        assert ds.dimension == 2
+        assert ds.features.shape[1] == 2
 
     def test_three_label_values_rejected(self, tmp_path):
         p = write_csv(tmp_path, "a,y\n1,x\n2,y\n3,z\n")
@@ -30,7 +30,7 @@ class TestLoadCsv:
         header = ",".join(f"f{j}" for j in range(41)) + ",y\n"
         row = ",".join("1" for _ in range(41))
         p = write_csv(tmp_path, header + row + ",pos\n" + row + ",neg\n")
-        assert data.load_csv(p, "y", "pos").dimension == 41
+        assert data.load_csv(p, "y", "pos").features.shape[1] == 41
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(data.DataError, match="no such file"):

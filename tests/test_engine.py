@@ -6,7 +6,7 @@ from padmm.accountant import plan_budget, zcdp_sufficient_epsilon
 from padmm.engine import EngineError, dual_update
 from padmm.model import DataTerms
 from padmm.solver import SolverConfig, minimize
-from padmm.topology import ring
+from padmm.topology import complete, ring
 from reference import (LocalObjectiveParams, agent_shards, blocks, centralized_reference,
                        clipped_quality, curvature_bounds)
 
@@ -395,6 +395,16 @@ class TestSharedLoop:
                 engine.run_pp_admm(parts, g4, plan, 0.5, cfg, seed=0)
             else:
                 engine.run_ipp_admm(parts, g4, plan, 0.5, alpha=0.0, c_loss=2.0, cfg=cfg, seed=0)
+
+    @pytest.mark.xfail(strict=True, raises=pytest.fail.Exception,
+                       reason="ROADMAP item 5: the engine checks only that a plan covers the "
+                       "graph's agents, so a complete(4) plan runs on ring(4) with output "
+                       "noise 1.34 times smaller than the ring needs")
+    def test_plan_for_another_topology_rejected(self):
+        parts = make_parts(n_agents=4)
+        plan = make_plan(parts, complete(4))
+        with pytest.raises(EngineError):
+            engine.run_pp_admm(parts, ring(4), plan, 0.5, SolverConfig(beta=BETA), seed=0)
 
     def test_private_policies_reduce_to_nonprivate(self):
         # with no noise and a gate that always fires, every policy shares the

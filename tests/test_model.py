@@ -660,13 +660,6 @@ class TestStackedClippedQuality:
                 np.vecdot(theta_prev, theta_prev) - np.vecdot(theta_hat, theta_hat)),
                 rel=1e-12, abs=1e-300)
 
-    def test_rejects_a_cap_that_is_not_positive(self):
-        parts = data.partition(toy_dataset(n=20), 2, 0)
-        terms = DataTerms(parts)
-        zeros = np.zeros((2, 3))
-        with pytest.raises(ValueError, match="c_loss must be positive"):
-            model.clipped_quality(terms, terms.mean_losses(zeros, 0.0), zeros, zeros, 1.0, 0.0)
-
 
 class TestClippedQuality:
     def test_identical_arguments(self):

@@ -36,6 +36,8 @@ class TestGateConstruction:
             make_gate(c_max=0)
         with pytest.raises(ValueError):
             make_gate(eps1=0.0)
+        with pytest.raises(ValueError):
+            make_gate(c_loss=0.0)
 
 
 class TestCheck:
