@@ -145,7 +145,7 @@ def _run_private(blocks, g: Graph, plan: BudgetPlan, eta: float, cfg: SolverConf
     agent or, gated, those whose SVT gates answer ABOVE in agent order.  The
     step adds each masked agent's output noise b2 and charges it
     rho_i1 + rho_i2, in agent order; a gated run first charges each agent
-    rho_svt as its gate opens.
+    rho_svt as it opens a gate on the clipped quality (sensitivity 2 c_loss).
     """
     if (gate is None) != (plan.c_broadcasts is None):
         made_for = "gated mode" if gate is None else "full broadcast"
@@ -169,9 +169,9 @@ def _run_private(blocks, g: Graph, plan: BudgetPlan, eta: float, cfg: SolverConf
     everyone = np.ones(g.n, dtype=bool)
     if gate is not None:
         alpha, c_loss = gate
-        gates, query_rngs = [], streams(noise.SVT_QUERY)
-        for i, rng in enumerate(streams(noise.SVT_THRESHOLD)):
-            gates.append(SvtGate(alpha, plan.c_broadcasts, *plan.svt_eps, c_loss, rng))
+        gates = []
+        for i, rngs in enumerate(zip(streams(noise.SVT_THRESHOLD), streams(noise.SVT_QUERY))):
+            gates.append(SvtGate(alpha, plan.c_broadcasts, *plan.svt_eps, 2.0 * c_loss, rngs))
             ledger.charge_ipp(i, plan.rho_svt)
 
     def draw_b1():
@@ -181,8 +181,8 @@ def _run_private(blocks, g: Graph, plan: BudgetPlan, eta: float, cfg: SolverConf
 
     def release(theta_hat, quality):
         mask = everyone if gate is None else np.array(
-            [svt_gate.check(q, rng) is Decision.ABOVE
-             for svt_gate, q, rng in zip(gates, quality, query_rngs)], dtype=bool)
+            [svt_gate.check(q) is Decision.ABOVE for svt_gate, q in zip(gates, quality)],
+            dtype=bool)
         shared = theta_hat.copy()
         for i in np.flatnonzero(mask).tolist():
             shared[i] += noise.gaussian_vector(plan.sigma_i2[i], shared.shape[1], b2_rngs[i])

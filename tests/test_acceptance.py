@@ -128,10 +128,10 @@ def test_4_sensitivity_oracle():
 def test_5_svt_behavior():
     start = time.time()
     disabled = RngHandle(0, disabled=True)
-    gate = SvtGate(0.3, 10**9, 0.1, 0.9, 2.0, disabled)
+    gate = SvtGate(0.3, 10**9, 0.1, 0.9, 4.0, (disabled, disabled))
     qualities = np.random.default_rng(1).normal(size=1000)
     matches = all(
-        (gate.check(q, disabled) is Decision.ABOVE) == (q >= 0.3) for q in qualities
+        (gate.check(q) is Decision.ABOVE) == (q >= 0.3) for q in qualities
     )
 
     # broadcast cap and exact ledger accounting on a real gated run
