@@ -4,7 +4,8 @@ Every round, each agent minimizes its (optionally perturbed) augmented
 objective against a read-only snapshot of the values its neighbors shared
 at the previous round.  One release step then returns the round's mask of
 the agents that share, with their values; the others keep their previous
-values, and duals are updated from the newly shared values.  The three
+values.  A dual moves only on the edges whose two ends both shared this
+round, so a silent neighbor's stale value winds up no dual.  The three
 algorithms differ only in the objective noise and the release step:
 non-private ADMM shares every solution, PP-ADMM every solution plus output
 noise, and IPP-ADMM only the noised solutions its sparse-vector gates let
@@ -36,9 +37,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import metrics, noise
-from .accountant import BudgetError, BudgetPlan, ZcdpLedger, check_lambda_hat
+from .accountant import BudgetError, BudgetPlan, ZcdpLedger, check_lambda_hat, gaussian_zcdp
 from .data import Dataset
-from .model import DataTerms, clipped_quality, solver_steps, stacked_kernel
+from .model import DataTerms, clipped_quality, solver_steps, stacked_kernel, strong_convexity
 from .solver import NonConvergence, SolverConfig, minimize
 from .svt import Decision, SvtGate
 from .topology import Graph
@@ -99,7 +100,8 @@ def _train(blocks, g: Graph, lambda_hat, eta, cfg: SolverConfig, T, test, spent,
     c_loss is None.
     """
     d = _check_inputs(blocks, g)
-    slots = np.tile(np.arange(g.n)[:, None], max(map(len, g.neighbors), default=0))
+    own = np.arange(g.n)[:, None]
+    slots = np.tile(own, max(map(len, g.neighbors), default=0))
     for i, js in enumerate(g.neighbors):
         slots[i, :len(js)] = js  # padded with the agent itself
     data_terms = DataTerms(blocks)
@@ -125,7 +127,8 @@ def _train(blocks, g: Graph, lambda_hat, eta, cfg: SolverConfig, T, test, spent,
             data_terms, capped_prev, snapshot, theta_hat, lambda_hat, c_loss)
         mask, shared = release(theta_hat, quality)
         thetas = np.where(mask[:, None], shared, snapshot)
-        duals = dual_update(duals, thetas, thetas[slots.T], eta)
+        live = np.where(mask[:, None] & mask[slots], slots, own)  # both ends shared
+        duals = dual_update(duals, thetas, thetas[live.T], eta)
         run.thetas[t], run.broadcasts[t] = thetas, mask
         run.average_loss[t] = metrics.average_loss(thetas, data_terms)
         run.consensus_residual[t] = metrics.consensus_residual(thetas)
@@ -140,9 +143,10 @@ def _run_private(blocks, g: Graph, plan: BudgetPlan, eta: float, cfg: SolverConf
                  lambda_hat, test, noise_disabled: bool, gate=None) -> Run:
     """The private loop of PP-ADMM (gate None) and IPP-ADMM (gate (alpha, c_loss)).
 
-    Checks the plan once, then runs its T rounds: objective noise b1 before
-    each solve, then one release step on the round's mask, which is every
-    agent or, gated, those whose SVT gates answer ABOVE in agent order.  The
+    Checks the plan once, its output noise too against this run's
+    sensitivity, then runs its T rounds: objective noise b1 before each
+    solve, then one release step on the round's mask, which is every agent
+    or, gated, those whose SVT gates answer ABOVE in agent order.  The
     step adds each masked agent's output noise b2 and charges it
     rho_i1 + rho_i2, in agent order; a gated run first charges each agent
     rho_svt as it opens a gate on the clipped quality (sensitivity 2 c_loss).
@@ -159,6 +163,14 @@ def _run_private(blocks, g: Graph, plan: BudgetPlan, eta: float, cfg: SolverConf
         check_lambda_hat(plan, lambda_hat)
     except BudgetError as exc:
         raise EngineError(str(exc)) from None
+    for i, js in enumerate(g.neighbors):
+        # b2 must cover this run's output sensitivity beta / mu_i at the planned floor
+        mu = strong_convexity(plan.lambda_hat_floor, g.n, eta, len(js))
+        rho = gaussian_zcdp(cfg.beta / mu, plan.sigma_i2[i])
+        if rho > plan.rho_i2 * (1 + 1e-9):
+            raise EngineError(f"budget plan under-noises agent {i}: its output noise costs "
+                              f"rho {rho:.6g} at this run's graph, eta and solver beta, above "
+                              f"the planned rho_i2 {plan.rho_i2:.6g}")
 
     def streams(purpose):
         return [noise.RngHandle.for_agent(seed, i, purpose, disabled=noise_disabled)

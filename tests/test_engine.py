@@ -6,7 +6,7 @@ from padmm.accountant import plan_budget, zcdp_sufficient_epsilon
 from padmm.engine import EngineError, dual_update
 from padmm.model import DataTerms
 from padmm.solver import SolverConfig, minimize
-from padmm.topology import complete, ring
+from padmm.topology import Graph, complete, ring
 from reference import (LocalObjectiveParams, agent_shards, blocks, centralized_reference,
                        clipped_quality, curvature_bounds)
 
@@ -396,15 +396,34 @@ class TestSharedLoop:
             else:
                 engine.run_ipp_admm(parts, g4, plan, 0.5, alpha=0.0, c_loss=2.0, cfg=cfg, seed=0)
 
-    @pytest.mark.xfail(strict=True, raises=pytest.fail.Exception,
-                       reason="ROADMAP item 5: the engine checks only that a plan covers the "
-                       "graph's agents, so a complete(4) plan runs on ring(4) with output "
-                       "noise 1.34 times smaller than the ring needs")
     def test_plan_for_another_topology_rejected(self):
         parts = make_parts(n_agents=4)
         plan = make_plan(parts, complete(4))
         with pytest.raises(EngineError):
             engine.run_pp_admm(parts, ring(4), plan, 0.5, SolverConfig(beta=BETA), seed=0)
+
+    @pytest.mark.parametrize("algorithm", ["pp_admm", "ipp_admm"])
+    @pytest.mark.parametrize("eta, beta", [(0.5, 10 * BETA), (0.25, BETA)])
+    def test_plan_that_under_noises_this_run_rejected(self, algorithm, eta, beta):
+        # the plan's sigma_i2 covers beta / mu_i at eta 0.5 and BETA; a larger beta or a
+        # smaller eta (so a smaller mu_i) needs more output noise than it draws
+        parts = make_parts()
+        g = ring(3)
+        plan = make_plan(parts, g, gated=algorithm == "ipp_admm", c_max=3)
+        cfg = SolverConfig(beta=beta)
+        with pytest.raises(EngineError, match="under-noises agent 0"):
+            if algorithm == "pp_admm":
+                engine.run_pp_admm(parts, g, plan, eta, cfg, seed=0)
+            else:
+                engine.run_ipp_admm(parts, g, plan, eta, alpha=0.0, c_loss=2.0, cfg=cfg, seed=0)
+
+    @pytest.mark.parametrize("eta, beta", [(0.5, BETA / 10), (1.0, BETA)])
+    def test_plan_that_over_noises_this_run_accepted(self, eta, beta):
+        parts = make_parts()
+        g = ring(3)
+        run = engine.run_pp_admm(parts, g, make_plan(parts, g, T=2), eta,
+                                 SolverConfig(beta=beta), seed=0)
+        assert run.broadcasts.all()
 
     def test_private_policies_reduce_to_nonprivate(self):
         # with no noise and a gate that always fires, every policy shares the
@@ -453,12 +472,80 @@ class TestForcedSilence:
         assert np.all(run.thetas[:, [0, 4]] == 0)
         assert not run.broadcasts[:, [0, 4]].any() and run.broadcasts[:, 1:4].all()
 
-    @pytest.mark.xfail(strict=True, reason="ROADMAP item 2: dual_update keeps adding "
-                       "(eta/2)(theta_i - theta_j) against a silent neighbor's stale value, "
-                       "so the sharing agents overshoot and flip sign after round 12")
     def test_sharing_agents_do_not_wind_up(self, run):
         _, sharing_error = run
         assert max(sharing_error[13:]) <= sharing_error[12] + 0.05
+
+
+class TestDualRule:
+    """A dual moves only on the edges whose two ends both shared this round."""
+
+    GRAPH = Graph(5, [(0, 1), (0, 2), (0, 3), (1, 2), (3, 4)])  # degrees 3, 2, 2, 2, 1
+    ETA = 0.5
+
+    def dual_calls(self, monkeypatch, masks):
+        """Train under the given per-round masks; each round's dual_update call and result."""
+        calls = []
+
+        def recording(dual, theta_new, neighbor_thetas, eta):
+            updated = dual_update(dual, theta_new, neighbor_thetas, eta)
+            calls.append((dual, theta_new, neighbor_thetas, updated))
+            return updated
+
+        monkeypatch.setattr(engine, "dual_update", recording)
+        rounds = iter(masks)
+        engine._train(make_parts(n_agents=5), self.GRAPH, 1.0, self.ETA, SolverConfig(beta=BETA),
+                      len(masks), None, None, None,
+                      lambda theta_hat, quality: (next(rounds), theta_hat))
+        assert len(calls) == len(masks)
+        return calls
+
+    def increments(self, call):
+        """Each agent's increment on each of its edges, keyed (agent, neighbor).
+
+        The loop passes one neighbor slot per edge, in the order of
+        Graph.neighbors, padded with the agent itself.
+        """
+        _, thetas, neighbor_thetas, _ = call
+        return {(i, j): (self.ETA / 2.0) * (thetas[i] - neighbor_thetas[s][i])
+                for i, js in enumerate(self.GRAPH.neighbors) for s, j in enumerate(js)}
+
+    @pytest.fixture
+    def mixed(self, monkeypatch):
+        masks = np.random.default_rng(7).random((8, 5)) < 0.6
+        return masks, self.dual_calls(monkeypatch, masks)
+
+    def test_edge_moves_only_when_both_ends_shared(self, mixed):
+        masks, calls = mixed
+        live = dead = 0
+        for mask, call in zip(masks, calls):
+            thetas = call[1]
+            for (i, j), step in self.increments(call).items():
+                if mask[i] and mask[j]:
+                    live += 1
+                    assert np.array_equal(step, (self.ETA / 2.0) * (thetas[i] - thetas[j]))
+                else:
+                    dead += 1
+                    assert not step.any(), (i, j)
+            # an agent with no live edge keeps its dual bit for bit
+            for i, js in enumerate(self.GRAPH.neighbors):
+                if not any(mask[i] and mask[j] for j in js):
+                    assert np.array_equal(call[3][i], call[0][i])
+        assert live and dead  # the masks exercise both kinds of edge
+
+    def test_live_edge_increments_cancel(self, mixed):
+        _, calls = mixed
+        for call in calls:
+            steps = self.increments(call)
+            for (i, j), step in steps.items():
+                assert np.array_equal(step, -steps[j, i])
+
+    def test_all_sharing_matches_every_neighbor_rule(self, monkeypatch):
+        # with every agent sharing, each dual takes every neighbor's new value, bit for bit
+        for dual, thetas, _, updated in self.dual_calls(monkeypatch, np.ones((6, 5), bool)):
+            for i, js in enumerate(self.GRAPH.neighbors):
+                expected = dual_update(dual[i], thetas[i], [thetas[j] for j in js], self.ETA)
+                assert np.array_equal(updated[i], expected)
 
 
 class TestCentralizedReference:
