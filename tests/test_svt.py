@@ -27,7 +27,7 @@ class TestGateConstruction:
 
     def test_noise_scales(self):
         gate = make_gate(c_max=15, eps1=0.2, eps2=0.8, sensitivity=4.0)
-        # threshold scale 2 c C/eps1 = 300, query scale 4 c C/eps2 = 150
+        # threshold scale c Delta/eps1 = 300, query scale 2 c Delta/eps2 = 150
         assert gate.query_noise_scale == pytest.approx(4 * 15 * 2.0 / 0.8)
         noisy = SvtGate(0.0, 15, 0.2, 0.8, 4.0, (RngHandle(3), disabled_rng()))
         # with u drawn, threshold = Lap(300) quantile; just confirm it moved
