@@ -1,8 +1,8 @@
 """zCDP accounting: mechanism costs, composition, DP conversions, budgeting.
 
 All costs are plain nonnegative floats (rho values).  The planner turns a
-run-level (epsilon, delta) target into every noise scale and the
-regularizer floor the training loops need:
+run-level (epsilon, delta) target into the privacy budget of each release,
+which depends on no data:
 
   rho_total = epsilon^2 / (4 ln(1/delta))
   per-release budget = rho_total / T                        (full-broadcast mode)
@@ -14,6 +14,9 @@ regularizer floor the training loops need:
                                                              rho_svt = f rho_total)
   rho_i2 = splits * budget,  rho_i1 = (1 - splits) * budget
   eps_i1 = rho_i1 + 2 sqrt(rho_i1 ln(1/delta_i1)),  eps_i3 = 0.99 eps_i1,  delta_i1 = delta
+
+calibrate sets a run's floor and noise scales from its |D_i|, degrees, eta and beta:
+
   lambda_hat >= max_i 2.8 N c1 / ((eps_i1 - eps_i3) |D_i|),  c1 = C1
   sigma_i1 = 2 sqrt(2 ln(1.25/delta_i1)) / (|D_i| eps_i3)
   sigma_i2 = beta / (sqrt(2 rho_i2) (lambda_hat/N + 2 eta deg_i))
@@ -103,7 +106,7 @@ def svt_split_ratio(c_max: int, eps_total: float) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class BudgetPlan:
-    """Derived privacy parameters for one run."""
+    """The privacy budget of a run and of each of its releases; it holds no data."""
 
     epsilon_total: float
     delta_total: float
@@ -115,9 +118,6 @@ class BudgetPlan:
     epsilon_i1: float
     epsilon_i3: float
     delta_i1: float
-    sigma_i1: dict
-    sigma_i2: dict
-    lambda_hat_floor: float
     c_broadcasts: int | None = None
     svt_eps: tuple | None = None  # (eps1, eps2) when gated
 
@@ -138,20 +138,16 @@ def plan_budget(
     delta: float,
     T: int,
     splits: float,
-    dataset_sizes: dict,
-    eta: float,
-    degrees: dict,
-    beta: float,
     c_broadcasts: int | None = None,
     svt_budget_fraction: float | None = None,
 ) -> BudgetPlan:
-    """Derive all noise scales and the regularizer floor from an (eps, delta) target.
+    """Derive each release's budget from an (eps, delta) target.
 
-    dataset_sizes and degrees are keyed by agent.  With c_broadcasts None,
-    the whole budget is spread over T releases.  With c_broadcasts set (gated
-    mode), the SVT gate gets the share svt_budget_fraction of the budget,
-    split into its (eps1, eps2) pair; its one-time cost is subtracted first
-    and the remainder is spread over c_broadcasts releases.
+    With c_broadcasts None, the whole budget is spread over T releases.
+    With c_broadcasts set (gated mode), the SVT gate gets the share
+    svt_budget_fraction of the budget, split into its (eps1, eps2) pair; its
+    one-time cost is subtracted first and the remainder is spread over
+    c_broadcasts releases.
     """
     if not 0 < splits < 1:
         raise BudgetError("splits must be in (0, 1)")
@@ -159,9 +155,6 @@ def plan_budget(
         raise BudgetError(f"delta must be in (0, 1) for the Gaussian mechanisms, got {delta!r}")
     if T < 1:
         raise BudgetError("T must be >= 1")
-    if set(dataset_sizes) != set(degrees):
-        raise BudgetError("dataset_sizes and degrees must cover the same agents")
-    n_agents = len(dataset_sizes)
     delta_i1 = delta
 
     rho_total = dp_to_zcdp(epsilon, delta)
@@ -185,25 +178,7 @@ def plan_budget(
 
     rho_i2 = splits * per_release
     rho_i1 = per_release - rho_i2
-    log_inv_delta = math.log(1.0 / delta_i1)
-    epsilon_i1 = rho_i1 + 2.0 * math.sqrt(rho_i1 * log_inv_delta)
-    epsilon_i3 = 0.99 * epsilon_i1
-
-    lambda_hat_floor = max(
-        2.8 * n_agents * C1 / ((epsilon_i1 - epsilon_i3) * dataset_sizes[i])
-        for i in dataset_sizes
-    )
-    sigma_i1 = {
-        i: 2.0 * math.sqrt(2.0 * math.log(1.25 / delta_i1)) / (dataset_sizes[i] * epsilon_i3)
-        for i in dataset_sizes
-    }
-    # sigma_i2 scales with 1/mu_i, the strong convexity of agent i's subproblem
-    # at the floor; the inner solver takes its step from the same bound.
-    sigma_i2 = {
-        i: beta / (math.sqrt(2.0 * rho_i2)
-                   * strong_convexity(lambda_hat_floor, n_agents, eta, degrees[i]))
-        for i in degrees
-    }
+    epsilon_i1 = zcdp_to_dp(rho_i1, delta_i1)
     return BudgetPlan(
         epsilon_total=epsilon,
         delta_total=delta,
@@ -213,21 +188,35 @@ def plan_budget(
         rho_i1=rho_i1,
         rho_i2=rho_i2,
         epsilon_i1=epsilon_i1,
-        epsilon_i3=epsilon_i3,
+        epsilon_i3=0.99 * epsilon_i1,
         delta_i1=delta_i1,
-        sigma_i1=sigma_i1,
-        sigma_i2=sigma_i2,
-        lambda_hat_floor=lambda_hat_floor,
         c_broadcasts=c_broadcasts,
         svt_eps=svt_eps,
     )
 
 
-def check_lambda_hat(plan: BudgetPlan, lambda_hat: float) -> None:
-    """Raise BudgetError if lambda_hat is below the plan's floor (relative tolerance 1e-12)."""
-    if lambda_hat < plan.lambda_hat_floor * (1 - 1e-12):
+def calibrate(plan: BudgetPlan, sizes, degrees, eta: float, beta: float):
+    """One run's (lambda_hat_floor, sigma_i1, sigma_i2) under plan, the sigmas (N,) arrays.
+
+    sizes and degrees are (N,) arrays of each agent's |D_i| and neighbour
+    count.  The floor is the smallest shard's; sigma_i2 covers beta / mu_i,
+    an inexact solve's output sensitivity, at that floor.
+    """
+    n_agents = len(sizes)
+    lambda_hat_floor = float(2.8 * n_agents * C1 / (
+        (plan.epsilon_i1 - plan.epsilon_i3) * sizes.min()))
+    sigma_i1 = 2.0 * math.sqrt(2.0 * math.log(1.25 / plan.delta_i1)) / (
+        sizes * plan.epsilon_i3)
+    sigma_i2 = beta / (math.sqrt(2.0 * plan.rho_i2) * strong_convexity(
+        lambda_hat_floor, n_agents, eta, degrees))
+    return lambda_hat_floor, sigma_i1, sigma_i2
+
+
+def check_lambda_hat(lambda_hat_floor: float, lambda_hat: float) -> None:
+    """Raise BudgetError if lambda_hat is below the floor (relative tolerance 1e-12)."""
+    if lambda_hat < lambda_hat_floor * (1 - 1e-12):
         raise BudgetError(
-            f"lambda_hat {lambda_hat} below the planned floor {plan.lambda_hat_floor}")
+            f"lambda_hat {lambda_hat} below the planned floor {lambda_hat_floor}")
 
 
 class ZcdpLedger:

@@ -161,12 +161,12 @@ def build_graph(cfg: ExperimentConfig) -> topology.Graph:
 def prepare_data(cfg: ExperimentConfig):
     """Load or generate, split, partition, and normalize with the training maxima.
 
-    Returns (train shards as data.partition stacks them, test Dataset), all
+    Returns (train shards stacked by size as data.shard_blocks, test Dataset), all
     views of one C-contiguous (n, d) buffer into which each sample is written
     once: first the training shards' rows, in data.shard_order over the
     training split, then the test samples in split-permutation order.
     Generated samples are drawn straight into their rows and normalized with
-    their own maxima, as data.synthetic_blobs does; loaded ones are gathered
+    their own maxima, as data.draw_blobs does; loaded ones are gathered
     with one take.  Then, in place, the training rows are multiplied by their
     labels, and one normalize call scales every row by the training maxima.
     The bits are those of normalizing the training split and partitioning it
@@ -209,24 +209,24 @@ def prepare_data(cfg: ExperimentConfig):
 
 
 def build_plan(cfg: ExperimentConfig, train_parts, graph) -> accountant.BudgetPlan | None:
+    """The run's budget plan (None for nonprivate), with cfg.lambda_hat checked against its floor."""
     if cfg.algorithm == "nonprivate":
         return None
     if cfg.algorithm not in ("pp_admm", "ipp_admm"):
         raise ConfigError(f"unknown algorithm {cfg.algorithm!r}")
     gated = cfg.algorithm == "ipp_admm"
-    return accountant.plan_budget(
+    plan = accountant.plan_budget(
         epsilon=cfg.epsilon,
         delta=cfg.delta,
         T=cfg.T,
         splits=cfg.splits,
-        dataset_sizes=dict(sorted((int(i), block.features.shape[1])
-                                  for block in train_parts for i in block.rows)),
-        eta=cfg.eta,
-        degrees=graph.degrees(),
-        beta=cfg.beta,
         c_broadcasts=cfg.c_max if gated else None,
         svt_budget_fraction=cfg.svt_budget_fraction if gated else None,
     )
+    if cfg.lambda_hat is not None:
+        floor = engine.calibrate_run(train_parts, graph, plan, cfg.eta, cfg.beta)[0]
+        accountant.check_lambda_hat(floor, cfg.lambda_hat)
+    return plan
 
 
 def build_experiment(cfg: ExperimentConfig):
@@ -261,10 +261,7 @@ def build_experiment(cfg: ExperimentConfig):
             raise ConfigError(f"synthetic_d must be >= 1, got {cfg.synthetic_d}")
     graph = build_graph(cfg)
     train_parts, test = prepare_data(cfg)
-    plan = build_plan(cfg, train_parts, graph)
-    if plan is not None and cfg.lambda_hat is not None:
-        accountant.check_lambda_hat(plan, cfg.lambda_hat)
-    return graph, train_parts, test, plan
+    return graph, train_parts, test, build_plan(cfg, train_parts, graph)
 
 
 def _round_records(seed, run: engine.Run, insecure_no_noise: bool) -> list:
@@ -374,9 +371,8 @@ def validate_config(cfg: ExperimentConfig) -> list:
         f"d={train_parts[0].features.shape[2]}",
     ]
     if plan is not None:
-        notes.append(
-            f"plan: rho_total={plan.rho_total:.6g}, lambda_hat_floor={plan.lambda_hat_floor:.6g}"
-        )
+        floor = engine.calibrate_run(train_parts, graph, plan, cfg.eta, cfg.beta)[0]
+        notes.append(f"plan: rho_total={plan.rho_total:.6g}, lambda_hat_floor={floor:.6g}")
     return notes
 
 
@@ -412,10 +408,13 @@ def main(argv=None) -> int:
                 sys.stdout.write(report.to_ndjson())
             return 0
         if args.command == "plan":
-            _, _, _, plan = build_experiment(cfg)
+            graph, train_parts, _, plan = build_experiment(cfg)
             if plan is None:
                 raise ConfigError("plan requires a private algorithm")
-            print(json.dumps(dataclasses.asdict(plan), indent=2))
+            floor, *sigmas = engine.calibrate_run(train_parts, graph, plan, cfg.eta, cfg.beta)
+            per_agent = [dict(enumerate(sigma.tolist())) for sigma in sigmas]
+            print(json.dumps({**dataclasses.asdict(plan), "lambda_hat_floor": floor,
+                              "sigma_i1": per_agent[0], "sigma_i2": per_agent[1]}, indent=2))
             return 0
         for note in validate_config(cfg):
             print(note)

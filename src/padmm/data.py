@@ -169,9 +169,8 @@ def normalize(x: np.ndarray, scales: np.ndarray) -> None:
 class ShardBlock:
     """The equal-size shards of agents `rows`: features (k, m, d), each sample as y x.
 
-    partition and cli.prepare_data make every block a (k, m, d) view of its
-    rows of one C-contiguous buffer.  model.DataTerms is the one reader of the
-    samples.
+    shard_blocks makes every block a (k, m, d) view of its rows of one
+    C-contiguous buffer.  model.DataTerms is the one reader of the samples.
     """
 
     rows: np.ndarray
@@ -210,23 +209,6 @@ def shard_blocks(x: np.ndarray, layout) -> list[ShardBlock]:
         blocks.append(ShardBlock(rows, x[start:stop].reshape(len(rows), size, x.shape[1])))
         start = stop
     return blocks
-
-
-def partition(data: Dataset, n_agents: int, seed: int) -> list[ShardBlock]:
-    """Randomly split samples into n_agents near-equal disjoint shards, stacked by size.
-
-    Disjointness across agents is what makes parallel composition of
-    per-agent privacy costs valid.  The first n % n_agents agents take one
-    sample more; each size is one ShardBlock, the larger first, and each
-    shard keeps its samples in their order in `data`, each times its label
-    (exact for labels of +-1, and commuting with normalize and column_scales).
-    The order is shard_order's, which cli.prepare_data shares; the shards are
-    gathered with one take into one buffer that every block views.
-    """
-    order, layout = shard_order(data.n_samples, n_agents, seed)
-    x = data.features.take(order, axis=0)
-    x *= data.labels.take(order)[:, None]
-    return shard_blocks(x, layout)
 
 
 def blob_labels(n: int) -> np.ndarray:
@@ -269,9 +251,3 @@ def draw_blobs(x: np.ndarray, separation: float, seed: int, order=None) -> None:
     del rows
     normalize(x, column_scales(x))
 
-
-def synthetic_blobs(n: int, d: int, separation: float, seed: int) -> Dataset:
-    """draw_blobs' samples in draw order, labeled +1/-1 (see blob_labels)."""
-    x = np.empty((n, d))
-    draw_blobs(x, separation, seed)
-    return Dataset(x, blob_labels(n))

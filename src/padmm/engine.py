@@ -16,7 +16,7 @@ recorded as one Run of per-round arrays.
 
 The agents' solves within a round are independent, so the loop runs them
 as one row-wise solve (model.stacked_kernel) over the shards as
-data.partition stacks them by size, read in place, and updates every dual
+data.shard_blocks stacks them by size, read in place, and updates every dual
 in one call.  Each agent's iterates, noise draws, gate decisions and
 charges are those of solving and releasing one agent at a time.
 
@@ -37,9 +37,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import metrics, noise
-from .accountant import BudgetError, BudgetPlan, ZcdpLedger, check_lambda_hat, gaussian_zcdp
+from .accountant import BudgetError, BudgetPlan, ZcdpLedger, calibrate, check_lambda_hat
 from .data import Dataset
-from .model import DataTerms, clipped_quality, solver_steps, stacked_kernel, strong_convexity
+from .model import DataTerms, clipped_quality, solver_steps, stacked_kernel
 from .solver import NonConvergence, SolverConfig, minimize
 from .svt import Decision, SvtGate
 from .topology import Graph
@@ -84,6 +84,14 @@ def _check_inputs(blocks, g: Graph):
     if len(dims) != 1:
         raise EngineError(f"inconsistent feature dimensions across agents: {sorted(dims)}")
     return dims.pop()
+
+
+def calibrate_run(blocks, g: Graph, plan: BudgetPlan, eta: float, beta: float):
+    """accountant.calibrate on the shard sizes of blocks, which cover g's agents, and g's degrees."""
+    sizes = np.empty(g.n, dtype=int)
+    for block in blocks:
+        sizes[block.rows] = block.features.shape[1]
+    return calibrate(plan, sizes, np.array(list(map(len, g.neighbors))), eta, beta)
 
 
 def _train(blocks, g: Graph, lambda_hat, eta, cfg: SolverConfig, T, test, spent, draw_b1,
@@ -143,34 +151,27 @@ def _run_private(blocks, g: Graph, plan: BudgetPlan, eta: float, cfg: SolverConf
                  lambda_hat, test, noise_disabled: bool, gate=None) -> Run:
     """The private loop of PP-ADMM (gate None) and IPP-ADMM (gate (alpha, c_loss)).
 
-    Checks the plan once, its output noise too against this run's
-    sensitivity, then runs its T rounds: objective noise b1 before each
-    solve, then one release step on the round's mask, which is every agent
-    or, gated, those whose SVT gates answer ABOVE in agent order.  The
-    step adds each masked agent's output noise b2 and charges it
-    rho_i1 + rho_i2, in agent order; a gated run first charges each agent
-    rho_svt as it opens a gate on the clipped quality (sensitivity 2 c_loss).
+    Calibrates this run's noise scales and regularizer floor under the plan
+    from its own shards, graph, eta and solver beta, then runs the plan's T
+    rounds: objective noise b1 before each solve, then one release step on
+    the round's mask, which is every agent or, gated, those whose SVT gates
+    answer ABOVE in agent order.  The step adds each masked agent's output
+    noise b2 and charges it rho_i1 + rho_i2, in agent order; a gated run
+    first charges each agent rho_svt as it opens a gate on the clipped
+    quality (sensitivity 2 c_loss).
     """
     if (gate is None) != (plan.c_broadcasts is None):
         made_for = "gated mode" if gate is None else "full broadcast"
         raise EngineError(f"budget plan was made for {made_for}; gated and full-broadcast "
                           "runs each need their own plan")
-    if set(plan.sigma_i1) != set(range(g.n)):
-        raise EngineError("budget plan does not cover this graph's agents")
+    d = _check_inputs(blocks, g)
+    floor, sigma_i1, sigma_i2 = calibrate_run(blocks, g, plan, eta, cfg.beta)
     if lambda_hat is None:
-        lambda_hat = plan.lambda_hat_floor
+        lambda_hat = floor
     try:
-        check_lambda_hat(plan, lambda_hat)
+        check_lambda_hat(floor, lambda_hat)
     except BudgetError as exc:
         raise EngineError(str(exc)) from None
-    for i, js in enumerate(g.neighbors):
-        # b2 must cover this run's output sensitivity beta / mu_i at the planned floor
-        mu = strong_convexity(plan.lambda_hat_floor, g.n, eta, len(js))
-        rho = gaussian_zcdp(cfg.beta / mu, plan.sigma_i2[i])
-        if rho > plan.rho_i2 * (1 + 1e-9):
-            raise EngineError(f"budget plan under-noises agent {i}: its output noise costs "
-                              f"rho {rho:.6g} at this run's graph, eta and solver beta, above "
-                              f"the planned rho_i2 {plan.rho_i2:.6g}")
 
     def streams(purpose):
         return [noise.RngHandle.for_agent(seed, i, purpose, disabled=noise_disabled)
@@ -187,8 +188,7 @@ def _run_private(blocks, g: Graph, plan: BudgetPlan, eta: float, cfg: SolverConf
             ledger.charge_ipp(i, plan.rho_svt)
 
     def draw_b1():
-        d = blocks[0].features.shape[2]  # _train has checked every block against the graph
-        return np.array([noise.gaussian_vector(plan.sigma_i1[i], d, rng)
+        return np.array([noise.gaussian_vector(sigma_i1[i], d, rng)
                          for i, rng in enumerate(b1_rngs)])
 
     def release(theta_hat, quality):
@@ -197,7 +197,7 @@ def _run_private(blocks, g: Graph, plan: BudgetPlan, eta: float, cfg: SolverConf
             dtype=bool)
         shared = theta_hat.copy()
         for i in np.flatnonzero(mask).tolist():
-            shared[i] += noise.gaussian_vector(plan.sigma_i2[i], shared.shape[1], b2_rngs[i])
+            shared[i] += noise.gaussian_vector(sigma_i2[i], d, b2_rngs[i])
             ledger.charge_pp_iteration(i, plan.per_release_rho)
         return mask, shared
 

@@ -15,7 +15,7 @@ The augmented form is mu-strongly convex and L-smooth with
     mu = lambda_hat / N + 2 eta deg_i,    L = mu + 0.25 max_n ||x_n||^2
 
 (the logistic loss has curvature at most 1/4).  strong_convexity is the one
-home of mu, which also sets the output-noise scale (accountant.plan_budget);
+home of mu, which also sets the output-noise scale (accountant.calibrate);
 solver_steps gives every agent's step 2 / (mu + L), reading max ||x_n||^2
 from the stacked shards.
 
@@ -24,7 +24,7 @@ L(z) = log(1 + exp(-z)) is max(-z, 0) + log1p(e) and its derivative is
 -e / (1 + e) for z >= 0 and -1 / (1 + e) for z < 0.  stacked_kernel
 returns the gradients (the solver reads no values) of every agent's
 subproblem of a round at once, one row per agent, on the shards stacked by
-size (data.partition's ShardBlocks).  Its rows are bit-identical to the
+size (data.shard_blocks' ShardBlocks).  Its rows are bit-identical to the
 one-agent loop form, which tests/reference.py keeps as the oracle; that
 rests on NumPy's stacked matmul and vecdot calling the same BLAS gemv and
 dot per row as the 2-D and 1-D products.

@@ -45,9 +45,6 @@ class Graph:
                     stack.append(j)
         return len(seen) == self.n
 
-    def degrees(self) -> dict:
-        return {i: len(js) for i, js in enumerate(self.neighbors)}
-
 
 def ring(n: int) -> Graph:
     if n < 3:

@@ -16,15 +16,17 @@ serial_compose and parallel_compose are zCDP's composition rules (sum on
 one agent's data, maximum over disjoint data), which padmm.accountant's
 ledger applies in place.  centralized_reference minimizes the pooled
 problem directly, the oracle for the decentralized loops.
-blocks is the old two-step form of padmm.data.partition: per-agent
-shards, then grouped by size, signed and stacked; agent_shards unstacks
+partition deals a Dataset into ShardBlocks with padmm.data's shard_order
+and shard_blocks, as padmm.cli.prepare_data does; blocks is its old
+two-step form: per-agent shards, then grouped by size, signed and stacked; agent_shards unstacks
 blocks back into per-agent signed Datasets, and subset picks a Dataset's
 samples by index.  A signed shard is the dataset (y x, +1): its margins,
 losses and gradients equal those of (x, y) bit for bit, so the one-agent
 forms here read either.  prepare_data is the old setup that padmm.cli.prepare_data must
 match bit for bit: copies of the train and test splits, column_scales from
 the train copy, preprocess on each split (both whole-array forms), then
-data.partition of the normalized train split; synthetic_blobs is padmm.data.synthetic_blobs normalized by preprocess.
+partition of the normalized train split.  drawn_blobs is padmm.data.draw_blobs'
+samples as a Dataset, and synthetic_blobs its plain form: one draw normalized by preprocess.
 """
 
 from __future__ import annotations
@@ -34,7 +36,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from padmm.accountant import BudgetError
-from padmm.data import Dataset, ShardBlock, load_csv, partition
+from padmm.data import (Dataset, ShardBlock, blob_labels, draw_blobs, load_csv, shard_blocks,
+                        shard_order)
 from padmm.engine import EngineError
 from padmm.model import DataTerms, _deriv, _loss, solver_steps, stacked_kernel
 from padmm.solver import NonConvergence, SolverConfig, minimize
@@ -259,6 +262,31 @@ def subset(data: Dataset, indices) -> Dataset:
     """The samples of data at indices, in that order."""
     indices = np.asarray(indices)
     return Dataset(data.features[indices], data.labels[indices])
+
+
+def partition(data: Dataset, n_agents: int, seed: int) -> list[ShardBlock]:
+    """Randomly split samples into n_agents near-equal disjoint shards, stacked by size.
+
+    Disjointness across agents is what makes parallel composition of
+    per-agent privacy costs valid.  The first n % n_agents agents take one
+    sample more; each size is one ShardBlock, the larger first, and each
+    shard keeps its samples in their order in `data`, each times its label
+    (exact for labels of +-1, and commuting with normalize and column_scales).
+    The order is padmm.data.shard_order's, which padmm.cli.prepare_data
+    shares; the shards are gathered with one take into one buffer that every
+    block views.
+    """
+    order, layout = shard_order(data.n_samples, n_agents, seed)
+    x = data.features.take(order, axis=0)
+    x *= data.labels.take(order)[:, None]
+    return shard_blocks(x, layout)
+
+
+def drawn_blobs(n: int, d: int, separation: float, seed: int) -> Dataset:
+    """padmm.data.draw_blobs' samples in draw order, labeled +1/-1 (see blob_labels)."""
+    x = np.empty((n, d))
+    draw_blobs(x, separation, seed)
+    return Dataset(x, blob_labels(n))
 
 
 def blocks(parts: list[Dataset]) -> list[ShardBlock]:

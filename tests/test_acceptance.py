@@ -6,14 +6,15 @@ import numpy as np
 import pytest
 
 from padmm import data, engine, metrics
-from padmm.accountant import plan_budget, zcdp_sufficient_epsilon
+from padmm.accountant import calibrate, plan_budget, zcdp_sufficient_epsilon
 from padmm.model import DataTerms
 from padmm.noise import RngHandle, gaussian_vector, laplace_scalar
 from padmm.solver import SolverConfig
 from padmm.svt import Decision, SvtGate
 from padmm.topology import ring
 from reference import (AugmentedParams, LocalObjectiveParams, agent_shards, augmented_gradient,
-                       augmented_objective, centralized_reference, clipped_quality)
+                       augmented_objective, centralized_reference, clipped_quality, drawn_blobs,
+                       partition)
 
 BETA = 10.0**-3.5
 DELTA = 1e-4
@@ -24,35 +25,32 @@ def report(name, ok, detail=""):
     assert ok, f"{name} failed: {detail}"
 
 
-def five_agent_plan(parts, graph, epsilon=1.0, T=30):
-    sizes = {i: p.n_samples for i, p in enumerate(agent_shards(parts))}
-    return plan_budget(
-        epsilon=epsilon, delta=DELTA, T=T, splits=0.001, dataset_sizes=sizes,
-        eta=0.5, degrees=graph.degrees(), beta=BETA,
-    )
+def pp_plan(epsilon=1.0):
+    return plan_budget(epsilon=epsilon, delta=DELTA, T=30, splits=0.001)
+
+
+def floor(parts, graph, plan):
+    """The lambda_hat floor of a run on parts and graph at eta 0.5 and BETA."""
+    return engine.calibrate_run(parts, graph, plan, 0.5, BETA)[0]
 
 
 def test_1_accounting_exactness():
     start = time.time()
-    sizes = {i: 7000 for i in range(5)}
-    degrees = {i: 2 for i in range(5)}
-    plan = plan_budget(
-        epsilon=1.0, delta=DELTA, T=30, splits=0.001, dataset_sizes=sizes,
-        eta=0.5, degrees=degrees, beta=BETA,
-    )
+    plan = pp_plan()
+    lambda_hat, sigma_i1, sigma_i2 = calibrate(plan, np.full(5, 7000), np.full(5, 2), 0.5, BETA)
     plan_elapsed = time.time() - start
     expected = {  # independent closed-form chain, frozen in test_accountant.py too
         "rho_total": (0.02714340512, plan.rho_total),
-        "sigma_i1": (0.006835650643, plan.sigma_i1[0]),
-        "sigma_i2": (0.1144197698, plan.sigma_i2[0]),
-        "lambda_hat": (0.2726478311, plan.lambda_hat_floor),
+        "sigma_i1": (0.006835650643, sigma_i1[0]),
+        "sigma_i2": (0.1144197698, sigma_i2[0]),
+        "lambda_hat": (0.2726478311, lambda_hat),
     }
     for key, (want, got) in expected.items():
         assert got == pytest.approx(want, rel=1e-6), key
 
     start = time.time()
-    ds = data.synthetic_blobs(35000, 5, 5.0, 0)
-    parts = data.partition(ds, 5, 0)
+    ds = drawn_blobs(35000, 5, 5.0, 0)
+    parts = partition(ds, 5, 0)
     assert all(p.n_samples == 7000 for p in agent_shards(parts))
     g = ring(5)
     run = engine.run_pp_admm(parts, g, plan, 0.5, SolverConfig(beta=BETA), seed=0)
@@ -65,13 +63,13 @@ def test_1_accounting_exactness():
 
 def test_2_reduction_identity():
     start = time.time()
-    ds = data.synthetic_blobs(500, 5, 5.0, 0)
-    parts = data.partition(ds, 5, 0)
+    ds = drawn_blobs(500, 5, 5.0, 0)
+    parts = partition(ds, 5, 0)
     g = ring(5)
-    plan = five_agent_plan(parts, g)
+    plan = pp_plan()
     cfg = SolverConfig(beta=BETA)
     private = engine.run_pp_admm(parts, g, plan, 0.5, cfg, seed=0, noise_disabled=True)
-    plain = engine.run_nonprivate(parts, g, 0.5, plan.lambda_hat_floor, 30, cfg)
+    plain = engine.run_nonprivate(parts, g, 0.5, floor(parts, g, plan), 30, cfg)
     identical = (
         np.array_equal(private.thetas, plain.thetas)
         and np.array_equal(private.average_loss, plain.average_loss)
@@ -83,8 +81,8 @@ def test_2_reduction_identity():
 
 def test_3_consensus_oracle():
     start = time.time()
-    ds = data.synthetic_blobs(200, 2, 2.0, 1)
-    parts = data.partition(ds, 3, 1)
+    ds = drawn_blobs(200, 2, 2.0, 1)
+    parts = partition(ds, 3, 1)
     cfg = SolverConfig(beta=1e-6)
     lam = 1.0
     run = engine.run_nonprivate(parts, ring(3), 0.5, lam, 50, cfg)
@@ -135,16 +133,12 @@ def test_5_svt_behavior():
     )
 
     # broadcast cap and exact ledger accounting on a real gated run
-    ds = data.synthetic_blobs(300, 3, 2.0, 0)
-    parts = data.partition(ds, 3, 0)
+    ds = drawn_blobs(300, 3, 2.0, 0)
+    parts = partition(ds, 3, 0)
     g = ring(3)
-    sizes = {i: p.n_samples for i, p in enumerate(agent_shards(parts))}
     c_max = 4
-    plan = plan_budget(
-        epsilon=1.0, delta=DELTA, T=10, splits=0.001, dataset_sizes=sizes,
-        eta=0.5, degrees=g.degrees(), beta=BETA,
-        c_broadcasts=c_max, svt_budget_fraction=0.1,
-    )
+    plan = plan_budget(epsilon=1.0, delta=DELTA, T=10, splits=0.001,
+                       c_broadcasts=c_max, svt_budget_fraction=0.1)
     run = engine.run_ipp_admm(
         parts, g, plan, 0.5, alpha=1e-3, c_loss=2.0,
         cfg=SolverConfig(beta=BETA), seed=3,
@@ -180,19 +174,19 @@ def test_6_mechanism_statistics():
 
 def test_7_privacy_utility_trend():
     start = time.time()
-    ds = data.synthetic_blobs(2000, 5, 5.0, 0)
-    parts = data.partition(ds, 5, 0)
+    ds = drawn_blobs(2000, 5, 5.0, 0)
+    parts = partition(ds, 5, 0)
     g = ring(5)
     cfg = SolverConfig(beta=BETA)
-    plan_lo = five_agent_plan(parts, g, epsilon=1.0)
-    plan_hi = five_agent_plan(parts, g, epsilon=10.0)
+    plan_lo = pp_plan(epsilon=1.0)
+    plan_hi = pp_plan(epsilon=10.0)
     finals_lo, finals_hi = [], []
     for seed in range(10):
         t_lo = engine.run_pp_admm(parts, g, plan_lo, 0.5, cfg, seed=seed)
         t_hi = engine.run_pp_admm(parts, g, plan_hi, 0.5, cfg, seed=seed)
         finals_lo.append(t_lo.average_loss[-1])
         finals_hi.append(t_hi.average_loss[-1])
-    nonp = engine.run_nonprivate(parts, g, 0.5, plan_hi.lambda_hat_floor, 30, cfg)
+    nonp = engine.run_nonprivate(parts, g, 0.5, floor(parts, g, plan_hi), 30, cfg)
     loss_np = nonp.average_loss[-1]
     loss_hi, loss_lo = np.mean(finals_hi), np.mean(finals_lo)
     elapsed = time.time() - start
@@ -207,7 +201,7 @@ def test_8_gradient_correctness():
     worst = 0.0
     for trial in range(50):
         d = int(rng.integers(2, 6))
-        ds = data.synthetic_blobs(int(rng.integers(10, 40)), d, 2.0, trial)
+        ds = drawn_blobs(int(rng.integers(10, 40)), d, 2.0, trial)
         p = LocalObjectiveParams(ds, float(rng.uniform(0, 2)), int(rng.integers(1, 6)))
         n_nbrs = int(rng.integers(1, 4))
         a = AugmentedParams(

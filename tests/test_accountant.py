@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from padmm.accountant import (
     BudgetError,
     ZcdpLedger,
+    calibrate,
     dp_to_zcdp,
     gaussian_zcdp,
     plan_budget,
@@ -33,18 +34,14 @@ EXPECTED = {
 
 
 def reference_plan(**overrides):
-    kwargs = dict(
-        epsilon=1.0,
-        delta=1e-4,
-        T=30,
-        splits=0.001,
-        dataset_sizes={i: 7000 for i in range(5)},
-        eta=0.5,
-        degrees={i: 2 for i in range(5)},
-        beta=10.0**-3.5,
-    )
+    kwargs = dict(epsilon=1.0, delta=1e-4, T=30, splits=0.001)
     kwargs.update(overrides)
     return plan_budget(**kwargs)
+
+
+def reference_calibration(plan, sizes=(7000,) * 5):
+    """calibrate's (floor, sigma_i1, sigma_i2) at deg 2, eta 0.5, beta 10^-3.5, |D_i| = sizes."""
+    return calibrate(plan, np.array(sizes), np.full(len(sizes), 2), 0.5, 10.0**-3.5)
 
 
 class TestMechanismCosts:
@@ -165,15 +162,16 @@ class TestComposition:
 class TestPlanBudget:
     def test_reference_values_to_six_figures(self):
         plan = reference_plan()
+        floor, sigma_i1, sigma_i2 = reference_calibration(plan)
         checks = {
             "rho_total": plan.rho_total,
             "rho_i1": plan.rho_i1,
             "rho_i2": plan.rho_i2,
             "eps_i1": plan.epsilon_i1,
             "eps_i3": plan.epsilon_i3,
-            "lambda_hat": plan.lambda_hat_floor,
-            "sigma_i1": plan.sigma_i1[0],
-            "sigma_i2": plan.sigma_i2[0],
+            "lambda_hat": floor,
+            "sigma_i1": sigma_i1[0],
+            "sigma_i2": sigma_i2[0],
         }
         for key, value in checks.items():
             assert value == pytest.approx(EXPECTED[key], rel=1e-6), key
@@ -189,27 +187,23 @@ class TestPlanBudget:
     def test_line9_identity(self):
         # sigma_i2 * sqrt(2 rho_i2) * (lambda/N + 2 eta deg) == beta
         plan = reference_plan()
-        lhs = plan.sigma_i2[0] * math.sqrt(2 * plan.rho_i2) * (
-            plan.lambda_hat_floor / 5 + 2 * 0.5 * 2
-        )
+        floor, _, sigma_i2 = reference_calibration(plan)
+        lhs = sigma_i2[0] * math.sqrt(2 * plan.rho_i2) * (floor / 5 + 2 * 0.5 * 2)
         assert lhs == pytest.approx(10.0**-3.5, abs=1e-12)
 
     def test_sigma_i1_halves_when_data_doubles(self):
-        small = reference_plan()
-        big = reference_plan(dataset_sizes={i: 14000 for i in range(5)})
-        assert big.sigma_i1[0] == pytest.approx(small.sigma_i1[0] / 2, rel=1e-9)
+        small = reference_calibration(reference_plan())[1]
+        big = reference_calibration(reference_plan(), sizes=(14000,) * 5)[1]
+        assert big[0] == pytest.approx(small[0] / 2, rel=1e-9)
 
     def test_splits_to_zero_blows_up_sigma_i2(self):
-        tight = reference_plan(splits=1e-9)
-        assert tight.sigma_i2[0] > reference_plan().sigma_i2[0] * 100
+        tight = reference_calibration(reference_plan(splits=1e-9))[2]
+        assert tight[0] > reference_calibration(reference_plan())[2][0] * 100
 
     def test_heterogeneous_agents_take_max_floor(self):
-        sizes = {0: 1000, 1: 7000, 2: 7000, 3: 7000, 4: 7000}
-        plan = reference_plan(dataset_sizes=sizes)
+        floor = reference_calibration(reference_plan(), sizes=(7000, 7000, 1000, 7000, 7000))[0]
         # floor driven by the smallest dataset
-        assert plan.lambda_hat_floor == pytest.approx(
-            reference_plan(). lambda_hat_floor * 7, rel=1e-9
-        )
+        assert floor == pytest.approx(reference_calibration(reference_plan())[0] * 7, rel=1e-9)
 
     def test_gated_mode_subtracts_svt_cost(self):
         plan = reference_plan(c_broadcasts=15, svt_budget_fraction=0.2)

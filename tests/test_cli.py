@@ -400,6 +400,8 @@ class TestMain:
         assert code == 0
         plan = json.loads(capsys.readouterr().out)
         assert plan["lambda_hat_floor"] > 0
+        # this config's calibration: each agent's sigmas, keyed by agent
+        assert list(plan["sigma_i1"]) == list(plan["sigma_i2"]) == ["0", "1"]
 
     def test_validate_ok(self, capsys):
         code = cli.main([

@@ -4,8 +4,8 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 import reference
-from padmm import cli, data, topology
-from reference import agent_shards, blocks, centralized_reference, subset
+from padmm import accountant, data, engine, topology
+from reference import agent_shards, blocks, centralized_reference, drawn_blobs, partition, subset
 
 
 def write_csv(tmp_path, text, name="d.csv"):
@@ -156,26 +156,26 @@ def reference_shards(ds, n_agents, seed):
 
 class TestPartition:
     def test_equal_blocks(self):
-        ds = data.synthetic_blobs(35000, 3, 2.0, 0)
-        parts = agent_shards(data.partition(ds, 5, 0))
+        ds = drawn_blobs(35000, 3, 2.0, 0)
+        parts = agent_shards(partition(ds, 5, 0))
         assert all(p.n_samples == 7000 for p in parts)
 
     def test_near_equal_blocks(self):
-        ds = data.synthetic_blobs(10, 2, 1.0, 0)
-        parts = agent_shards(data.partition(ds, 3, 0))
+        ds = drawn_blobs(10, 2, 1.0, 0)
+        parts = agent_shards(partition(ds, 3, 0))
         sizes = sorted(p.n_samples for p in parts)
         assert sizes == [3, 3, 4]
 
     def test_disjoint_cover(self):
         ds = indexed_dataset(100)
-        parts = agent_shards(data.partition(ds, 7, 3))
+        parts = agent_shards(partition(ds, 7, 3))
         all_idx = np.abs(np.concatenate([p.features[:, 0] for p in parts]))  # the shards hold y x
         assert sorted(all_idx) == list(range(100))
 
     def test_deterministic(self):
-        ds = data.synthetic_blobs(100, 2, 1.0, 0)
-        a = agent_shards(data.partition(ds, 4, 9))
-        b = agent_shards(data.partition(ds, 4, 9))
+        ds = drawn_blobs(100, 2, 1.0, 0)
+        a = agent_shards(partition(ds, 4, 9))
+        b = agent_shards(partition(ds, 4, 9))
         assert all(np.array_equal(p.features, q.features) for p, q in zip(a, b))
 
     @pytest.mark.parametrize(
@@ -184,7 +184,7 @@ class TestPartition:
     def test_matches_assignment_reference(self, n, n_agents, seed):
         # Same shards, sizes (first n % n_agents one larger) and in-shard order.
         ds = indexed_dataset(n)
-        parts = agent_shards(data.partition(ds, n_agents, seed))
+        parts = agent_shards(partition(ds, n_agents, seed))
         expected = reference_shards(ds, n_agents, seed)
         assert len(parts) == n_agents
         for p, e in zip(parts, expected):
@@ -197,7 +197,7 @@ class TestPartition:
     def test_blocks_equal_the_reference_shards_stacked(self, n, n_agents, seed):
         # bit for bit the old two-step form: per-agent shards, then stacked by size
         ds = indexed_dataset(n)
-        got = data.partition(ds, n_agents, seed)
+        got = partition(ds, n_agents, seed)
         shards = reference_shards(ds, n_agents, seed)
         expected = blocks(shards)
         assert len(got) == len(expected) == (1 if n % n_agents == 0 else 2)
@@ -210,33 +210,33 @@ class TestPartition:
             assert g.n_samples == sum(shards[i].n_samples for i in g.rows)
             assert np.shares_memory(a, got[0].features.base)  # one buffer, gathered with one take
 
-    def test_two_size_blocks_hold_the_signed_reference_shards(self, monkeypatch):
+    def test_two_size_blocks_hold_the_signed_reference_shards(self):
         # y x of each reference shard bit for bit; sizes (and the plan's dataset sizes) as before
-        ds = data.synthetic_blobs(1003, 3, 2.0, 0)
+        ds = drawn_blobs(1003, 3, 2.0, 0)
         shards = reference_shards(ds, 7, 1)  # 144 x 2, then 143 x 5
-        got = data.partition(ds, 7, 1)
+        got = partition(ds, 7, 1)
         assert [g.n_samples for g in got] == [2 * 144, 5 * 143]
         for g in got:
             for j, i in enumerate(g.rows):
                 signed = shards[i].labels[:, None] * shards[i].features
                 assert g.features[j].tobytes() == signed.tobytes()
-        planned = {}
-        monkeypatch.setattr(cli.accountant, "plan_budget", lambda **kw: planned.update(kw))
-        cli.build_plan(cli.ExperimentConfig(algorithm="pp_admm", n_agents=7), got,
-                       topology.ring(7))
-        assert planned["dataset_sizes"] == {i: shards[i].n_samples for i in range(7)}
+        plan = accountant.plan_budget(1.0, 1e-4, 30, 0.001)
+        sigma_i1 = engine.calibrate_run(got, topology.ring(7), plan, 0.5, 1e-3)[1]
+        sizes = np.array([shards[i].n_samples for i in range(7)])
+        expected = accountant.calibrate(plan, sizes, np.full(7, 2), 0.5, 1e-3)[1]
+        assert sigma_i1.tolist() == expected.tolist()
 
     def test_too_many_agents(self):
-        ds = data.synthetic_blobs(4, 2, 1.0, 0)
+        ds = drawn_blobs(4, 2, 1.0, 0)
         with pytest.raises(data.DataError):
-            data.partition(ds, 5, 0)
+            partition(ds, 5, 0)
 
 
 class TestBlocks:
     def test_partition_shards_stack_by_size(self):
-        ds = data.synthetic_blobs(1003, 3, 2.0, 0)
+        ds = drawn_blobs(1003, 3, 2.0, 0)
         parts = reference_shards(ds, 7, 1)  # sizes 144 x 2, then 143 x 5
-        shard_blocks = data.partition(ds, 7, 1)
+        shard_blocks = partition(ds, 7, 1)
         assert [list(b.rows) for b in shard_blocks] == [[0, 1], [2, 3, 4, 5, 6]]
         for b in shard_blocks:
             assert b.features.shape == (len(b.rows), parts[b.rows[0]].n_samples, 3)
@@ -259,7 +259,7 @@ class TestBlocks:
         ds = data.Dataset(np.zeros((3, 1)), np.array([1, -1, 1]))
         assert ds.labels.dtype == np.float64
         assert list(ds.labels) == [1.0, -1.0, 1.0]
-        assert data.synthetic_blobs(10, 2, 1.0, 0).labels.dtype == np.float64
+        assert drawn_blobs(10, 2, 1.0, 0).labels.dtype == np.float64
 
     @pytest.mark.parametrize("bad", [0.0, 2.0, -0.5, np.nan, np.inf])
     def test_labels_other_than_plus_minus_one_rejected(self, bad):
@@ -269,12 +269,12 @@ class TestBlocks:
 
 class TestSyntheticBlobs:
     def test_deterministic(self):
-        a = data.synthetic_blobs(50, 3, 2.0, 5)
-        b = data.synthetic_blobs(50, 3, 2.0, 5)
+        a = drawn_blobs(50, 3, 2.0, 5)
+        b = drawn_blobs(50, 3, 2.0, 5)
         assert np.array_equal(a.features, b.features)
 
     def test_minimal_case(self):
-        ds = data.synthetic_blobs(2, 1, 1.0, 0)
+        ds = drawn_blobs(2, 1, 1.0, 0)
         assert sorted(ds.labels) == [-1, 1]
 
     def test_separable_fit(self):
@@ -282,14 +282,14 @@ class TestSyntheticBlobs:
         from padmm.metrics import error_rate
         from padmm.solver import SolverConfig
 
-        ds = data.synthetic_blobs(100, 2, 5.0, 0)
+        ds = drawn_blobs(100, 2, 5.0, 0)
         theta = centralized_reference(ds, 0.01, SolverConfig(beta=1e-5))
         assert error_rate([theta], ds) < 0.05
 
     @pytest.mark.parametrize("n, d", [(2, 1), (2000, 5), (1001, 20), (16385, 3), (24577, 2)])
     def test_equals_the_preprocess_form_bit_for_bit(self, n, d):
         # the last two draw several chunks, and the clusters meet on and inside a chunk edge
-        got = data.synthetic_blobs(n, d, 5.0, 3)
+        got = drawn_blobs(n, d, 5.0, 3)
         expected = reference.synthetic_blobs(n, d, 5.0, 3)
         assert got.features.tobytes() == expected.features.tobytes()
         assert got.labels.tobytes() == expected.labels.tobytes()
@@ -299,9 +299,9 @@ class TestSyntheticBlobs:
         order = np.random.default_rng(n).permutation(n)
         got = np.empty((n, d))
         data.draw_blobs(got, 5.0, 3, order)
-        expected = data.synthetic_blobs(n, d, 5.0, 3).features[order]
+        expected = drawn_blobs(n, d, 5.0, 3).features[order]
         assert got.tobytes() == expected.tobytes()
 
     def test_normalized(self):
-        ds = data.synthetic_blobs(200, 4, 3.0, 1)
+        ds = drawn_blobs(200, 4, 3.0, 1)
         assert np.linalg.norm(ds.features, axis=1).max() <= 1 + 1e-9

@@ -1,32 +1,33 @@
 import numpy as np
 import pytest
 
-from padmm import cli, data, engine, metrics, model
-from padmm.accountant import plan_budget, zcdp_sufficient_epsilon
+from padmm import cli, data, engine, metrics, model, noise
+from padmm.accountant import gaussian_zcdp, plan_budget, zcdp_sufficient_epsilon
 from padmm.engine import EngineError, dual_update
 from padmm.model import DataTerms
 from padmm.solver import SolverConfig, minimize
 from padmm.topology import Graph, complete, ring
 from reference import (LocalObjectiveParams, agent_shards, blocks, centralized_reference,
-                       clipped_quality, curvature_bounds)
+                       clipped_quality, curvature_bounds, drawn_blobs, partition)
 
 BETA = 10.0**-3.5
 
 
 def make_parts(n=300, d=3, n_agents=3, seed=0, separation=2.0):
-    ds = data.synthetic_blobs(n, d, separation, seed)
-    return data.partition(ds, n_agents, seed)
+    ds = drawn_blobs(n, d, separation, seed)
+    return partition(ds, n_agents, seed)
 
 
-def make_plan(parts, graph, epsilon=1.0, T=10, gated=False, c_max=None):
-    sizes = {i: p.n_samples for i, p in enumerate(agent_shards(parts))}
-    kwargs = dict(
-        epsilon=epsilon, delta=1e-4, T=T, splits=0.001, dataset_sizes=sizes,
-        eta=0.5, degrees=graph.degrees(), beta=BETA,
-    )
+def make_plan(epsilon=1.0, T=10, gated=False, c_max=None):
+    kwargs = dict(epsilon=epsilon, delta=1e-4, T=T, splits=0.001)
     if gated:
         kwargs.update(c_broadcasts=c_max, svt_budget_fraction=0.1)
     return plan_budget(**kwargs)
+
+
+def floor(parts, graph, plan):
+    """The lambda_hat floor of a run on parts and graph at eta 0.5 and BETA."""
+    return engine.calibrate_run(parts, graph, plan, 0.5, BETA)[0]
 
 
 class TestDualUpdate:
@@ -160,7 +161,7 @@ class TestDataPasses:
     @pytest.mark.parametrize("gated", [False, True])
     def test_private_round_saves_the_warm_start_pass(self, monkeypatch, gated):
         parts, g, T = make_parts(n=301), ring(3), 8
-        plan = make_plan(parts, g, T=T, gated=gated, c_max=3 if gated else None)
+        plan = make_plan(T=T, gated=gated, c_max=3 if gated else None)
         cfg = SolverConfig(beta=BETA)
         if gated:
             def run():
@@ -200,10 +201,10 @@ class TestDataPasses:
         monkeypatch.setattr(engine, "minimize", flagged_minimize)
         cfg = SolverConfig(beta=BETA)
         {"nonprivate": lambda: engine.run_nonprivate(parts, g, 0.5, 1.0, T, cfg),
-         "pp_admm": lambda: engine.run_pp_admm(parts, g, make_plan(parts, g, T=T), 0.5, cfg,
+         "pp_admm": lambda: engine.run_pp_admm(parts, g, make_plan(T=T), 0.5, cfg,
                                                seed=0),
          "ipp_admm": lambda: engine.run_ipp_admm(
-             parts, g, make_plan(parts, g, T=T, gated=True, c_max=3), 0.5, 1e-3, 2.0, cfg,
+             parts, g, make_plan(T=T, gated=True, c_max=3), 0.5, 1e-3, 2.0, cfg,
              seed=0)}[algorithm]()
         at_zero = algorithm == "ipp_admm"
         assert calls == [(per_round * T + at_zero) * len(parts), 0]
@@ -213,19 +214,19 @@ class TestPpAdmm:
     def test_noise_disabled_reduction(self):
         parts = make_parts()
         g = ring(3)
-        plan = make_plan(parts, g, T=8)
+        plan = make_plan(T=8)
         cfg = SolverConfig(beta=BETA)
         private = engine.run_pp_admm(
             parts, g, plan, 0.5, cfg, seed=0, noise_disabled=True
         )
-        plain = engine.run_nonprivate(parts, g, 0.5, plan.lambda_hat_floor, 8, cfg)
+        plain = engine.run_nonprivate(parts, g, 0.5, floor(parts, g, plan), 8, cfg)
         assert np.array_equal(private.thetas, plain.thetas)
         assert np.array_equal(private.average_loss, plain.average_loss)
 
     def test_ledger_identity(self):
         parts = make_parts()
         g = ring(3)
-        plan = make_plan(parts, g, T=10)
+        plan = make_plan(T=10)
         run = engine.run_pp_admm(parts, g, plan, 0.5, SolverConfig(beta=BETA), seed=1)
         # the run spends exactly its plan: the plan's rounds, each charged in full
         assert len(run.spent) == plan.T
@@ -240,7 +241,7 @@ class TestPpAdmm:
         # row t holds exactly t + 1 charges of rho_i1 + rho_i2, added in order from 0.0
         parts = make_parts()
         g = ring(3)
-        plan = make_plan(parts, g, T=6)
+        plan = make_plan(T=6)
         run = engine.run_pp_admm(parts, g, plan, 0.5, SolverConfig(beta=BETA), seed=1)
         expected, rho = [], 0.0
         for _ in range(plan.T):
@@ -251,7 +252,7 @@ class TestPpAdmm:
     def test_deterministic_given_seed(self):
         parts = make_parts()
         g = ring(3)
-        plan = make_plan(parts, g, T=4)
+        plan = make_plan(T=4)
         a = engine.run_pp_admm(parts, g, plan, 0.5, SolverConfig(beta=BETA), seed=5)
         b = engine.run_pp_admm(parts, g, plan, 0.5, SolverConfig(beta=BETA), seed=5)
         assert np.array_equal(a.thetas[-1], b.thetas[-1])
@@ -259,11 +260,11 @@ class TestPpAdmm:
     def test_lambda_below_floor_rejected(self):
         parts = make_parts()
         g = ring(3)
-        plan = make_plan(parts, g)
+        plan = make_plan()
         with pytest.raises(EngineError, match="floor"):
             engine.run_pp_admm(
                 parts, g, plan, 0.5, SolverConfig(beta=BETA), seed=0,
-                lambda_hat=plan.lambda_hat_floor / 2,
+                lambda_hat=floor(parts, g, plan) / 2,
             )
 
 
@@ -272,7 +273,7 @@ class TestIppAdmm:
         parts = make_parts()
         g = ring(3)
         c_max = 3
-        plan = make_plan(parts, g, T=8, gated=True, c_max=c_max)
+        plan = make_plan(T=8, gated=True, c_max=c_max)
         run = engine.run_ipp_admm(
             parts, g, plan, 0.5, alpha=-1e9, c_loss=2.0,
             cfg=SolverConfig(beta=BETA), seed=0, noise_disabled=True,
@@ -289,7 +290,7 @@ class TestIppAdmm:
     def test_very_high_threshold_never_broadcasts(self):
         parts = make_parts()
         g = ring(3)
-        plan = make_plan(parts, g, T=6, gated=True, c_max=5)
+        plan = make_plan(T=6, gated=True, c_max=5)
         run = engine.run_ipp_admm(
             parts, g, plan, 0.5, alpha=1e9, c_loss=2.0,
             cfg=SolverConfig(beta=BETA), seed=0, noise_disabled=True,
@@ -302,7 +303,7 @@ class TestIppAdmm:
     def test_broadcast_cap_with_noise(self):
         parts = make_parts()
         g = ring(3)
-        plan = make_plan(parts, g, T=10, gated=True, c_max=4)
+        plan = make_plan(T=10, gated=True, c_max=4)
         run = engine.run_ipp_admm(
             parts, g, plan, 0.5, alpha=1e-3, c_loss=2.0,
             cfg=SolverConfig(beta=BETA), seed=2,
@@ -319,7 +320,7 @@ class TestIppAdmm:
         # up to round t, added in round order
         parts = make_parts()
         g = ring(3)
-        plan = make_plan(parts, g, T=10, gated=True, c_max=4)
+        plan = make_plan(T=10, gated=True, c_max=4)
         run = engine.run_ipp_admm(parts, g, plan, 0.5, alpha=1e-3, c_loss=2.0,
                                   cfg=SolverConfig(beta=BETA), seed=2, noise_disabled=True)
         assert 0 < run.broadcasts.sum() < run.broadcasts.size
@@ -334,7 +335,7 @@ class TestIppAdmm:
     def test_plan_mode_mismatch_rejected(self):
         parts = make_parts()
         g = ring(3)
-        plan = make_plan(parts, g)  # full-broadcast plan
+        plan = make_plan()  # full-broadcast plan
         with pytest.raises(EngineError, match="gated"):
             engine.run_ipp_admm(
                 parts, g, plan, 0.5, alpha=0.0, c_loss=2.0,
@@ -348,7 +349,7 @@ class TestGateQuality:
     @staticmethod
     def run_ipp(parts, T=8, **kwargs):
         g = ring(len(agent_shards(parts)))
-        plan = make_plan(parts, g, T=T, gated=True, c_max=3)
+        plan = make_plan(T=T, gated=True, c_max=3)
         return engine.run_ipp_admm(parts, g, plan, 0.5, 1e-3, 2.0,
                                    SolverConfig(beta=BETA), seed=0, **kwargs)
 
@@ -380,50 +381,43 @@ class TestSharedLoop:
     def test_pp_rejects_gated_plan(self):
         parts = make_parts()
         g = ring(3)
-        plan = make_plan(parts, g, gated=True, c_max=3)
+        plan = make_plan(gated=True, c_max=3)
         with pytest.raises(EngineError, match="gated"):
             engine.run_pp_admm(parts, g, plan, 0.5, SolverConfig(beta=BETA), seed=0)
 
-    @pytest.mark.parametrize("algorithm", ["pp_admm", "ipp_admm"])
-    def test_plan_for_another_graph_rejected(self, algorithm):
-        g3, g4 = ring(3), ring(4)
-        plan = make_plan(make_parts(n_agents=3), g3, gated=algorithm == "ipp_admm", c_max=3)
-        parts = make_parts(n_agents=4)
-        cfg = SolverConfig(beta=BETA)
-        with pytest.raises(EngineError, match="does not cover this graph's agents"):
-            if algorithm == "pp_admm":
-                engine.run_pp_admm(parts, g4, plan, 0.5, cfg, seed=0)
-            else:
-                engine.run_ipp_admm(parts, g4, plan, 0.5, alpha=0.0, c_loss=2.0, cfg=cfg, seed=0)
-
-    def test_plan_for_another_topology_rejected(self):
-        parts = make_parts(n_agents=4)
-        plan = make_plan(parts, complete(4))
-        with pytest.raises(EngineError):
-            engine.run_pp_admm(parts, ring(4), plan, 0.5, SolverConfig(beta=BETA), seed=0)
-
-    @pytest.mark.parametrize("algorithm", ["pp_admm", "ipp_admm"])
-    @pytest.mark.parametrize("eta, beta", [(0.5, 10 * BETA), (0.25, BETA)])
-    def test_plan_that_under_noises_this_run_rejected(self, algorithm, eta, beta):
-        # the plan's sigma_i2 covers beta / mu_i at eta 0.5 and BETA; a larger beta or a
-        # smaller eta (so a smaller mu_i) needs more output noise than it draws
-        parts = make_parts()
-        g = ring(3)
-        plan = make_plan(parts, g, gated=algorithm == "ipp_admm", c_max=3)
-        cfg = SolverConfig(beta=beta)
-        with pytest.raises(EngineError, match="under-noises agent 0"):
-            if algorithm == "pp_admm":
-                engine.run_pp_admm(parts, g, plan, eta, cfg, seed=0)
-            else:
-                engine.run_ipp_admm(parts, g, plan, eta, alpha=0.0, c_loss=2.0, cfg=cfg, seed=0)
-
-    @pytest.mark.parametrize("eta, beta", [(0.5, BETA / 10), (1.0, BETA)])
-    def test_plan_that_over_noises_this_run_accepted(self, eta, beta):
-        parts = make_parts()
-        g = ring(3)
-        run = engine.run_pp_admm(parts, g, make_plan(parts, g, T=2), eta,
-                                 SolverConfig(beta=beta), seed=0)
-        assert run.broadcasts.all()
+    @pytest.mark.parametrize("n_agents, topology, split, eta, beta", [
+        (3, ring, 0, 0.5, BETA),
+        (3, ring, 0, 0.25, BETA),
+        (3, ring, 0, 0.5, 10 * BETA),
+        (3, ring, 0, 0.5, BETA / 10),
+        (4, ring, 0, 0.5, BETA),
+        (4, complete, 0, 0.5, BETA),
+        (4, complete, 3, 0.25, 10 * BETA),
+    ])
+    def test_one_plan_fits_any_run(self, monkeypatch, n_agents, topology, split, eta, beta):
+        # a plan holds no data: each run calibrates its noise to its own shards, graph,
+        # eta and beta, so its output noise prices at exactly rho_i2 wherever it runs
+        parts = make_parts(n=301, n_agents=n_agents, seed=split)  # shards of two sizes
+        sizes = np.array([p.n_samples for p in agent_shards(parts)])
+        g = topology(n_agents)
+        for plan in (make_plan(T=2), make_plan(T=2, gated=True, c_max=3)):
+            lambda_hat, sigma_i1, sigma_i2 = engine.calibrate_run(parts, g, plan, eta, beta)
+            assert lambda_hat == 2.8 * n_agents * 0.25 / (
+                (plan.epsilon_i1 - plan.epsilon_i3) * sizes.min())
+            assert sigma_i1 * sizes == pytest.approx(np.full(n_agents, sigma_i1[0] * sizes[0]),
+                                                     rel=1e-12)
+            for i, js in enumerate(g.neighbors):
+                mu = model.strong_convexity(lambda_hat, n_agents, eta, len(js))
+                assert gaussian_zcdp(beta / mu, sigma_i2[i]) == pytest.approx(plan.rho_i2,
+                                                                                rel=1e-12)
+        drawn = []
+        draw = noise.gaussian_vector
+        monkeypatch.setattr(noise, "gaussian_vector",
+                            lambda sigma, *args: drawn.append(sigma) or draw(sigma, *args))
+        plan = make_plan(T=2)
+        engine.run_pp_admm(parts, g, plan, eta, SolverConfig(beta=beta), seed=0)
+        _, sigma_i1, sigma_i2 = engine.calibrate_run(parts, g, plan, eta, beta)
+        assert drawn == [*sigma_i1, *sigma_i2] * 2  # b1 then b2, agent by agent, each round
 
     def test_private_policies_reduce_to_nonprivate(self):
         # with no noise and a gate that always fires, every policy shares the
@@ -432,9 +426,9 @@ class TestSharedLoop:
         g = ring(3)
         T = 6
         cfg = SolverConfig(beta=BETA)
-        pp_plan = make_plan(parts, g, T=T)
-        ipp_plan = make_plan(parts, g, T=T, gated=True, c_max=T)
-        lam = 1.5 * max(pp_plan.lambda_hat_floor, ipp_plan.lambda_hat_floor)
+        pp_plan = make_plan(T=T)
+        ipp_plan = make_plan(T=T, gated=True, c_max=T)
+        lam = 1.5 * max(floor(parts, g, pp_plan), floor(parts, g, ipp_plan))
         plain = engine.run_nonprivate(parts, g, 0.5, lam, T, cfg)
         pp = engine.run_pp_admm(parts, g, pp_plan, 0.5, cfg, seed=3, lambda_hat=lam,
                                 noise_disabled=True)
@@ -462,7 +456,8 @@ class TestForcedSilence:
         graph, parts, test, plan = cli.build_experiment(cfg)
         mask = np.array([False, True, True, True, False])
         solver_cfg = SolverConfig(beta=cfg.beta, max_iterations=cfg.max_iterations)
-        run = engine._train(parts, graph, plan.lambda_hat_floor, cfg.eta, solver_cfg, self.T,
+        lambda_hat = engine.calibrate_run(parts, graph, plan, cfg.eta, cfg.beta)[0]
+        run = engine._train(parts, graph, lambda_hat, cfg.eta, solver_cfg, self.T,
                             test, None, None, lambda theta_hat, quality: (mask, theta_hat))
         sharing_error = [metrics.error_rate(thetas[1:4], test) for thetas in run.thetas]
         return run, sharing_error
@@ -550,7 +545,7 @@ class TestDualRule:
 
 class TestCentralizedReference:
     def test_single_agent_admm_degenerates(self):
-        ds = data.synthetic_blobs(100, 2, 2.0, 3)
+        ds = drawn_blobs(100, 2, 2.0, 3)
         cfg = SolverConfig(beta=1e-7)
         # a 2-node graph where one agent holds an identical dataset copy:
         # both agree with the centralized fit on the pooled (duplicated) data
@@ -562,12 +557,12 @@ class TestCentralizedReference:
         assert np.linalg.norm(run.thetas[-1, 0] - ref) < 1e-3
 
     def test_heavy_regularization_shrinks(self):
-        ds = data.synthetic_blobs(50, 2, 2.0, 0)
+        ds = drawn_blobs(50, 2, 2.0, 0)
         theta = centralized_reference(ds, 1e6, SolverConfig(beta=1e-2))
         assert np.linalg.norm(theta) < 1e-4
 
     def test_deterministic(self):
-        ds = data.synthetic_blobs(60, 2, 2.0, 1)
+        ds = drawn_blobs(60, 2, 2.0, 1)
         cfg = SolverConfig(beta=1e-6)
         a = centralized_reference(ds, 0.5, cfg)
         b = centralized_reference(ds, 0.5, cfg)

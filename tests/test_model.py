@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from padmm import cli, data, metrics, model, noise
+from padmm import cli, data, engine, metrics, model, noise
 from padmm.model import DataTerms, solver_steps, stacked_kernel
 from padmm.solver import NonConvergence, SolverConfig, minimize
 from reference import (
@@ -20,11 +20,13 @@ from reference import (
     blocks,
     clipped_quality,
     curvature_bounds,
+    drawn_blobs,
     local_objective,
     local_value_and_grad,
     logistic_loss,
     logistic_loss_deriv,
     mean_logistic_loss,
+    partition,
     solver_step,
     subset,
 )
@@ -33,7 +35,7 @@ finite_z = st.floats(min_value=-500, max_value=500, allow_nan=False)
 
 
 def toy_dataset(seed=0, n=12, d=3):
-    return data.synthetic_blobs(n, d, 2.0, seed)
+    return drawn_blobs(n, d, 2.0, seed)
 
 
 class TestLogisticLoss:
@@ -280,13 +282,14 @@ def default_subproblems(algorithm):
     parts, _ = cli.prepare_data(cfg)
     graph = cli.build_graph(cfg)
     plan = cli.build_plan(cfg, parts, graph)
+    floor, sigma_i1, _ = engine.calibrate_run(parts, graph, plan, cfg.eta, cfg.beta)
     solver_cfg = SolverConfig(beta=cfg.beta)
     rng = np.random.default_rng(12)
     d = cfg.synthetic_d
     for i in range(cfg.n_agents):
-        p = LocalObjectiveParams(agent_shards(parts)[i], plan.lambda_hat_floor, cfg.n_agents)
+        p = LocalObjectiveParams(agent_shards(parts)[i], floor, cfg.n_agents)
         b1_rng = noise.RngHandle.for_agent(0, i, noise.OBJECTIVE_NOISE)
-        b1 = noise.gaussian_vector(plan.sigma_i1[i], d, b1_rng)
+        b1 = noise.gaussian_vector(sigma_i1[i], d, b1_rng)
         for degree in (1, 2, 3):
             a = AugmentedParams(rng.normal(size=d) * 0.05, rng.normal(size=d),
                                 [rng.normal(size=d) for _ in range(degree)], cfg.eta, b1)
@@ -303,7 +306,7 @@ def random_round(rng, n_agents, max_degree, with_b1, shuffled):
     extra = int(rng.integers(1, n_agents)) if n_agents > 1 else 0  # shards one sample larger
     n = n_agents * int(rng.integers(2, 30)) + extra
     parts = agent_shards(
-        data.partition(toy_dataset(seed=int(rng.integers(100)), n=n, d=d), n_agents, 0))
+        partition(toy_dataset(seed=int(rng.integers(100)), n=n, d=d), n_agents, 0))
     if shuffled:  # size groups no longer contiguous: blocks() copies them
         parts = [parts[i] for i in rng.permutation(n_agents)]
     nbrs = [sorted(rng.choice([j for j in range(n_agents) if j != i],
@@ -345,7 +348,7 @@ class TestStackedKernel:
 
     def test_does_not_mutate_round_terms_or_thetas(self):
         rng = np.random.default_rng(11)
-        parts = data.partition(toy_dataset(n=31), 3, 0)
+        parts = partition(toy_dataset(n=31), 3, 0)
         dual, prev, b1 = (rng.normal(size=(3, 3)) for _ in range(3))
         slots = np.array([[1, 2], [0, 1], [2, 2]])
         before = [a.copy() for a in (dual, prev, b1, slots)]
@@ -365,7 +368,7 @@ class TestDataTerms:
 
     @staticmethod
     def evaluator(monkeypatch=None, passes=None):
-        parts = data.partition(toy_dataset(n=31), 3, 0)  # shards of 11, 10 and 10: two blocks
+        parts = partition(toy_dataset(n=31), 3, 0)  # shards of 11, 10 and 10: two blocks
         if monkeypatch is not None:
             block_margins = model.margins
 
@@ -446,7 +449,7 @@ class TestDataTerms:
 
     def test_kept_losses_are_the_memo_points_per_sample_losses(self, monkeypatch):
         # formed once per memo point and reused at any cap; a new pass drops them
-        terms = DataTerms(data.partition(toy_dataset(n=31), 3, 0))
+        terms = DataTerms(partition(toy_dataset(n=31), 3, 0))
         fresh = DataTerms(terms.blocks)
         rng = np.random.default_rng(7)
         a, b = rng.normal(size=(3, 3)), rng.normal(size=(3, 3))
@@ -480,7 +483,7 @@ class TestAverageLoss:
             assert metrics.average_loss(list(thetas), DataTerms(blocks(parts))) == expected
 
     def test_one_theta_per_agent(self):
-        parts = data.partition(toy_dataset(n=20), 2, 0)
+        parts = partition(toy_dataset(n=20), 2, 0)
         with pytest.raises(ValueError, match="one theta per agent"):
             metrics.average_loss(np.zeros((3, 3)), DataTerms(parts))
 
@@ -590,7 +593,7 @@ class TestSolverSteps:
     @pytest.mark.parametrize("lambda_hat", [0.0, 0.7])
     def test_rows_equal_the_one_agent_step(self, lambda_hat):
         # shards of 101, 100 and 100
-        terms = DataTerms(data.partition(data.synthetic_blobs(301, 3, 2.0, 0), 3, 0))
+        terms = DataTerms(partition(drawn_blobs(301, 3, 2.0, 0), 3, 0))
         parts = agent_shards(terms.blocks)
         for degrees in itertools.product(range(4), repeat=3):
             steps = solver_steps(terms, lambda_hat, 0.5, degrees)
@@ -608,7 +611,7 @@ class TestSolverSteps:
         rng = np.random.default_rng(seed)
         n = n_agents * per_agent + int(rng.integers(0, n_agents))  # one or two shard sizes
         ds = data.Dataset(rng.normal(size=(n, d)), rng.choice([-1, 1], size=n))
-        parts = data.partition(ds, n_agents, seed % 5)
+        parts = partition(ds, n_agents, seed % 5)
         degrees = rng.integers(0, 6, size=n_agents)
         steps = solver_steps(DataTerms(parts), lambda_hat, eta, degrees)
         for i, part in enumerate(agent_shards(parts)):
@@ -635,7 +638,7 @@ class TestStackedClippedQuality:
                                            zero_signs):
         rng = np.random.default_rng(seed)
         # one agent more than the rest gets per_agent + 1 samples: two shard sizes
-        parts = agent_shards(data.partition(
+        parts = agent_shards(partition(
             toy_dataset(seed=seed % 7, n=n_agents * per_agent + 1), n_agents, seed % 5))
         assert len({part.n_samples for part in parts}) == 2
         lam = rng.uniform(0.0, 3.0)

@@ -33,11 +33,10 @@ class TestMinimize:
         assert len(calls) == 1  # single evaluation, zero steps
 
     def test_gradient_norm_postcondition(self):
-        from padmm import data
         from reference import (AugmentedParams, LocalObjectiveParams, augmented_gradient,
-                               augmented_objective)
+                               augmented_objective, drawn_blobs)
 
-        ds = data.synthetic_blobs(100, 2, 5.0, 0)
+        ds = drawn_blobs(100, 2, 5.0, 0)
         p = LocalObjectiveParams(ds, 0.5, 2)
         rng = np.random.default_rng(1)
         a = AugmentedParams(rng.normal(size=2), rng.normal(size=2),
