@@ -1,9 +1,11 @@
 """Sparse-vector gate deciding whether a round's solution is worth broadcasting.
 
 An SVT over any query of sensitivity Delta, drawing from its own streams
-rngs = (threshold, query): Lap(c Delta / eps1) on the threshold once, then
-Lap(2 c Delta / eps2) on each query.  At most c_max above-threshold answers
-are allowed, after which the gate is exhausted and draws no more noise.
+rngs = (threshold, query): Lap(Delta / eps1) on the threshold once, then
+Lap(2 c Delta / eps2) on each query.  At most c = c_max above-threshold
+answers are allowed, after which the gate is exhausted and draws no more
+noise.  These are the scales of Lyu, Su & Li's Algorithm 1 (VLDB 2017),
+which is (eps1 + eps2)-DP for queries that need not be monotonic.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ class SvtGate:
         threshold_rng, self.query_rng = rngs
         self.c_max = c_max
         self.count = 0
-        self.noisy_threshold = alpha + laplace_scalar(c_max * sensitivity / eps1, threshold_rng)
+        self.noisy_threshold = alpha + laplace_scalar(sensitivity / eps1, threshold_rng)
         self.query_noise_scale = 2.0 * c_max * sensitivity / eps2
 
     def check(self, quality: float) -> Decision:

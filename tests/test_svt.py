@@ -1,6 +1,10 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 
+from padmm import svt
 from padmm.accountant import svt_split_ratio
 from padmm.noise import RngHandle
 from padmm.svt import Decision, SvtGate
@@ -27,10 +31,10 @@ class TestGateConstruction:
 
     def test_noise_scales(self):
         gate = make_gate(c_max=15, eps1=0.2, eps2=0.8, sensitivity=4.0)
-        # threshold scale c Delta/eps1 = 300, query scale 2 c Delta/eps2 = 150
+        # threshold scale Delta/eps1 = 20, query scale 2 c Delta/eps2 = 150
         assert gate.query_noise_scale == pytest.approx(4 * 15 * 2.0 / 0.8)
         noisy = SvtGate(0.0, 15, 0.2, 0.8, 4.0, (RngHandle(3), disabled_rng()))
-        # with u drawn, threshold = Lap(300) quantile; just confirm it moved
+        # with u drawn, threshold = Lap(20) quantile; just confirm it moved
         assert noisy.noisy_threshold != 0.0
 
     def test_rejects_bad_params(self):
@@ -102,3 +106,104 @@ class TestSplitRatio:
             svt_split_ratio(0, 1.0)
         with pytest.raises(ValueError):
             svt_split_ratio(3, 0.0)
+
+
+def drawn_scales(monkeypatch, c_max, eps1, eps2, sensitivity):
+    """The Laplace scales a gate draws with: [threshold, first query]."""
+    scales = []
+    monkeypatch.setattr(svt, "laplace_scalar", lambda b, rng: scales.append(b) or 0.0)
+    SvtGate(0.0, c_max, eps1, eps2, sensitivity, (disabled_rng(), disabled_rng())).check(0.0)
+    return scales
+
+
+def laplace_sf(x, b):
+    """P(Lap(b) >= x), elementwise."""
+    return np.where(x < 0, 1 - 0.5 * np.exp(np.minimum(x, 0) / b),
+                    0.5 * np.exp(-np.maximum(x, 0) / b))
+
+
+def answer_vectors(length, c_max):
+    """Every answer sequence of a gate over `length` queries: True is ABOVE; the c-th ends it."""
+    if length == 0 or c_max == 0:
+        return [()]
+    return ([(True,) + rest for rest in answer_vectors(length - 1, c_max - 1)]
+            + [(False,) + rest for rest in answer_vectors(length - 1, c_max)])
+
+
+NODES, WEIGHTS = np.polynomial.legendre.leggauss(16)
+
+
+def answer_probabilities(queries, c_max, b_threshold, b_query, alpha=0.0):
+    """Each answer vector's exact probability, integrated over the threshold noise z.
+
+    Given z, the answers are independent, ABOVE with P(q_k + Lap(b_query) >= alpha + z).
+    The integrand is smooth between z = 0 and the z = q_k - alpha, so Gauss-Legendre
+    on pieces at most half a scale long, out to 60 scales, is exact to rounding.
+    """
+    kinks = [0.0, *(q - alpha for q in queries)]
+    reach = 60 * max(b_threshold, b_query)
+    edges = np.unique(np.concatenate([
+        np.arange(min(kinks) - reach, max(kinks) + reach, min(b_threshold, b_query) / 2),
+        [max(kinks) + reach], kinks]))
+    mid, half = (edges[1:] + edges[:-1]) / 2, (edges[1:] - edges[:-1]) / 2
+    z = (mid[:, None] + half[:, None] * NODES).ravel()
+    weight = ((half[:, None] * WEIGHTS).ravel()
+              * np.exp(-np.abs(z) / b_threshold) / (2 * b_threshold))
+    above = [laplace_sf(alpha + z - q, b_query) for q in queries]
+    probabilities = {}
+    for answers in answer_vectors(len(queries), c_max):
+        integrand = weight.copy()
+        for p_above, answer in zip(above, answers):
+            integrand *= p_above if answer else 1 - p_above
+        probabilities[answers] = integrand.sum()
+    return probabilities
+
+
+def worst_log_ratio(c_max, b_threshold, b_query, sensitivity, length):
+    """max ln(P[a | q] / P[a | q']) over answer vectors a and query sequences at distance Delta.
+
+    q runs over the sequences of `length` queries in {-Delta, 0, Delta}, and q' over
+    q + s Delta for every s in {-1, 0, 1}^length: each query moves either way on its own,
+    as a non-monotonic query may.
+    """
+    grid = itertools.product((-2, -1, 0, 1, 2), repeat=length)
+    probabilities = {q: answer_probabilities([sensitivity * k for k in q], c_max,
+                                             b_threshold, b_query) for q in grid}
+    worst = -math.inf
+    for q in itertools.product((-1, 0, 1), repeat=length):
+        assert sum(probabilities[q].values()) == pytest.approx(1.0, abs=1e-12)
+        for shift in itertools.product((-1, 0, 1), repeat=length):
+            moved = probabilities[tuple(a + b for a, b in zip(q, shift))]
+            worst = max(worst, *(math.log(p / moved[a]) for a, p in probabilities[q].items()))
+    return worst
+
+
+class TestPrivacyOracle:
+    """The gate is (eps1 + eps2)-DP: Lyu, Su & Li (VLDB 2017), Alg. 1 and Theorem 4.
+
+    Checked exactly on short streams, with the scales the gate draws with.
+    """
+
+    SENSITIVITY = 4.0
+
+    @pytest.mark.parametrize("c_max", [1, 2, 15])
+    def test_scales_are_lyus(self, monkeypatch, c_max):
+        eps1, eps2 = svt_split_ratio(c_max, 1.0)
+        assert drawn_scales(monkeypatch, c_max, eps1, eps2, self.SENSITIVITY) == [
+            self.SENSITIVITY / eps1, 2 * c_max * self.SENSITIVITY / eps2]
+
+    @pytest.mark.parametrize("c_max", [1, 2])
+    def test_oracle_catches_an_under_noised_query(self, c_max):
+        # Lap(c Delta / eps2) on each query, the scale for monotonic queries only
+        eps1, eps2 = svt_split_ratio(c_max, 1.0)
+        worst = worst_log_ratio(c_max, self.SENSITIVITY / eps1,
+                                c_max * self.SENSITIVITY / eps2, self.SENSITIVITY, c_max + 2)
+        assert worst > eps1 + eps2
+
+    @pytest.mark.parametrize("c_max", [1, 2])
+    @pytest.mark.parametrize("epsilon", [0.5, 1.0])
+    def test_every_answer_vector_within_e_to_the_eps(self, monkeypatch, c_max, epsilon):
+        eps1, eps2 = svt_split_ratio(c_max, epsilon)
+        b_threshold, b_query = drawn_scales(monkeypatch, c_max, eps1, eps2, self.SENSITIVITY)
+        worst = worst_log_ratio(c_max, b_threshold, b_query, self.SENSITIVITY, c_max + 2)
+        assert worst <= eps1 + eps2
