@@ -105,9 +105,9 @@ def _train(blocks, g: Graph, lambda_hat, eta, cfg: SolverConfig, T, test, spent,
     (N,) array of each agent's rho that release charges (None for none);
     each round's row of Run.spent is a copy of it.  quality holds the
     agents' clipped quality scores at loss cap c_loss, or is None when
-    c_loss is None.
+    c_loss is None.  The callers have checked blocks against g (_check_inputs).
     """
-    d = _check_inputs(blocks, g)
+    d = blocks[0].features.shape[2]
     own = np.arange(g.n)[:, None]
     slots = np.tile(own, max(map(len, g.neighbors), default=0))
     for i, js in enumerate(g.neighbors):
@@ -208,6 +208,7 @@ def _run_private(blocks, g: Graph, plan: BudgetPlan, eta: float, cfg: SolverConf
 def run_nonprivate(blocks, g: Graph, eta: float, lambda_hat: float, T: int,
                    cfg: SolverConfig, test: Dataset | None = None) -> Run:
     """Noise-free consensus ADMM; every round's mask is all agents.  Returns the Run."""
+    _check_inputs(blocks, g)
     everyone = np.ones(g.n, dtype=bool)
     return _train(blocks, g, lambda_hat, eta, cfg, T, test, None, draw_b1=None,
                   release=lambda theta_hat, quality: (everyone, theta_hat))
