@@ -90,7 +90,7 @@ def load_csv(path, label_column: str, positive_value: str) -> Dataset:
     return Dataset(np.asarray(rows, dtype=float), labels)
 
 
-_FOLD = 64  # rows per wide row in column_max_abs and _by_column
+_FOLD = 64  # rows per wide row in column_max_abs and in normalize's _by_column divide
 _CHUNK = 8192  # rows per draw in draw_blobs and per scratch array in normalize
 
 
@@ -223,8 +223,9 @@ def draw_blobs(x: np.ndarray, separation: float, seed: int, order=None) -> None:
     Cluster centers are `separation` apart; unit-variance isotropic noise;
     sample s has label blob_labels(n)[s].  Row j holds sample order[j]
     (default j).  The samples come from one Generator stream, _CHUNK rows
-    per draw, and each draw is written straight to its samples' rows, each
-    row as one item, so no second (n, d) array exists.  Chunked
+    per draw, shifted by one scalar offset (added to the positive samples,
+    subtracted from the rest) and written straight to its samples' rows,
+    each row as one item, so no second (n, d) array exists.  Chunked
     standard_normal draws are the bits of one rng.normal(size=(n, d)) draw,
     except that normal's 0.0 + z turns a drawn -0.0 into 0.0, which the
     offset also does unless separation is 0.  Column maxima do not depend on
@@ -236,7 +237,7 @@ def draw_blobs(x: np.ndarray, separation: float, seed: int, order=None) -> None:
         raise DataError("need n >= 2 and d >= 1")
     rng = np.random.default_rng(seed)
     n_pos = n // 2
-    offset = np.full(d * _FOLD, separation / (2.0 * np.sqrt(d)))  # tiled, see _by_column
+    offset = separation / (2.0 * np.sqrt(d))
     rows = np.arange(n)  # the row of each sample
     if order is not None:
         rows[order] = np.arange(n)
@@ -244,8 +245,8 @@ def draw_blobs(x: np.ndarray, separation: float, seed: int, order=None) -> None:
     for start in range(0, n, _CHUNK):
         chunk = rng.standard_normal(size=(min(_CHUNK, n - start), d))
         pos = min(max(n_pos - start, 0), len(chunk))
-        _by_column(np.add, chunk[:pos], offset)
-        _by_column(np.subtract, chunk[pos:], offset)
+        chunk[:pos] += offset
+        chunk[pos:] -= offset
         np.put(x.view(item), rows[start:start + len(chunk)], chunk.view(item))
         del chunk  # before the next draw allocates its own
     del rows

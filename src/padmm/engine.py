@@ -174,8 +174,7 @@ def _run_private(blocks, g: Graph, plan: BudgetPlan, eta: float, cfg: SolverConf
         raise EngineError(str(exc)) from None
 
     def streams(purpose):
-        return [noise.RngHandle.for_agent(seed, i, purpose, disabled=noise_disabled)
-                for i in range(g.n)]
+        return [None if noise_disabled else noise.stream(seed, i, purpose) for i in range(g.n)]
 
     b1_rngs, b2_rngs = streams(noise.OBJECTIVE_NOISE), streams(noise.OUTPUT_NOISE)
     ledger = ZcdpLedger(g.n)

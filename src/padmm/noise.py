@@ -1,10 +1,10 @@
 """Seedable Gaussian / Laplace samplers with one stream per agent and purpose.
 
-Each RngHandle owns an independent stream keyed by (seed, stream_id), so a
-run is reproducible and individual noise sources can be toggled in tests.
-The disabled mode returns the distribution's center (zero) instead of a
-draw; it exists for exact reduction tests and must never be used for real
-privacy.
+Each stream is a plain numpy Generator keyed by (seed, agent, purpose), so
+a run is reproducible and individual noise sources can be told apart in
+tests.  A sampler handed None in place of a stream returns the
+distribution's center (zero) without a draw; that exists for exact
+reduction tests and must never be used for real privacy.
 """
 
 from __future__ import annotations
@@ -19,45 +19,31 @@ SVT_QUERY = 3
 _N_PURPOSES = 4
 
 
-class RngHandle:
-    """One logical random stream, deterministic in (seed, stream_id)."""
-
-    def __init__(self, seed: int, stream_id: int = 0, disabled: bool = False):
-        self.disabled = disabled
-        self._gen = np.random.Generator(
-            np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(stream_id,)))
-        )
-
-    @classmethod
-    def for_agent(cls, seed: int, agent: int, purpose: int, disabled: bool = False) -> "RngHandle":
-        return cls(seed, agent * _N_PURPOSES + purpose, disabled=disabled)
-
-    def uniform(self) -> float:
-        return float(self._gen.random())
-
-    def standard_normal(self, size: int) -> np.ndarray:
-        return self._gen.standard_normal(size)
+def stream(seed: int, agent: int, purpose: int) -> np.random.Generator:
+    """The random stream of one agent and purpose, deterministic in all three."""
+    key = (agent * _N_PURPOSES + purpose,)
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=key)))
 
 
-def gaussian_vector(sigma: float, d: int, rng: RngHandle) -> np.ndarray:
-    """d iid draws from N(0, sigma^2); zeros when sigma == 0 or rng disabled."""
+def gaussian_vector(sigma: float, d: int, rng: np.random.Generator | None) -> np.ndarray:
+    """d iid draws from N(0, sigma^2); zeros when sigma == 0 or rng is None."""
     if sigma < 0:
         raise ValueError("sigma must be nonnegative")
-    if sigma == 0 or rng.disabled:
+    if sigma == 0 or rng is None:
         return np.zeros(d)
     return sigma * rng.standard_normal(d)
 
-def laplace_scalar(b: float, rng: RngHandle) -> float:
-    """One draw from Lap(b) via the inverse CDF; the median when rng disabled."""
+def laplace_scalar(b: float, rng: np.random.Generator | None) -> float:
+    """One draw from Lap(b) via the inverse CDF; the median when rng is None."""
     if b <= 0:
         raise ValueError("Laplace scale must be positive")
-    if rng.disabled:
+    if rng is None:
         return 0.0
-    # uniform() is on [0, 1) and u = 0 would give an infinite draw; redrawing
+    # random() is on [0, 1) and u = 0 would give an infinite draw; redrawing
     # it keeps the distribution exact and leaves every other draw unchanged.
-    u = rng.uniform()
+    u = rng.random()
     while u == 0.0:
-        u = rng.uniform()
+        u = rng.random()
     return laplace_inverse_cdf(b, u)
 
 

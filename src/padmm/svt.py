@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import enum
 
-from .noise import RngHandle, laplace_scalar
+import numpy as np
+
+from .noise import laplace_scalar
 
 
 class Decision(enum.Enum):
@@ -29,7 +31,7 @@ class SvtGate:
         eps1: float,
         eps2: float,
         sensitivity: float,
-        rngs: tuple[RngHandle, RngHandle],
+        rngs: tuple[np.random.Generator | None, np.random.Generator | None],
     ):
         if c_max < 1 or eps1 <= 0 or eps2 <= 0 or sensitivity <= 0:
             raise ValueError("c_max, eps1, eps2, sensitivity must be positive")

@@ -8,7 +8,7 @@ import pytest
 from padmm import data, engine, metrics
 from padmm.accountant import calibrate, plan_budget, zcdp_sufficient_epsilon
 from padmm.model import DataTerms
-from padmm.noise import RngHandle, gaussian_vector, laplace_scalar
+from padmm.noise import gaussian_vector, laplace_scalar, stream
 from padmm.solver import SolverConfig
 from padmm.svt import Decision, SvtGate
 from padmm.topology import ring
@@ -125,8 +125,7 @@ def test_4_sensitivity_oracle():
 
 def test_5_svt_behavior():
     start = time.time()
-    disabled = RngHandle(0, disabled=True)
-    gate = SvtGate(0.3, 10**9, 0.1, 0.9, 4.0, (disabled, disabled))
+    gate = SvtGate(0.3, 10**9, 0.1, 0.9, 4.0, (None, None))
     qualities = np.random.default_rng(1).normal(size=1000)
     matches = all(
         (gate.check(q) is Decision.ABOVE) == (q >= 0.3) for q in qualities
@@ -157,9 +156,9 @@ def test_5_svt_behavior():
 
 def test_6_mechanism_statistics():
     start = time.time()
-    gauss = gaussian_vector(1.0, 10**6, RngHandle(0, 1))
+    gauss = gaussian_vector(1.0, 10**6, stream(0, 0, 1))
     g_mean, g_var = gauss.mean(), gauss.var()
-    rng = RngHandle(1, 2)
+    rng = stream(1, 0, 2)
     lap = np.array([laplace_scalar(1.0, rng) for _ in range(10**6)])
     l_mean, l_var = lap.mean(), lap.var()
     ok = (

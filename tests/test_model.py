@@ -288,7 +288,7 @@ def default_subproblems(algorithm):
     d = cfg.synthetic_d
     for i in range(cfg.n_agents):
         p = LocalObjectiveParams(agent_shards(parts)[i], floor, cfg.n_agents)
-        b1_rng = noise.RngHandle.for_agent(0, i, noise.OBJECTIVE_NOISE)
+        b1_rng = noise.stream(0, i, noise.OBJECTIVE_NOISE)
         b1 = noise.gaussian_vector(sigma_i1[i], d, b1_rng)
         for degree in (1, 2, 3):
             a = AugmentedParams(rng.normal(size=d) * 0.05, rng.normal(size=d),

@@ -4,20 +4,16 @@ import math
 import numpy as np
 import pytest
 
-from padmm import svt
+from padmm import cli, engine, svt
 from padmm.accountant import svt_split_ratio
-from padmm.noise import RngHandle
+from padmm.noise import stream
+from padmm.solver import SolverConfig
 from padmm.svt import Decision, SvtGate
-
-
-def disabled_rng():
-    return RngHandle(0, disabled=True)
 
 
 def make_gate(alpha=1.0, c_max=3, eps1=0.1, eps2=0.9, sensitivity=4.0, rng=None,
               query_rng=None):
-    return SvtGate(alpha, c_max, eps1, eps2, sensitivity,
-                   (rng or disabled_rng(), query_rng or disabled_rng()))
+    return SvtGate(alpha, c_max, eps1, eps2, sensitivity, (rng, query_rng))
 
 
 class TestGateConstruction:
@@ -25,15 +21,15 @@ class TestGateConstruction:
         assert make_gate(alpha=0.25).noisy_threshold == 0.25
 
     def test_threshold_deterministic(self):
-        a = make_gate(rng=RngHandle(9, 5))
-        b = make_gate(rng=RngHandle(9, 5))
+        a = make_gate(rng=stream(9, 1, 1))
+        b = make_gate(rng=stream(9, 1, 1))
         assert a.noisy_threshold == b.noisy_threshold
 
     def test_noise_scales(self):
         gate = make_gate(c_max=15, eps1=0.2, eps2=0.8, sensitivity=4.0)
         # threshold scale Delta/eps1 = 20, query scale 2 c Delta/eps2 = 150
         assert gate.query_noise_scale == pytest.approx(4 * 15 * 2.0 / 0.8)
-        noisy = SvtGate(0.0, 15, 0.2, 0.8, 4.0, (RngHandle(3), disabled_rng()))
+        noisy = SvtGate(0.0, 15, 0.2, 0.8, 4.0, (stream(3, 0, 0), None))
         # with u drawn, threshold = Lap(20) quantile; just confirm it moved
         assert noisy.noisy_threshold != 0.0
 
@@ -69,14 +65,14 @@ class TestCheck:
         assert gate.count == 2
 
     def test_exhausted_consumes_no_noise(self):
-        rng2 = RngHandle(1)
+        rng2 = stream(1, 0, 0)
         gate = make_gate(alpha=-1e9, c_max=1, query_rng=rng2)
         gate.check(10.0)  # draws once and exhausts the gate
-        rng = RngHandle(1)
-        rng.uniform()
-        before = rng.uniform()
+        rng = stream(1, 0, 0)
+        rng.random()
+        before = rng.random()
         gate.check(10.0)  # exhausted: must not draw
-        assert rng2.uniform() == before
+        assert rng2.random() == before
 
     def test_matches_direct_comparison_when_disabled(self):
         rng = np.random.default_rng(0)
@@ -112,7 +108,7 @@ def drawn_scales(monkeypatch, c_max, eps1, eps2, sensitivity):
     """The Laplace scales a gate draws with: [threshold, first query]."""
     scales = []
     monkeypatch.setattr(svt, "laplace_scalar", lambda b, rng: scales.append(b) or 0.0)
-    SvtGate(0.0, c_max, eps1, eps2, sensitivity, (disabled_rng(), disabled_rng())).check(0.0)
+    SvtGate(0.0, c_max, eps1, eps2, sensitivity, (None, None)).check(0.0)
     return scales
 
 
@@ -207,3 +203,37 @@ class TestPrivacyOracle:
         b_threshold, b_query = drawn_scales(monkeypatch, c_max, eps1, eps2, self.SENSITIVITY)
         worst = worst_log_ratio(c_max, b_threshold, b_query, self.SENSITIVITY, c_max + 2)
         assert worst <= eps1 + eps2
+
+
+def final_errors(epsilon, seeds):
+    """Each seed's final test error of ipp_admm on the default ring at epsilon."""
+    cfg = cli.ExperimentConfig(algorithm="ipp_admm", topology="ring", epsilon=epsilon)
+    graph, parts, test, plan = cli.build_experiment(cfg)
+    solver_cfg = SolverConfig(beta=cfg.beta, max_iterations=cfg.max_iterations)
+    return np.array([engine.run_ipp_admm(parts, graph, plan, cfg.eta, cfg.alpha, cfg.c_loss,
+                                         solver_cfg, seed, test=test).error_rate[-1]
+                     for seed in seeds])
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "the gate does not read its query: next to Lap(Delta/eps1) and Lap(2 c Delta/eps2) at "
+    "Delta = 4 the clipped quality is negligible, so the blind twin releases in the same "
+    "rounds (README, the honesty note on the SVT scale)"))
+def test_gate_beats_its_blind_twin(monkeypatch):
+    """Somewhere the gate's final error lies below its quality-blind twin's, seed for seed.
+
+    The twin is the same gate handed 0 in place of the quality: it reads no
+    data, yet still pays rho_svt, so it is a lenient bar (a fair twin would
+    spend rho_total / c on each release).  The paired 95% interval of
+    (gate - twin) over seeds 0-19 must lie below 0 at epsilon 1 or 5.
+    """
+    seeds = range(20)
+    gate = {epsilon: final_errors(epsilon, seeds) for epsilon in (1.0, 5.0)}
+    check = svt.SvtGate.check
+    monkeypatch.setattr(svt.SvtGate, "check", lambda self, quality: check(self, 0.0))
+    upper = {}
+    for epsilon, errors in gate.items():
+        diff = errors - final_errors(epsilon, seeds)
+        t_975 = 2.093  # Student's t quantile, 19 degrees of freedom
+        upper[epsilon] = diff.mean() + t_975 * diff.std(ddof=1) / math.sqrt(len(diff))
+    assert min(upper.values()) < 0, upper
